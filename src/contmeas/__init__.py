@@ -3,8 +3,6 @@ systems: trajectory enumeration and sampling, information quantities, and
 numerical audits of the entropic bounds they satisfy."""
 
 from .engine import (
-    APrioriTrack,
-    ConsistencyReport,
     TrajectoryRecord,
     compute_a_priori,
     consistency_checks,
@@ -12,32 +10,29 @@ from .engine import (
     sample_trajectories,
 )
 from .entropics import (
-    BoundReport,
     EntropyReport,
     EntropyReportBuilder,
     build_entropy_report,
     check_bounds,
-    classical_information,
-    mean_chi,
     mutual_entropy_hybrid,
-    quantum_info_gain,
-    quantum_info_gain_cond,
 )
 from .errors import (
     BudgetExceeded,
     ContmeasError,
     DimensionMismatch,
-    DomainError,
     GridMiss,
     InvalidParameters,
     ModelSyntaxError,
     NonHermitianInput,
     NotPositiveSemidefinite,
+    NumericRangeError,
     ShapeError,
     UnknownScenario,
 )
-from .linalg import Spectrum, clip_spectrum, hermitian_eig, spectral_apply
+from .linalg import Spectrum, hermitian_eig
 from .model import (
+    Check,
+    CheckReport,
     Ensemble,
     MeasurementModel,
     TimeGrid,
@@ -54,8 +49,6 @@ from .quantum import (
     Instrument,
     KrausMap,
     UnnormalizedState,
-    a_priori_step,
-    apply_kraus,
     average_state,
     chi_quantity,
     classical_relative_entropy,

@@ -10,8 +10,8 @@ Subcommands:
 
 Exit codes: 0 success; 1 the model document is invalid (syntax, shape or
 numeric validation); 2 a consistency check or bound fails at tolerance;
-3 I/O or enumeration-budget errors. Progress and diagnostics go to stderr;
-results go to files in the output directory only.
+3 I/O, enumeration-budget or numeric-range errors. Progress and diagnostics
+go to stderr; results go to files in the output directory only.
 """
 
 from __future__ import annotations
@@ -37,7 +37,13 @@ from .entropics import (
     report_to_json_dict,
     write_bounds_csv,
 )
-from .errors import BudgetExceeded, ContmeasError, ModelSyntaxError, ShapeError
+from .errors import (
+    BudgetExceeded,
+    ContmeasError,
+    ModelSyntaxError,
+    NumericRangeError,
+    ShapeError,
+)
 from .model import (
     SCENARIO_NAMES,
     MeasurementModel,
@@ -99,33 +105,34 @@ def _parse_times(text: Optional[str]) -> Optional[tuple]:
         raise _Failure(EXIT_IO, f"bad time list {text!r}: {exc}") from exc
 
 
-def _load_model(cfg: RunConfig) -> MeasurementModel:
-    if (cfg.model_path is None) == (cfg.scenario is None):
+def _load_model(model_path, scenario, horizon, seed) -> MeasurementModel:
+    if (model_path is None) == (scenario is None):
         raise _Failure(EXIT_IO, "exactly one of --model and --scenario is required")
-    if cfg.scenario is not None:
-        horizon = cfg.horizon if cfg.horizon is not None else 3
+    if scenario is not None:
         try:
-            return builtin_scenario(cfg.scenario, horizon=horizon, seed=cfg.seed)
+            return builtin_scenario(
+                scenario, horizon=horizon if horizon is not None else 3, seed=seed
+            )
         except ContmeasError as exc:
             raise _Failure(EXIT_IO, str(exc)) from exc
     try:
-        text = Path(cfg.model_path).read_text(encoding="utf-8")
+        text = Path(model_path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _Failure(EXIT_IO, f"cannot read {cfg.model_path}: {exc}") from exc
+        raise _Failure(EXIT_IO, f"cannot read {model_path}: {exc}") from exc
     try:
         model = parse_model(text)
     except (ModelSyntaxError, ShapeError) as exc:
         raise _Failure(EXIT_INVALID_MODEL, f"invalid model document: {exc}") from exc
-    if cfg.horizon is not None and cfg.horizon != model.horizon:
+    if horizon is not None and horizon != model.horizon:
         if not model.homogeneous:
             raise _Failure(
                 EXIT_IO, "--horizon can only override models with a single instrument"
             )
         model = MeasurementModel(
             dim=model.dim,
-            horizon=cfg.horizon,
+            horizon=horizon,
             ensemble=model.ensemble,
-            steps=tuple([model.steps[0]] * cfg.horizon),
+            steps=tuple([model.steps[0]] * horizon),
             homogeneous=True,
         )
     return model
@@ -155,7 +162,7 @@ def run_pipeline(cfg: RunConfig, with_bounds: bool = True) -> int:
     the process exit code.
     """
     try:
-        model = _load_model(cfg)
+        model = _load_model(cfg.model_path, cfg.scenario, cfg.horizon, cfg.seed)
         _validate_or_fail(model)
         grid = _make_grid(cfg, model)
         out_dir = Path(cfg.out_dir)
@@ -199,6 +206,8 @@ def run_pipeline(cfg: RunConfig, with_bounds: bool = True) -> int:
                 count += 1
         except BudgetExceeded as exc:
             raise _Failure(EXIT_IO, f"enumeration refused: {exc}") from exc
+        except NumericRangeError as exc:
+            raise _Failure(EXIT_IO, str(exc)) from exc
         finally:
             if dump_stream is not None:
                 dump_stream.close()
@@ -258,9 +267,9 @@ def run_pipeline(cfg: RunConfig, with_bounds: bool = True) -> int:
         return failure.code
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
+def _cmd_validate(args: argparse.Namespace) -> int:
     try:
-        model = _load_model(cfg)
+        model = _load_model(args.model, args.scenario, args.horizon, args.seed)
     except _Failure as failure:
         _say(f"error: {failure}")
         return failure.code
@@ -329,19 +338,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """RunConfig of a ``run`` or ``check`` command line; every default comes
+    from the parser."""
     return RunConfig(
         model_path=args.model,
         scenario=args.scenario,
         horizon=args.horizon,
-        grid=_parse_times(getattr(args, "grid", None)),
-        refs=_parse_times(getattr(args, "refs", None)),
-        mode=getattr(args, "mode", "enumerate"),
-        samples=getattr(args, "samples", 10000),
+        grid=_parse_times(args.grid),
+        refs=_parse_times(args.refs),
+        mode=args.mode,
+        samples=args.samples,
         seed=args.seed,
-        tol=getattr(args, "tol", 1e-9),
-        units=getattr(args, "units", "nats"),
-        out_dir=getattr(args, "out", "."),
-        dump_trajectories=getattr(args, "dump_trajectories", False),
+        tol=args.tol,
+        units=args.units,
+        out_dir=args.out,
+        dump_trajectories=args.dump_trajectories,
     )
 
 
@@ -349,13 +360,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "scenario":
         return _cmd_scenario_list()
+    if args.command == "validate":
+        return _cmd_validate(args)
     try:
         cfg = _config_from_args(args)
     except _Failure as failure:
         _say(f"error: {failure}")
         return failure.code
-    if args.command == "validate":
-        return _cmd_validate(cfg)
     if args.command == "run":
         return run_pipeline(cfg, with_bounds=False)
     return run_pipeline(cfg, with_bounds=True)

@@ -19,20 +19,22 @@ normalized.
 
 from __future__ import annotations
 
-import csv
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import BudgetExceeded, NotPositiveSemidefinite
-from .model import MeasurementModel, TimeGrid
+from .errors import BudgetExceeded, NotPositiveSemidefinite, NumericRangeError
+from .model import Check, CheckReport, MeasurementModel, TimeGrid
 from .quantum import DensityOperator, quantum_relative_entropy
 
 # A branch is pruned when its trace drops below this fraction of its parent.
 PRUNE_REL_TOL = 1e-14
 # Default cap on letters x outcome strings for exhaustive enumeration.
 DEFAULT_LEAF_BUDGET = 10**7
+# Distinct sampled paths cached per sample_trajectories call.
+SAMPLE_MEMO_CAP = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,50 +64,53 @@ class TrajectoryRecord:
         return self.prob_at[max(self.prob_at)]
 
 
-@dataclass(frozen=True, eq=False)
-class APrioriTrack:
-    """A-priori (outcome-ignored) states at every record time."""
-
-    states: dict  # t -> DensityOperator
-
-    def __getitem__(self, t: int) -> DensityOperator:
-        return self.states[t]
+def format_outcomes(outcomes) -> str:
+    if all(len(label) == 1 for label in outcomes):
+        return "".join(outcomes)
+    return "|".join(outcomes)
 
 
-def initial_average_state(model: MeasurementModel) -> np.ndarray:
-    avg = np.zeros((model.dim, model.dim), dtype=complex)
-    for p, state in zip(model.ensemble.prior, model.ensemble.states):
-        avg += p * ((state + state.conj().T) / 2.0)
-    return avg
+def _path_name(letter, outcomes, t) -> str:
+    return f"trajectory (letter {letter}, outcomes {format_outcomes(outcomes)!r}, time {t})"
 
 
-def propagate(model: MeasurementModel, matrix: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Apply the a-priori evolution between two times."""
-    out = matrix
-    for step in range(start + 1, stop + 1):
-        out = model.instrument_at(step).apply_total(out)
-    return out
+def _letter_roots(model: MeasurementModel) -> list:
+    """Root of each letter's walk: prior weight times the Hermitian part of
+    its state. Their sum is the initial a-priori state."""
+    return [
+        p * ((state + state.conj().T) / 2.0)
+        for p, state in zip(model.ensemble.prior, model.ensemble.states)
+    ]
 
 
-def compute_a_priori(model: MeasurementModel, grid: TimeGrid) -> APrioriTrack:
-    """A-priori states eta_t = average over all outcomes, at record times."""
+def compute_a_priori(model: MeasurementModel, grid: TimeGrid) -> dict:
+    """A-priori states eta_t = average over letters and all outcomes, as a
+    dict from each record time t to its DensityOperator."""
     record_set = set(grid.record_times)
     states = {}
-    current = initial_average_state(model)
+    current = sum(_letter_roots(model))
     if 0 in record_set:
         states[0] = DensityOperator.from_matrix(current)
     for step in range(1, model.horizon + 1):
         current = model.instrument_at(step).apply_total(current)
         if step in record_set:
             states[step] = DensityOperator.from_matrix(current)
-    return APrioriTrack(states=states)
+    return states
+
+
+def _path_mass(matrix) -> float:
+    """Trace of an unnormalized path state, refused when too small to divide by."""
+    mass = float(np.trace(matrix).real)
+    if not mass >= sys.float_info.min:
+        raise NumericRangeError(f"path mass {mass!r} is below the smallest normal float")
+    return mass
 
 
 def _record_time_data(t, main, refs, eta, record):
     """Record everything attached to time t into fresh copies of the
     per-path dicts (copy-on-write so subtree siblings never alias)."""
     (prob_at, apost, cond, incrp, ent, cent, chit, chiat) = record
-    trace = float(np.trace(main).real)
+    trace = _path_mass(main)
     rho = DensityOperator.from_matrix(main / trace)
     eta_t = eta[t]
     prob_at = {**prob_at, t: trace}
@@ -121,7 +126,7 @@ def _record_time_data(t, main, refs, eta, record):
             varrho = eta_t  # freshly seeded track: exactly the a-priori state
             weight = 1.0
         else:
-            weight = float(np.trace(ref_matrix).real)
+            weight = _path_mass(ref_matrix)
             varrho = DensityOperator.from_matrix(ref_matrix / weight)
         cond[(s, t)] = varrho
         incrp[(s, t)] = weight
@@ -130,26 +135,51 @@ def _record_time_data(t, main, refs, eta, record):
     return (prob_at, apost, cond, incrp, ent, cent, chit, chiat)
 
 
-def _make_record(letter, outcomes, record) -> TrajectoryRecord:
-    (prob_at, apost, cond, incrp, ent, cent, chit, chiat) = record
-    return TrajectoryRecord(
-        letter=letter,
-        outcomes=outcomes,
-        prob_at=prob_at,
-        aposteriori=apost,
-        conditioned=cond,
-        incr_prob=incrp,
-        entropy=ent,
-        cond_entropy=cent,
-        chi_term=chit,
-        chi_at_term=chiat,
-    )
+_EMPTY_RECORD = ({}, {}, {}, {}, {}, {}, {}, {})
+
+
+class _Walk:
+    """What enumeration and sampling share: the letter roots, and the step
+    taken at every node of a path."""
+
+    def __init__(self, model: MeasurementModel, grid: TimeGrid, apriori: Optional[dict]):
+        self.model = model
+        self.eta = apriori if apriori is not None else compute_a_priori(model, grid)
+        self.roots = _letter_roots(model)
+        self.record_set = set(grid.record_times)
+        self.ref_set = set(grid.reference_times)
+
+    def visit(self, letter, outcomes, t, main, refs, record):
+        """Seed the reference track of time t and attach the record-time
+        data; an error names the trajectory. Returns (refs, record)."""
+        if t in self.ref_set and t not in refs:
+            refs = {**refs, t: self.eta[t].matrix}
+        if t in self.record_set:
+            try:
+                record = _record_time_data(t, main, refs, self.eta, record)
+            except (NotPositiveSemidefinite, NumericRangeError) as exc:
+                raise type(exc)(f"{_path_name(letter, outcomes, t)}: {exc}") from exc
+        return refs, record
+
+    def replay(self, letter, outcomes) -> TrajectoryRecord:
+        """Rebuild the full record for a known path (no randomness involved)."""
+        main = self.roots[letter]
+        refs = {}
+        record = _EMPTY_RECORD
+        for t in range(self.model.horizon + 1):
+            refs, record = self.visit(letter, outcomes, t, main, refs, record)
+            if t == self.model.horizon:
+                break
+            kraus = self.model.instrument_at(t + 1).map_for(outcomes[t])
+            main = kraus.apply(main)
+            refs = {s: kraus.apply(m) for s, m in refs.items()}
+        return TrajectoryRecord(letter, outcomes, *record)
 
 
 def enumerate_trajectories(
     model: MeasurementModel,
     grid: TimeGrid,
-    apriori: Optional[APrioriTrack] = None,
+    apriori: Optional[dict] = None,
     budget: int = DEFAULT_LEAF_BUDGET,
 ) -> Iterator[TrajectoryRecord]:
     """Depth-first walk over all (letter, outcome string) paths.
@@ -161,31 +191,19 @@ def enumerate_trajectories(
     leaves = model.leaf_count()
     if leaves > budget:
         raise BudgetExceeded(f"{leaves} leaves exceed the budget of {budget}")
-    eta = apriori if apriori is not None else compute_a_priori(model, grid)
-    record_set = set(grid.record_times)
-    ref_set = set(grid.reference_times)
+    walk = _Walk(model, grid, apriori)
     horizon = model.horizon
 
-    empty = ({}, {}, {}, {}, {}, {}, {}, {})
-    for letter, (p, state) in enumerate(zip(model.ensemble.prior, model.ensemble.states)):
+    for letter, (p, root) in enumerate(zip(model.ensemble.prior, walk.roots)):
         if p <= 0.0:
             continue
-        root = p * ((state + state.conj().T) / 2.0)
         # stack entries: (depth, main matrix, ref matrices, record dicts, outcomes)
-        stack = [(0, root, {}, empty, ())]
+        stack = [(0, root, {}, _EMPTY_RECORD, ())]
         while stack:
             t, main, refs, record, outcomes = stack.pop()
-            if t in ref_set and t not in refs:
-                refs = {**refs, t: eta[t].matrix}
-            if t in record_set:
-                try:
-                    record = _record_time_data(t, main, refs, eta, record)
-                except NotPositiveSemidefinite as exc:
-                    raise NotPositiveSemidefinite(
-                        f"trajectory (letter {letter}, outcomes {outcomes!r}, time {t}): {exc}"
-                    ) from exc
+            refs, record = walk.visit(letter, outcomes, t, main, refs, record)
             if t == horizon:
-                yield _make_record(letter, outcomes, record)
+                yield TrajectoryRecord(letter, outcomes, *record)
                 continue
             instrument = model.instrument_at(t + 1)
             parent_trace = float(np.trace(main).real)
@@ -199,42 +217,12 @@ def enumerate_trajectories(
             stack.extend(reversed(children))
 
 
-# Distinct sampled paths cached per sample_trajectories call.
-SAMPLE_MEMO_CAP = 100_000
-
-
-def _replay_record(model, grid, eta, letter, outcomes) -> TrajectoryRecord:
-    """Rebuild the full record for a known path (no randomness involved)."""
-    record_set = set(grid.record_times)
-    ref_set = set(grid.reference_times)
-    state = model.ensemble.states[letter]
-    main = float(model.ensemble.prior[letter]) * ((state + state.conj().T) / 2.0)
-    refs = {}
-    record = ({}, {}, {}, {}, {}, {}, {}, {})
-    for t in range(model.horizon + 1):
-        if t in ref_set and t not in refs:
-            refs = {**refs, t: eta[t].matrix}
-        if t in record_set:
-            try:
-                record = _record_time_data(t, main, refs, eta, record)
-            except NotPositiveSemidefinite as exc:
-                raise NotPositiveSemidefinite(
-                    f"trajectory (letter {letter}, outcomes {outcomes!r}, time {t}): {exc}"
-                ) from exc
-        if t == model.horizon:
-            break
-        kraus = model.instrument_at(t + 1).map_for(outcomes[t])
-        main = kraus.apply(main)
-        refs = {s: kraus.apply(m) for s, m in refs.items()}
-    return _make_record(letter, outcomes, record)
-
-
 def sample_trajectories(
     model: MeasurementModel,
     grid: TimeGrid,
     n_samples: int,
     seed: int,
-    apriori: Optional[APrioriTrack] = None,
+    apriori: Optional[dict] = None,
 ) -> Iterator[TrajectoryRecord]:
     """Draw trajectories under the physical law; deterministic in the seed.
 
@@ -243,18 +231,15 @@ def sample_trajectories(
     carry the same attached states as enumeration, with prob_at holding the
     true path probability (not the 1/N estimator weight). A record is a
     pure function of its path, so repeated paths are served from a memo;
-    the random stream never depends on the memo.
+    the random stream never depends on the memo. Raises NumericRangeError
+    when a path's mass falls below the smallest normal float.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    eta = apriori if apriori is not None else compute_a_priori(model, grid)
+    walk = _Walk(model, grid, apriori)
     rng = np.random.default_rng(seed)
     prior = model.ensemble.prior
     prior_cum = np.cumsum(prior / prior.sum())
-    roots = [
-        float(p) * ((s + s.conj().T) / 2.0)
-        for p, s in zip(prior, model.ensemble.states)
-    ]
     effects = [
         [km.normalization() for km in model.instrument_at(step).maps]
         for step in range(1, model.horizon + 1)
@@ -263,12 +248,18 @@ def sample_trajectories(
     for _ in range(n_samples):
         letter = int(np.searchsorted(prior_cum, rng.random(), side="right"))
         letter = min(letter, len(prior) - 1)
-        main = roots[letter]
+        main = walk.roots[letter]
         outcomes = ()
         for t in range(model.horizon):
             instrument = model.instrument_at(t + 1)
             weights = [max(0.0, float(np.trace(main @ e).real)) for e in effects[t]]
-            u = rng.random() * sum(weights)
+            total = sum(weights)
+            if not total >= sys.float_info.min:
+                raise NumericRangeError(
+                    f"{_path_name(letter, outcomes, t)}: outcome weights sum to {total!r}, "
+                    "below the smallest normal float"
+                )
+            u = rng.random() * total
             cum = 0.0
             pick = len(weights) - 1
             for v, w in enumerate(weights):
@@ -281,7 +272,7 @@ def sample_trajectories(
         key = (letter, outcomes)
         record = memo.get(key)
         if record is None:
-            record = _replay_record(model, grid, eta, letter, outcomes)
+            record = walk.replay(letter, outcomes)
             if len(memo) < SAMPLE_MEMO_CAP:
                 memo[key] = record
         yield record
@@ -290,39 +281,6 @@ def sample_trajectories(
 # ---------------------------------------------------------------------------
 # Consistency checks over the enumerated table
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConsistencyCheck:
-    name: str
-    residual: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tol
-
-    def __str__(self) -> str:
-        mark = "ok" if self.passed else "FAIL"
-        return f"[{mark}] {self.name}: residual {self.residual:.3e} (tol {self.tol:.1e})"
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
-    def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
-
-    def __str__(self) -> str:
-        return "\n".join(str(c) for c in self.checks)
 
 
 class ConsistencyAccumulator:
@@ -395,10 +353,9 @@ class ConsistencyAccumulator:
             dev = float(np.linalg.norm(pushed / trace - rec.aposteriori[t].matrix))
             self.recursion = max(self.recursion, dev)
 
-    def finalize(self) -> ConsistencyReport:
-        checks = [
-            ConsistencyCheck("total-probability", abs(self.total_prob - 1.0), self.tol)
-        ]
+    def finalize(self) -> CheckReport:
+        """One check per identity; each margin is minus its residual."""
+        checks = [Check("total-probability", -abs(self.total_prob - 1.0), self.tol)]
         times = self.grid.record_times
         for i, s in enumerate(times):
             for t in times[i + 1 :]:
@@ -413,14 +370,15 @@ class ConsistencyAccumulator:
                     ),
                     default=0.0,
                 )
-                checks.append(ConsistencyCheck(f"martingale({s},{t})", residual, self.tol))
+                checks.append(Check("martingale", -residual, self.tol, (s, t)))
         for (s, t) in self.grid.pairs():
             table = self.incr[(s, t)]
             checks.append(
-                ConsistencyCheck(
-                    f"increment-total({s},{t})",
-                    abs(sum(w for w, _ in table.values()) - 1.0),
+                Check(
+                    "increment-total",
+                    -abs(sum(w for w, _ in table.values()) - 1.0),
                     self.tol,
+                    (s, t),
                 )
             )
             residual = 0.0
@@ -437,29 +395,27 @@ class ConsistencyAccumulator:
                     residual = max(
                         residual, float(np.linalg.norm(acc / mass - cond_matrix))
                     )
-            checks.append(ConsistencyCheck(f"measurability({s},{t})", residual, self.tol))
+            checks.append(Check("measurability", -residual, self.tol, (s, t)))
         for t in times:
             acc = np.zeros((self.model.dim, self.model.dim), dtype=complex)
             for prob, rho in self.prefix[t].values():
                 acc += prob * rho
             residual = float(np.linalg.norm(acc - self.eta[t].matrix))
-            checks.append(ConsistencyCheck(f"apriori-mean({t})", residual, self.tol))
-        checks.append(
-            ConsistencyCheck("increment-dependence", self.incr_dependence, 1e-12)
-        )
-        checks.append(ConsistencyCheck("composition", self.composition, 1e-12))
-        checks.append(ConsistencyCheck("state-recursion", self.recursion, 1e-10))
-        return ConsistencyReport(checks=tuple(checks))
+            checks.append(Check("apriori-mean", -residual, self.tol, (t,)))
+        checks.append(Check("increment-dependence", -self.incr_dependence, 1e-12))
+        checks.append(Check("composition", -self.composition, 1e-12))
+        checks.append(Check("state-recursion", -self.recursion, 1e-10))
+        return CheckReport(checks=tuple(checks))
 
 
 def consistency_checks(
     model: MeasurementModel,
     grid: TimeGrid,
     records: Optional[Iterable[TrajectoryRecord]] = None,
-    apriori: Optional[APrioriTrack] = None,
+    apriori: Optional[dict] = None,
     tol: float = 1e-9,
     budget: int = DEFAULT_LEAF_BUDGET,
-) -> ConsistencyReport:
+) -> CheckReport:
     """Run all structural checks over the enumerated table (requires
     enumeration to be feasible within the budget)."""
     eta = apriori if apriori is not None else compute_a_priori(model, grid)
@@ -469,31 +425,3 @@ def consistency_checks(
     for rec in records:
         acc.add(rec)
     return acc.finalize()
-
-
-# ---------------------------------------------------------------------------
-# Trajectory dump
-# ---------------------------------------------------------------------------
-
-
-def format_outcomes(outcomes) -> str:
-    if all(len(label) == 1 for label in outcomes):
-        return "".join(outcomes)
-    return "|".join(outcomes)
-
-
-def write_trajectories_csv(records, grid: TimeGrid, stream) -> int:
-    """Write one CSV row per record: letter, outcome string, probability,
-    then the a-posteriori entropy at each record time. Returns row count."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(
-        ["letter", "outcomes", "prob"] + [f"S_{t}" for t in grid.record_times]
-    )
-    count = 0
-    for rec in records:
-        writer.writerow(
-            [rec.letter, format_outcomes(rec.outcomes), repr(rec.prob)]
-            + [repr(rec.entropy[t]) for t in grid.record_times]
-        )
-        count += 1
-    return count

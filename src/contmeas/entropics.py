@@ -25,13 +25,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
 from .engine import TrajectoryRecord
 from .errors import GridMiss
-from .model import TimeGrid
+from .model import Check, CheckReport, TimeGrid
 from .quantum import HybridRelativeEntropy, UnnormalizedState, hybrid_relative_entropy
 
 LN2 = math.log(2.0)
@@ -198,48 +198,6 @@ def build_entropy_report(
     return builder.finalize()
 
 
-def _weighted_mean(records, term, weight_mode: str) -> float:
-    acc = MeanAccumulator()
-    try:
-        for rec in records:
-            weight = rec.prob if weight_mode == "prob" else 1.0
-            acc.add(term(rec), weight)
-    except KeyError as exc:
-        raise GridMiss(f"time {exc.args[0]!r} is not on the record/reference grid") from exc
-    return acc.mean
-
-
-def classical_information(records, r: int, t: int, weight_mode: str = "prob") -> float:
-    """Ic(r, t) as the expectation of the log-probability contrast between
-    the joint path law and the product of its two marginals."""
-    return _weighted_mean(records, lambda rec: _ic_contribution(rec, r, t), weight_mode)
-
-
-def mean_chi(records, s: int, t: int, weight_mode: str = "prob") -> float:
-    """chi_bar(s, t): mean relative entropy of the a-posteriori state at t
-    against the outcome-only state conditioned after s. math.inf propagates
-    from any positive-probability branch with a support violation."""
-    return _weighted_mean(records, lambda rec: rec.chi_term[(s, t)], weight_mode)
-
-
-def quantum_info_gain(records, s: int, t: int, weight_mode: str = "prob") -> float:
-    """Iq(s, t): mean entropy of a-posteriori states at s minus at t."""
-    return _weighted_mean(
-        records, lambda rec: rec.entropy[s] - rec.entropy[t], weight_mode
-    )
-
-
-def quantum_info_gain_cond(
-    records, r: int, s: int, t: int, weight_mode: str = "prob"
-) -> float:
-    """Iq(r; s, t): the same gain for the outcome-only conditioned states."""
-    return _weighted_mean(
-        records,
-        lambda rec: rec.cond_entropy[(r, s)] - rec.cond_entropy[(r, t)],
-        weight_mode,
-    )
-
-
 def mutual_entropy_hybrid(records, r: int, s: int) -> HybridRelativeEntropy:
     """Mutual entropy of the joint time-s state against the product of its
     two marginals, computed as a hybrid relative entropy over the full
@@ -283,44 +241,6 @@ def mutual_entropy_hybrid(records, r: int, s: int) -> HybridRelativeEntropy:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    bound_id: str
-    times: tuple
-    lhs: float
-    rhs: float
-    margin: float
-    passed: bool
-
-    def __str__(self) -> str:
-        mark = "ok" if self.passed else "FAIL"
-        times = ",".join(str(t) for t in self.times)
-        return f"[{mark}] {self.bound_id}({times}): lhs {self.lhs!r} rhs {self.rhs!r} margin {self.margin!r}"
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    checks: tuple
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
-    def find(self, bound_id: str, times: tuple) -> Optional[BoundCheck]:
-        for c in self.checks:
-            if c.bound_id == bound_id and c.times == times:
-                return c
-        return None
-
-    def min_margin(self, prefix: str = "") -> float:
-        margins = [c.margin for c in self.checks if c.bound_id.startswith(prefix)]
-        return min(margins, default=math.inf)
-
-
 def _extended_diff(a: float, b: float) -> float:
     """a - b in the extended reals where a dominating +inf on ``a`` wins."""
     if math.isinf(a):
@@ -332,7 +252,7 @@ def _extended_diff(a: float, b: float) -> float:
 
 def check_bounds(
     report: EntropyReport, tol: float = 1e-9, pure_preserving: bool = False
-) -> BoundReport:
+) -> CheckReport:
     """Evaluate every inequality on every ordered tuple of the grid.
 
     Margin convention: margin = (slack of the inequality), the minimum over
@@ -346,16 +266,7 @@ def check_bounds(
     refs = grid.reference_times
 
     def emit(bound_id, times, lhs, rhs, margin):
-        checks.append(
-            BoundCheck(
-                bound_id=bound_id,
-                times=times,
-                lhs=lhs,
-                rhs=rhs,
-                margin=margin,
-                passed=bool(margin >= -tol),
-            )
-        )
+        checks.append(Check(bound_id, margin, tol, times, lhs, rhs))
 
     for r in refs:
         laters = [t for t in records if t >= r]
@@ -423,7 +334,7 @@ def check_bounds(
                 -abs(report.Iq_cond[(0, 0, 0)]),
             )
 
-    return BoundReport(checks=tuple(checks), tolerance=tol)
+    return CheckReport(checks=tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +372,7 @@ def report_to_json_dict(report: EntropyReport, units: str = "nats") -> dict:
     return out
 
 
-def write_bounds_csv(report: BoundReport, stream, units: str = "nats") -> int:
+def write_bounds_csv(report: CheckReport, stream, units: str = "nats") -> int:
     """CSV with columns (bound_id, times, lhs, rhs, margin, pass)."""
     scale = 1.0 if units == "nats" else 1.0 / LN2
     writer = csv.writer(stream, lineterminator="\n")
@@ -469,7 +380,7 @@ def write_bounds_csv(report: BoundReport, stream, units: str = "nats") -> int:
     for c in report.checks:
         writer.writerow(
             [
-                c.bound_id,
+                c.name,
                 ",".join(str(t) for t in c.times),
                 repr(c.lhs * scale if not math.isinf(c.lhs) else c.lhs),
                 repr(c.rhs * scale if not math.isinf(c.rhs) else c.rhs),

@@ -17,8 +17,9 @@ class NotPositiveSemidefinite(ContmeasError, ValueError):
     """A matrix required to be PSD has an eigenvalue below the clip tolerance."""
 
 
-class DomainError(ContmeasError, ValueError):
-    """A scalar function is undefined at an eigenvalue it was applied to."""
+class NumericRangeError(ContmeasError, ArithmeticError):
+    """A path probability fell below the smallest normal float, so the
+    states along it can no longer be normalized."""
 
 
 class ModelSyntaxError(ContmeasError, ValueError):

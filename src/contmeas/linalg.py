@@ -1,24 +1,20 @@
-"""Dense complex-matrix kernels: Hermitian eigendecomposition and spectral calculus.
+"""Dense complex-matrix kernel: Hermitian eigendecomposition.
 
-All heavier routines in this package reduce to the three operations here:
-``hermitian_eig``, ``spectral_apply`` and ``clip_spectrum``. Eigenvalues are
-returned ascending and eigenvector phases are fixed (largest-magnitude
-component made real positive) so that repeated runs produce identical output.
+Every spectrum in this package comes from here. Eigenvalues are returned
+ascending and eigenvector phases are fixed (largest-magnitude component made
+real positive) so that repeated runs produce identical output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NonHermitianInput, NotPositiveSemidefinite
+from .errors import DimensionMismatch, NonHermitianInput
 
-# Relative Hermiticity / reconstruction tolerance for the kernels.
+# Relative Hermiticity tolerance for the kernels.
 HERMITICITY_TOL = 1e-10
-# Relative eigenvalue floor used when a spectrum must be PSD.
-PSD_CLIP_TOL = 1e-12
 
 
 def _as_square_matrix(m) -> np.ndarray:
@@ -50,14 +46,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive."""
@@ -76,59 +64,20 @@ def eigh_phase_fixed(hermitian_matrix: np.ndarray):
     return eigenvalues, _fix_phases(eigenvectors)
 
 
-def hermitian_eig(m, tol: float = HERMITICITY_TOL) -> Spectrum:
+def hermitian_eig(m) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
     Raises NonHermitianInput when the relative Hermiticity residual exceeds
-    ``tol`` and DimensionMismatch for non-square input. The decomposition is
-    taken of the Hermitian part (m + m*)/2, which is within ``tol`` of m.
+    HERMITICITY_TOL and DimensionMismatch for non-square input. The
+    decomposition is taken of the Hermitian part (m + m*)/2, which is within
+    that tolerance of m.
     """
     a = _as_square_matrix(m)
     residual = hermiticity_residual(a)
-    if residual > tol:
-        raise NonHermitianInput(f"Hermiticity residual {residual:.3e} exceeds {tol:.1e}")
+    if residual > HERMITICITY_TOL:
+        raise NonHermitianInput(
+            f"Hermiticity residual {residual:.3e} exceeds {HERMITICITY_TOL:.1e}"
+        )
     herm = (a + a.conj().T) / 2.0
     eigenvalues, eigenvectors = eigh_phase_fixed(herm)
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-
-
-def clip_spectrum(eigenvalues: Sequence[float], floor_tol: float = PSD_CLIP_TOL) -> np.ndarray:
-    """Zero out rounding-scale negative eigenvalues.
-
-    Eigenvalues in (-floor_tol * lambda_max, 0] are mapped to 0, where
-    lambda_max is the largest eigenvalue magnitude. A more negative
-    eigenvalue is genuine negativity and raises NotPositiveSemidefinite.
-    """
-    if floor_tol < 0:
-        raise ValueError("floor_tol must be nonnegative")
-    lam = np.asarray(eigenvalues, dtype=float)
-    lam_max = float(np.max(np.abs(lam))) if lam.size else 0.0
-    floor = -floor_tol * lam_max
-    if np.any(lam < floor):
-        worst = float(np.min(lam))
-        raise NotPositiveSemidefinite(
-            f"eigenvalue {worst:.3e} below clip floor {floor:.3e}"
-        )
-    out = lam.copy()
-    out[out <= 0.0] = 0.0
-    return out
-
-
-def spectral_apply(m, f: Callable[[float], float], tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
-
-    Returns V diag(f(lambda)) V*. Raises DomainError when f raises or
-    produces a non-finite value at some eigenvalue; callers that need a PSD
-    domain should clip the spectrum first (see clip_spectrum).
-    """
-    spec = hermitian_eig(m, tol=tol)
-    values = np.empty_like(spec.eigenvalues)
-    for i, lam in enumerate(spec.eigenvalues):
-        try:
-            values[i] = f(float(lam))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(f"function undefined at eigenvalue {lam!r}: {exc}") from exc
-        if not np.isfinite(values[i]):
-            raise DomainError(f"function not finite at eigenvalue {lam!r}")
-    v = spec.eigenvectors
-    return (v * values) @ v.conj().T

@@ -13,6 +13,10 @@ stores probabilities throughout.
 Model documents are JSON; see ``parse_model`` for the schema. Parsing checks
 shape only; ``validate_model`` reports the numeric residuals (instrument
 completeness, state positivity, prior normalization).
+
+``Check`` and ``CheckReport`` are the one check type of the package: model
+validation, the engine's consistency identities and the bound audit all
+report through them.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -139,22 +143,34 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class ValidationCheck:
+class Check:
+    """One audited statement at one grid tuple (``times``, empty when it has
+    none). ``margin`` is its signed slack, minus the residual for identities
+    and validation residuals; it passes iff ``margin >= -tol``, so a NaN
+    fails and +inf passes. Bounds also record their two compared sides."""
+
     name: str
-    residual: float
+    margin: float
     tol: float
+    times: tuple = ()
+    lhs: Optional[float] = None
+    rhs: Optional[float] = None
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tol
+        return bool(self.margin >= -self.tol)
 
     def __str__(self) -> str:
         mark = "ok" if self.passed else "FAIL"
-        return f"[{mark}] {self.name}: residual {self.residual:.3e} (tol {self.tol:.1e})"
+        label = self.name
+        if self.times:
+            label += "(" + ",".join(str(t) for t in self.times) + ")"
+        sides = "" if self.lhs is None else f"lhs {self.lhs!r} rhs {self.rhs!r} "
+        return f"[{mark}] {label}: {sides}margin {self.margin:.3e} (tol {self.tol:.1e})"
 
 
 @dataclass(frozen=True)
-class ValidationReport:
+class CheckReport:
     checks: tuple
 
     @property
@@ -164,52 +180,55 @@ class ValidationReport:
     def failures(self):
         return [c for c in self.checks if not c.passed]
 
+    def find(self, name: str, times: tuple) -> Optional[Check]:
+        for c in self.checks:
+            if c.name == name and c.times == times:
+                return c
+        return None
+
+    def min_margin(self, prefix: str = "") -> float:
+        margins = [c.margin for c in self.checks if c.name.startswith(prefix)]
+        return min(margins, default=math.inf)
+
+    def max_residual(self) -> float:
+        return -self.min_margin()
+
     def __str__(self) -> str:
         return "\n".join(str(c) for c in self.checks)
 
 
-def validate_model(model: MeasurementModel) -> ValidationReport:
+def validate_model(model: MeasurementModel) -> CheckReport:
     """Numeric validation: instrument completeness, state positivity and
     normalization, prior normalization. Never raises; the report carries
     one named residual per check."""
     checks = []
     prior = model.ensemble.prior
-    checks.append(
-        ValidationCheck("prior:nonnegative", max(0.0, -float(np.min(prior))), PRIOR_SUM_TOL)
-    )
-    checks.append(
-        ValidationCheck("prior:sum", abs(float(np.sum(prior)) - 1.0), PRIOR_SUM_TOL)
-    )
+    checks.append(Check("prior:nonnegative", -max(0.0, -float(np.min(prior))), PRIOR_SUM_TOL))
+    checks.append(Check("prior:sum", -abs(float(np.sum(prior)) - 1.0), PRIOR_SUM_TOL))
     for i, state in enumerate(model.ensemble.states):
         herm = float(np.linalg.norm(state - state.conj().T)) / max(
             1.0, float(np.linalg.norm(state))
         )
-        checks.append(ValidationCheck(f"state[{i}]:hermitian", herm, 1e-10))
+        checks.append(Check(f"state[{i}]:hermitian", -herm, 1e-10))
         sym = (state + state.conj().T) / 2.0
         lam_min = float(np.linalg.eigvalsh(sym)[0])
+        checks.append(Check(f"state[{i}]:psd", -max(0.0, -lam_min), STATE_EIGENVALUE_TOL))
         checks.append(
-            ValidationCheck(f"state[{i}]:psd", max(0.0, -lam_min), STATE_EIGENVALUE_TOL)
-        )
-        checks.append(
-            ValidationCheck(
-                f"state[{i}]:trace", abs(float(np.trace(sym).real) - 1.0), STATE_TRACE_TOL
-            )
+            Check(f"state[{i}]:trace", -abs(float(np.trace(sym).real) - 1.0), STATE_TRACE_TOL)
         )
     if model.homogeneous:
         residual = model.steps[0].completeness_residual()
-        checks.append(
-            ValidationCheck("instrument:completeness", residual, INSTRUMENT_COMPLETENESS_TOL)
-        )
+        checks.append(Check("instrument:completeness", -residual, INSTRUMENT_COMPLETENESS_TOL))
     else:
         for k, inst in enumerate(model.steps, start=1):
             checks.append(
-                ValidationCheck(
+                Check(
                     f"instrument[{k}]:completeness",
-                    inst.completeness_residual(),
+                    -inst.completeness_residual(),
                     INSTRUMENT_COMPLETENESS_TOL,
                 )
             )
-    return ValidationReport(checks=tuple(checks))
+    return CheckReport(checks=tuple(checks))
 
 
 def is_pure_preserving(model: MeasurementModel) -> bool:

@@ -6,7 +6,7 @@ Conventions used throughout:
 * a relative entropy whose first argument has mass outside the support of
   the second is ``math.inf`` (a real flag value, never a large float);
 * an eigenvalue belongs to the support iff it exceeds 1e-12 times the
-  largest eigenvalue, matching the clip tolerance of the linalg kernels;
+  largest eigenvalue;
 * zero-weight branches of hybrid (classical/quantum) states are dropped,
   never normalized.
 """
@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveSemidefinite
+from .errors import DimensionMismatch, NonHermitianInput, NotPositiveSemidefinite
 from .linalg import (
     HERMITICITY_TOL,
     Spectrum,
@@ -53,6 +53,13 @@ def _clip_nonnegative(lam: np.ndarray) -> np.ndarray:
     return out
 
 
+def _spectrum_psd(matrix: np.ndarray) -> Spectrum:
+    spec = hermitian_eig(matrix)
+    return Spectrum(
+        eigenvalues=_clip_nonnegative(spec.eigenvalues), eigenvectors=spec.eigenvectors
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Positive semidefinite unit-trace matrix with a cached spectrum."""
@@ -60,25 +67,24 @@ class DensityOperator:
     matrix: np.ndarray
 
     @classmethod
-    def from_matrix(cls, matrix, trace_tol: float = TRACE_TOL) -> "DensityOperator":
+    def from_matrix(cls, matrix) -> "DensityOperator":
         """Validate and wrap a matrix: Hermitian within 1e-10 (relative
-        Frobenius), eigenvalues >= -1e-12, trace 1 within ``trace_tol``."""
+        Frobenius), eigenvalues >= -1e-12, trace 1 within TRACE_TOL. Each
+        test is written so that a NaN fails it."""
         a = np.asarray(matrix, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"state matrix must be square, got {a.shape}")
         residual = hermiticity_residual(a)
-        if residual > HERMITICITY_TOL:
-            from .errors import NonHermitianInput
-
+        if not residual <= HERMITICITY_TOL:
             raise NonHermitianInput(f"state Hermiticity residual {residual:.3e}")
         herm = (a + a.conj().T) / 2.0
         eigenvalues, eigenvectors = eigh_phase_fixed(herm)
         lam_min = float(eigenvalues[0])
-        if lam_min < EIGENVALUE_FLOOR:
+        if not lam_min >= EIGENVALUE_FLOOR:
             raise NotPositiveSemidefinite(f"state eigenvalue {lam_min:.3e} < -1e-12")
         trace = float(np.trace(herm).real)
-        if abs(trace - 1.0) > trace_tol:
-            raise ValueError(f"state trace {trace!r} deviates from 1 beyond {trace_tol:.1e}")
+        if not abs(trace - 1.0) <= TRACE_TOL:
+            raise ValueError(f"state trace {trace!r} deviates from 1 beyond {TRACE_TOL:.1e}")
         op = cls(matrix=herm)
         # seed the spectrum cache; clip rounding-scale negatives to zero
         op.__dict__["spectrum"] = Spectrum(
@@ -92,11 +98,7 @@ class DensityOperator:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        spec = hermitian_eig(self.matrix)
-        return Spectrum(
-            eigenvalues=_clip_nonnegative(spec.eigenvalues),
-            eigenvectors=spec.eigenvectors,
-        )
+        return _spectrum_psd(self.matrix)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -107,10 +109,10 @@ class DensityOperator:
         """Von Neumann entropy in nats."""
         return _entropy_of_eigenvalues(self.eigenvalues)
 
-    def rank(self, rel_tol: float = SUPPORT_REL_TOL) -> int:
+    def rank(self) -> int:
         lam = self.eigenvalues
         lam_max = float(lam[-1])
-        return int(np.sum(lam > rel_tol * lam_max))
+        return int(np.sum(lam > SUPPORT_REL_TOL * lam_max))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,22 +127,6 @@ class UnnormalizedState:
         object.__setattr__(self, "matrix", a)
         if self.weight is None:
             object.__setattr__(self, "weight", float(np.trace(a).real))
-
-    @classmethod
-    def validated(cls, matrix) -> "UnnormalizedState":
-        a = np.asarray(matrix, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"state matrix must be square, got {a.shape}")
-        if hermiticity_residual(a) > HERMITICITY_TOL:
-            from .errors import NonHermitianInput
-
-            raise NonHermitianInput("unnormalized state is not Hermitian")
-        herm = (a + a.conj().T) / 2.0
-        lam = np.linalg.eigvalsh(herm)
-        scale = max(1.0, float(np.max(np.abs(lam)))) if lam.size else 1.0
-        if float(lam[0]) < EIGENVALUE_FLOOR * scale:
-            raise NotPositiveSemidefinite(f"eigenvalue {float(lam[0]):.3e} genuinely negative")
-        return cls(matrix=herm)
 
     @property
     def dim(self) -> int:
@@ -352,25 +338,16 @@ class HybridRelativeEntropy(NamedTuple):
         return self.classical + self.quantum
 
 
-def _spectrum_psd(matrix: np.ndarray) -> Spectrum:
-    spec = hermitian_eig(matrix)
-    return Spectrum(
-        eigenvalues=_clip_nonnegative(spec.eigenvalues), eigenvectors=spec.eigenvectors
-    )
-
-
 def hybrid_relative_entropy(
-    side1: Sequence[UnnormalizedState],
-    side2: Sequence[UnnormalizedState],
-    weight_tol: float = 1e-10,
+    side1: Sequence[UnnormalizedState], side2: Sequence[UnnormalizedState]
 ) -> HybridRelativeEntropy:
     """Relative entropy of two states over a finite hybrid sample space.
 
     Each side is a list of PSD matrices indexed by the same finite outcome
-    set, traces summing to 1. Returns the direct form (one trace expression
-    per outcome) and the decomposition into a classical divergence of the
-    weights plus the mean conditional quantum relative entropy; the two
-    forms agree within numerical error whenever finite.
+    set, traces summing to 1 within TRACE_TOL. Returns the direct form (one
+    trace expression per outcome) and the decomposition into a classical
+    divergence of the weights plus the mean conditional quantum relative
+    entropy; the two forms agree within numerical error whenever finite.
     """
     if len(side1) != len(side2):
         raise DimensionMismatch(f"index sets differ: {len(side1)} vs {len(side2)}")
@@ -382,7 +359,7 @@ def hybrid_relative_entropy(
     w1 = np.array([s.weight for s in side1])
     w2 = np.array([s.weight for s in side2])
     for name, w in (("first", w1), ("second", w2)):
-        if abs(float(np.sum(w)) - 1.0) > weight_tol:
+        if abs(float(np.sum(w)) - 1.0) > TRACE_TOL:
             raise ValueError(f"{name} side weights sum to {float(np.sum(w))!r}, not 1")
 
     classical = 0.0
@@ -409,20 +386,6 @@ def hybrid_relative_entropy(
             )
             quantum = math.inf if math.isinf(rq) else quantum + a.weight * rq
     return HybridRelativeEntropy(direct=direct, classical=classical, quantum=quantum)
-
-
-def apply_kraus(kraus_map: KrausMap, state: UnnormalizedState) -> UnnormalizedState:
-    """Push an unnormalized state through a Kraus map; no renormalization."""
-    if kraus_map.dim != state.dim:
-        raise DimensionMismatch(f"map dim {kraus_map.dim} vs state dim {state.dim}")
-    return UnnormalizedState(matrix=kraus_map.apply(state.matrix))
-
-
-def a_priori_step(instrument: Instrument, state: UnnormalizedState) -> UnnormalizedState:
-    """Sum of all outcome maps; preserves the trace for complete instruments."""
-    if instrument.dim != state.dim:
-        raise DimensionMismatch(f"instrument dim {instrument.dim} vs state dim {state.dim}")
-    return UnnormalizedState(matrix=instrument.apply_total(state.matrix))
 
 
 def average_state(members: Sequence[tuple]) -> DensityOperator:

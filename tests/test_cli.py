@@ -4,7 +4,7 @@ import math
 import pytest
 
 from contmeas.cli import main
-from contmeas.model import builtin_scenario, serialize_model
+from contmeas.model import builtin_scenario, random_model, serialize_model
 
 
 def run_cli(args):
@@ -175,6 +175,20 @@ class TestRun:
         lines = (out / "trajectories.csv").read_text().strip().splitlines()
         assert lines[0] == "letter,outcomes,prob,S_0,S_1,S_2"
         assert len(lines) == 4
+
+    def test_long_horizon_underflow_exit_3(self, tmp_path, capsys):
+        # a sampled path loses about a factor 4 of mass per step, so its mass
+        # falls below the smallest normal float long before step 600
+        path = tmp_path / "model.json"
+        path.write_text(serialize_model(random_model(3, dim=2, n_outcomes=4)))
+        code = run_cli(
+            ["run", "--model", path, "--horizon", "600", "--grid", "0,600", "--mode", "sample",
+             "--samples", "3", "--seed", "1", "--out", tmp_path / "o"]
+        )
+        assert code == 3
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert len(errors) == 1 and errors[0].startswith("error: trajectory (letter ")
+        assert "outcomes" in errors[0] and "time" in errors[0]
 
 
 class TestDeterminism:

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -9,9 +8,7 @@ from contmeas.engine import (
     consistency_checks,
     enumerate_trajectories,
     format_outcomes,
-    propagate,
     sample_trajectories,
-    write_trajectories_csv,
 )
 from contmeas.errors import BudgetExceeded, NotPositiveSemidefinite
 from contmeas.model import Ensemble, MeasurementModel, TimeGrid, builtin_scenario, random_model
@@ -49,7 +46,9 @@ class TestAPriori:
         track = compute_a_priori(model, grid)
         for s in range(5):
             for t in range(s, 5):
-                pushed = propagate(model, track[s].matrix, s, t)
+                pushed = track[s].matrix
+                for step in range(s + 1, t + 1):
+                    pushed = model.instrument_at(step).apply_total(pushed)
                 assert np.linalg.norm(pushed - track[t].matrix) <= 1e-10
 
 
@@ -257,12 +256,3 @@ class TestDump:
     def test_format_outcomes(self):
         assert format_outcomes(("0", "1", "0")) == "010"
         assert format_outcomes(("up", "dn")) == "up|dn"
-
-    def test_csv_columns(self):
-        model = builtin_scenario("qubit-projective", horizon=2)
-        grid = full_grid(model)
-        buf = io.StringIO()
-        n = write_trajectories_csv(enumerate_trajectories(model, grid), grid, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "letter,outcomes,prob,S_0,S_1,S_2"
-        assert n == 3 and len(lines) == 4

@@ -11,11 +11,7 @@ from contmeas.entropics import (
     MeanAccumulator,
     build_entropy_report,
     check_bounds,
-    classical_information,
-    mean_chi,
     mutual_entropy_hybrid,
-    quantum_info_gain,
-    quantum_info_gain_cond,
     report_to_json_dict,
     write_bounds_csv,
 )
@@ -39,43 +35,52 @@ def projective_records():
     return model, grid, list(enumerate_trajectories(model, grid))
 
 
+@pytest.fixture(scope="module")
+def projective_report(projective_records):
+    _, grid, records = projective_records
+    return build_entropy_report(records, grid)
+
+
+def weighted_mean(records, term):
+    """Probability-weighted mean of a per-record term, summed directly."""
+    return sum(rec.prob * term(rec) for rec in records) / sum(rec.prob for rec in records)
+
+
 class TestClassicalInformation:
     def test_identity_zero(self):
         model = builtin_scenario("identity", horizon=3)
         grid = full_grid(model)
-        records = list(enumerate_trajectories(model, grid))
+        report = build_entropy_report(enumerate_trajectories(model, grid), grid)
         for (r, t) in grid.pairs():
-            assert abs(classical_information(records, r, t)) <= 1e-12
+            assert abs(report.Ic[(r, t)]) <= 1e-12
 
-    def test_projective_hand_values(self, projective_records):
-        _, _, records = projective_records
-        assert abs(classical_information(records, 0, 1) - IC_01) <= 1e-6
-        assert abs(classical_information(records, 0, 2) - IC_01) <= 1e-6
-        assert abs(classical_information(records, 1, 2) - H_34) <= 1e-6
+    def test_projective_hand_values(self, projective_report):
+        assert abs(projective_report.Ic[(0, 1)] - IC_01) <= 1e-6
+        assert abs(projective_report.Ic[(0, 2)] - IC_01) <= 1e-6
+        assert abs(projective_report.Ic[(1, 2)] - H_34) <= 1e-6
 
-    def test_self_pair_is_zero(self, projective_records):
-        _, _, records = projective_records
+    def test_self_pair_is_zero(self, projective_report):
         for t in (0, 1, 2):
-            assert classical_information(records, t, t) == 0.0
+            assert projective_report.Ic[(t, t)] == 0.0
 
     def test_grid_miss(self, projective_records):
         _, _, records = projective_records
         with pytest.raises(GridMiss):
-            classical_information(records, 0, 7)
+            mutual_entropy_hybrid(records, 0, 7)
 
 
 class TestMeanChi:
-    def test_projective(self, projective_records):
-        _, _, records = projective_records
-        assert abs(mean_chi(records, 0, 1)) <= 1e-10
-        assert abs(mean_chi(records, 0, 2)) <= 1e-10
-        assert abs(mean_chi(records, 1, 1) - H_34) <= 1e-6
-        assert abs(mean_chi(records, 0, 0) - CHI_0) <= 1e-9
+    def test_projective(self, projective_report):
+        assert abs(projective_report.chi_bar[(0, 1)]) <= 1e-10
+        assert abs(projective_report.chi_bar[(0, 2)]) <= 1e-10
+        assert abs(projective_report.chi_bar[(1, 1)] - H_34) <= 1e-6
+        assert abs(projective_report.chi_bar[(0, 0)] - CHI_0) <= 1e-9
 
     def test_reduces_to_chi_quantity(self):
         model = builtin_scenario("damped-qubit", horizon=2)
         grid = full_grid(model)
         records = list(enumerate_trajectories(model, grid))
+        report = build_entropy_report(records, grid)
         for t in grid.record_times:
             members = {}
             for rec in records:
@@ -84,42 +89,48 @@ class TestMeanChi:
                     rec.aposteriori[t],
                 )
             chi = chi_quantity(list(members.values()))
-            assert abs(mean_chi(records, t, t) - chi) <= 1e-10
+            assert abs(report.chi_bar[(t, t)] - chi) <= 1e-10
 
 
 class TestQuantumInfoGain:
-    def test_pure_preserving_zero(self, projective_records):
-        _, grid, records = projective_records
+    def test_pure_preserving_zero(self, projective_report):
         for (s, t) in [(0, 1), (0, 2), (1, 2)]:
-            assert abs(quantum_info_gain(records, s, t)) <= 1e-12
+            assert abs(projective_report.Iq[(s, t)]) <= 1e-12
 
-    def test_initial_gain_is_average_entropy(self, projective_records):
-        _, _, records = projective_records
-        assert abs(quantum_info_gain_cond(records, 0, 0, 1) - CHI_0) <= 1e-4
+    def test_initial_gain_is_average_entropy(self, projective_report):
+        assert abs(projective_report.Iq_cond[(0, 0, 1)] - CHI_0) <= 1e-4
 
     def test_additivity_exact(self):
         model = builtin_scenario("damped-qubit", horizon=3)
-        records = list(enumerate_trajectories(model, full_grid(model)))
+        grid = full_grid(model)
+        report = build_entropy_report(enumerate_trajectories(model, grid), grid)
         for r, s, t in [(0, 1, 2), (0, 2, 3), (1, 2, 3), (0, 1, 3)]:
-            lhs = quantum_info_gain(records, r, s) + quantum_info_gain(records, s, t)
-            assert abs(lhs - quantum_info_gain(records, r, t)) <= 1e-12
-            lhs_c = quantum_info_gain_cond(records, 0, r, s) + quantum_info_gain_cond(
-                records, 0, s, t
-            )
-            assert abs(lhs_c - quantum_info_gain_cond(records, 0, r, t)) <= 1e-12
+            lhs = report.Iq[(r, s)] + report.Iq[(s, t)]
+            assert abs(lhs - report.Iq[(r, t)]) <= 1e-12
+            lhs_c = report.Iq_cond[(0, r, s)] + report.Iq_cond[(0, s, t)]
+            assert abs(lhs_c - report.Iq_cond[(0, r, t)]) <= 1e-12
 
 
 class TestReportBuilder:
     def test_matches_single_ops(self):
+        # the streaming builder against each entry's plain weighted sum
         model = builtin_scenario("damped-qubit", horizon=2)
         grid = full_grid(model)
         records = list(enumerate_trajectories(model, grid))
         report = build_entropy_report(records, grid)
         for (r, t) in grid.pairs():
-            assert abs(report.Ic[(r, t)] - classical_information(records, r, t)) <= 1e-12
-            assert abs(report.chi_bar[(r, t)] - mean_chi(records, r, t)) <= 1e-12
+            ic = weighted_mean(
+                records,
+                lambda rec: math.log(rec.prob_at[t])
+                - math.log(rec.prob_at[r])
+                - math.log(rec.incr_prob[(r, t)]),
+            )
+            assert abs(report.Ic[(r, t)] - ic) <= 1e-12
+            chi = weighted_mean(records, lambda rec: rec.chi_term[(r, t)])
+            assert abs(report.chi_bar[(r, t)] - chi) <= 1e-12
         for t in grid.record_times:
-            assert abs(report.chi_at[t] - mean_chi(records, t, t)) <= 1e-12
+            chi = weighted_mean(records, lambda rec: rec.chi_term[(t, t)])
+            assert abs(report.chi_at[t] - chi) <= 1e-12
         assert report.mode == "enumerate"
         assert all(v == 0.0 for v in report.se.values())
 

@@ -121,7 +121,7 @@ class TestValidate:
     def test_projective_residual_tiny(self):
         report = validate_model(builtin_scenario("qubit-projective"))
         completeness = [c for c in report.checks if "completeness" in c.name]
-        assert completeness and all(c.residual <= 1e-15 for c in completeness)
+        assert completeness and all(-c.margin <= 1e-15 for c in completeness)
 
     def test_double_counted_identity_fails(self):
         inst = Instrument(
@@ -133,7 +133,7 @@ class TestValidate:
         report = validate_model(model)
         assert not report.passed
         bad = [c for c in report.failures() if "completeness" in c.name]
-        assert bad and abs(bad[0].residual - math.sqrt(2.0)) <= 1e-12
+        assert bad and abs(-bad[0].margin - math.sqrt(2.0)) <= 1e-12
 
     def test_bad_prior_reported(self):
         base = builtin_scenario("identity")
@@ -143,7 +143,7 @@ class TestValidate:
         )
         report = validate_model(model)
         bad = [c for c in report.failures() if c.name == "prior:sum"]
-        assert bad and abs(bad[0].residual - 0.1) <= 1e-12
+        assert bad and abs(-bad[0].margin - 0.1) <= 1e-12
 
 
 class TestScenarios:

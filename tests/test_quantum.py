@@ -10,8 +10,6 @@ from contmeas.quantum import (
     Instrument,
     KrausMap,
     UnnormalizedState,
-    a_priori_step,
-    apply_kraus,
     average_state,
     chi_quantity,
     classical_relative_entropy,
@@ -61,6 +59,10 @@ class TestDensityOperator:
     def test_rejects_negative(self):
         with pytest.raises(NotPositiveSemidefinite):
             DensityOperator.from_matrix(np.diag([1.5, -0.5]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            DensityOperator.from_matrix(np.diag([np.nan, 1.0]))
 
     def test_rank(self):
         assert DensityOperator.from_matrix(KET0).rank() == 1
@@ -240,13 +242,12 @@ class TestHybridRelativeEntropy:
 
 class TestKrausAndInstruments:
     def test_identity_map(self):
-        sigma = UnnormalizedState(PLUS)
-        out = apply_kraus(KrausMap((np.eye(2),)), sigma)
+        out = UnnormalizedState(KrausMap((np.eye(2),)).apply(PLUS))
         assert np.allclose(out.matrix, PLUS)
         assert abs(out.weight - 1.0) <= 1e-12
 
     def test_projective_born_rule(self):
-        out = apply_kraus(KrausMap((KET0,)), UnnormalizedState(PLUS))
+        out = UnnormalizedState(KrausMap((KET0,)).apply(PLUS))
         assert np.allclose(out.matrix, 0.5 * KET0)
         assert abs(out.weight - 0.5) <= 1e-12
 
@@ -257,29 +258,23 @@ class TestKrausAndInstruments:
             inst = random_instrument(rng, dim, int(rng.integers(2, 4)), kraus_per_outcome=2)
             assert inst.completeness_residual() <= 1e-12
             rho = random_density(rng, dim)
-            weights = [apply_kraus(km, UnnormalizedState(rho.matrix)).weight for km in inst.maps]
+            weights = [UnnormalizedState(km.apply(rho.matrix)).weight for km in inst.maps]
             assert abs(sum(weights) - 1.0) <= 1e-10
 
     def test_a_priori_identity_instrument(self):
         inst = Instrument(outcomes=("0",), maps=(KrausMap((np.eye(2),)),))
-        out = a_priori_step(inst, UnnormalizedState(PLUS))
-        assert np.allclose(out.matrix, PLUS)
+        assert np.allclose(inst.apply_total(PLUS), PLUS)
 
     def test_a_priori_dephasing(self):
         inst = Instrument(outcomes=("0", "1"), maps=(KrausMap((KET0,)), KrausMap((KET1,))))
-        out = a_priori_step(inst, UnnormalizedState(PLUS))
-        assert np.allclose(out.matrix, np.eye(2) / 2)
+        assert np.allclose(inst.apply_total(PLUS), np.eye(2) / 2)
 
     def test_a_priori_trace_preserved(self):
         rng = np.random.default_rng(13)
         inst = random_instrument(rng, 3, 3, kraus_per_outcome=2)
         rho = random_density(rng, 3)
-        out = a_priori_step(inst, UnnormalizedState(rho.matrix))
+        out = UnnormalizedState(inst.apply_total(rho.matrix))
         assert abs(out.weight - 1.0) <= 1e-10
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            apply_kraus(KrausMap((np.eye(3),)), UnnormalizedState(PLUS))
 
 
 class TestChiQuantity:
