@@ -10,8 +10,9 @@ Subcommands:
 
 Exit codes: 0 success; 1 the model document is invalid (syntax, shape or
 numeric validation); 2 a consistency check or bound fails at tolerance;
-3 I/O, enumeration-budget or numeric-range errors. Progress and diagnostics
-go to stderr; results go to files in the output directory only.
+3 bad arguments, I/O, enumeration-budget or numeric-range errors. Progress
+and diagnostics go to stderr; results go to files in the output directory
+only.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -339,7 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """RunConfig of a ``run`` or ``check`` command line; every default comes
-    from the parser."""
+    from the parser. A negative --tol is allowed: it demands positive
+    margins."""
+    if args.samples < 1:
+        raise _Failure(EXIT_IO, f"--samples must be at least 1, got {args.samples}")
+    if not math.isfinite(args.tol):
+        raise _Failure(EXIT_IO, f"--tol must be finite, got {args.tol!r}")
     return RunConfig(
         model_path=args.model,
         scenario=args.scenario,

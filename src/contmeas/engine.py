@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, NotPositiveSemidefinite, NumericRangeError
 from .model import Check, CheckReport, MeasurementModel, TimeGrid
-from .quantum import DensityOperator, quantum_relative_entropy
+from .quantum import DensityOperator, _first_false, relative_entropies
 
 # A branch is pruned when its trace drops below this fraction of its parent.
 PRUNE_REL_TOL = 1e-14
@@ -98,40 +98,53 @@ def compute_a_priori(model: MeasurementModel, grid: TimeGrid) -> dict:
     return states
 
 
-def _path_mass(matrix) -> float:
-    """Trace of an unnormalized path state, refused when too small to divide by."""
-    mass = float(np.trace(matrix).real)
-    if not mass >= sys.float_info.min:
-        raise NumericRangeError(f"path mass {mass!r} is below the smallest normal float")
-    return mass
+def _node_states(live):
+    """Masses and validated normalized states of a node's live stack (main
+    state first, then the reference tracks in seeding order), checked in
+    that order: each member's mass, then its state."""
+    masses = np.trace(live, axis1=1, axis2=2).real
+    n = _first_false(masses >= sys.float_info.min)
+    batch = DensityOperator.from_stack(live[:n] / masses[:n, np.newaxis, np.newaxis])
+    if n < len(masses):
+        raise NumericRangeError(
+            f"path mass {float(masses[n])!r} is below the smallest normal float"
+        )
+    return masses.tolist(), batch
 
 
-def _record_time_data(t, main, refs, eta, record):
+def _record_time_data(t, stack, ref_times, eta, record):
     """Record everything attached to time t into fresh copies of the
-    per-path dicts (copy-on-write so subtree siblings never alias)."""
+    per-path dicts (copy-on-write so subtree siblings never alias). The
+    node's states come from one validated batch and their relative
+    entropies from one pass."""
     (prob_at, apost, cond, incrp, ent, cent, chit, chiat) = record
-    trace = _path_mass(main)
-    rho = DensityOperator.from_matrix(main / trace)
     eta_t = eta[t]
-    prob_at = {**prob_at, t: trace}
+    # a track seeded at t is exactly the a-priori state: no batch member
+    fresh = bool(ref_times) and ref_times[-1] == t
+    masses, batch = _node_states(stack[: len(stack) - fresh])
+    rho, *varrhos = batch.states
+    # against eta_t first, then against each earlier-seeded track
+    lam2 = batch.eigenvalues.copy()
+    vec2 = batch.eigenvectors.copy()
+    lam2[0] = eta_t.spectrum.eigenvalues
+    vec2[0] = eta_t.spectrum.eigenvectors
+    chis = relative_entropies(batch.eigenvalues[0], batch.eigenvectors[0], lam2, vec2).tolist()
+    prob_at = {**prob_at, t: masses[0]}
     apost = {**apost, t: rho}
     ent = {**ent, t: rho.entropy}
-    chiat = {**chiat, t: quantum_relative_entropy(rho, eta_t)}
+    chiat = {**chiat, t: chis[0]}
     cond = dict(cond)
     incrp = dict(incrp)
     cent = dict(cent)
     chit = dict(chit)
-    for s, ref_matrix in refs.items():
-        if s == t:
-            varrho = eta_t  # freshly seeded track: exactly the a-priori state
-            weight = 1.0
-        else:
-            weight = _path_mass(ref_matrix)
-            varrho = DensityOperator.from_matrix(ref_matrix / weight)
+    tracks = zip(ref_times, varrhos, masses[1:], chis[1:])
+    if fresh:
+        tracks = [*tracks, (t, eta_t, 1.0, chis[0])]
+    for s, varrho, weight, chi in tracks:
         cond[(s, t)] = varrho
         incrp[(s, t)] = weight
         cent[(s, t)] = varrho.entropy
-        chit[(s, t)] = quantum_relative_entropy(rho, varrho)
+        chit[(s, t)] = chi
     return (prob_at, apost, cond, incrp, ent, cent, chit, chiat)
 
 
@@ -140,7 +153,9 @@ _EMPTY_RECORD = ({}, {}, {}, {}, {}, {}, {}, {})
 
 class _Walk:
     """What enumeration and sampling share: the letter roots, and the step
-    taken at every node of a path."""
+    taken at every node of a path. A path's states travel as one
+    (1 + k, d, d) stack: the main state, then one track per reference time
+    passed so far, in seeding order."""
 
     def __init__(self, model: MeasurementModel, grid: TimeGrid, apriori: Optional[dict]):
         self.model = model
@@ -149,30 +164,30 @@ class _Walk:
         self.record_set = set(grid.record_times)
         self.ref_set = set(grid.reference_times)
 
-    def visit(self, letter, outcomes, t, main, refs, record):
+    def visit(self, letter, outcomes, t, stack, ref_times, record):
         """Seed the reference track of time t and attach the record-time
-        data; an error names the trajectory. Returns (refs, record)."""
-        if t in self.ref_set and t not in refs:
-            refs = {**refs, t: self.eta[t].matrix}
+        data; an error names the trajectory. Returns (stack, ref_times,
+        record)."""
+        if t in self.ref_set:
+            stack = np.concatenate([stack, self.eta[t].matrix[np.newaxis]])
+            ref_times = ref_times + (t,)
         if t in self.record_set:
             try:
-                record = _record_time_data(t, main, refs, self.eta, record)
+                record = _record_time_data(t, stack, ref_times, self.eta, record)
             except (NotPositiveSemidefinite, NumericRangeError) as exc:
                 raise type(exc)(f"{_path_name(letter, outcomes, t)}: {exc}") from exc
-        return refs, record
+        return stack, ref_times, record
 
     def replay(self, letter, outcomes) -> TrajectoryRecord:
         """Rebuild the full record for a known path (no randomness involved)."""
-        main = self.roots[letter]
-        refs = {}
+        stack = self.roots[letter][np.newaxis]
+        ref_times = ()
         record = _EMPTY_RECORD
         for t in range(self.model.horizon + 1):
-            refs, record = self.visit(letter, outcomes, t, main, refs, record)
+            stack, ref_times, record = self.visit(letter, outcomes, t, stack, ref_times, record)
             if t == self.model.horizon:
                 break
-            kraus = self.model.instrument_at(t + 1).map_for(outcomes[t])
-            main = kraus.apply(main)
-            refs = {s: kraus.apply(m) for s, m in refs.items()}
+            stack = self.model.instrument_at(t + 1).map_for(outcomes[t]).apply(stack)
         return TrajectoryRecord(letter, outcomes, *record)
 
 
@@ -197,24 +212,23 @@ def enumerate_trajectories(
     for letter, (p, root) in enumerate(zip(model.ensemble.prior, walk.roots)):
         if p <= 0.0:
             continue
-        # stack entries: (depth, main matrix, ref matrices, record dicts, outcomes)
-        stack = [(0, root, {}, _EMPTY_RECORD, ())]
-        while stack:
-            t, main, refs, record, outcomes = stack.pop()
-            refs, record = walk.visit(letter, outcomes, t, main, refs, record)
+        # pending entries: (depth, state stack, reference times, record dicts, outcomes)
+        pending = [(0, root[np.newaxis], (), _EMPTY_RECORD, ())]
+        while pending:
+            t, stack, ref_times, record, outcomes = pending.pop()
+            stack, ref_times, record = walk.visit(letter, outcomes, t, stack, ref_times, record)
             if t == horizon:
                 yield TrajectoryRecord(letter, outcomes, *record)
                 continue
             instrument = model.instrument_at(t + 1)
-            parent_trace = float(np.trace(main).real)
+            parent_trace = float(np.trace(stack[0]).real)
             children = []
             for label, kraus in zip(instrument.outcomes, instrument.maps):
-                child = kraus.apply(main)
-                if float(np.trace(child).real) < PRUNE_REL_TOL * parent_trace:
+                child = kraus.apply(stack)
+                if float(np.trace(child[0]).real) < PRUNE_REL_TOL * parent_trace:
                     continue
-                child_refs = {s: kraus.apply(m) for s, m in refs.items()}
-                children.append((t + 1, child, child_refs, record, outcomes + (label,)))
-            stack.extend(reversed(children))
+                children.append((t + 1, child, ref_times, record, outcomes + (label,)))
+            pending.extend(reversed(children))
 
 
 def sample_trajectories(

@@ -35,65 +35,7 @@ from .model import Check, CheckReport, TimeGrid
 from .quantum import HybridRelativeEntropy, UnnormalizedState, hybrid_relative_entropy
 
 LN2 = math.log(2.0)
-
-
-class MeanAccumulator:
-    """Weighted streaming mean and variance (West's update), with an
-    infinity flag for diverging relative-entropy contributions."""
-
-    __slots__ = ("count", "total_weight", "_mean", "m2", "infinite")
-
-    def __init__(self):
-        self.count = 0
-        self.total_weight = 0.0
-        self._mean = 0.0
-        self.m2 = 0.0
-        self.infinite = False
-
-    def add(self, value: float, weight: float = 1.0) -> None:
-        if weight <= 0.0:
-            return
-        self.count += 1
-        if math.isinf(value):
-            self.infinite = True
-            return
-        self.total_weight += weight
-        delta = value - self._mean
-        self._mean += (weight / self.total_weight) * delta
-        self.m2 += weight * delta * (value - self._mean)
-
-    def merge(self, other: "MeanAccumulator") -> None:
-        if other.total_weight == 0.0 and not other.infinite:
-            self.count += other.count
-            return
-        self.infinite = self.infinite or other.infinite
-        self.count += other.count
-        if other.total_weight == 0.0:
-            return
-        total = self.total_weight + other.total_weight
-        delta = other._mean - self._mean
-        self._mean += delta * (other.total_weight / total)
-        self.m2 += other.m2 + delta * delta * self.total_weight * other.total_weight / total
-        self.total_weight = total
-
-    @property
-    def mean(self) -> float:
-        if self.infinite:
-            return math.inf
-        return self._mean
-
-    def standard_error(self) -> float:
-        """Standard error of the mean for unit-weight (sampling) streams."""
-        if self.infinite or self.count < 2:
-            return 0.0
-        variance = self.m2 / (self.count - 1)
-        return math.sqrt(max(variance, 0.0) / self.count)
-
-
-def _ic_contribution(rec: TrajectoryRecord, r: int, t: int) -> float:
-    return (
-        math.log(rec.prob_at[t]) - math.log(rec.prob_at[r]) - math.log(rec.incr_prob[(r, t)])
-    )
+KINDS = ("Ic", "chi_bar", "chi_at", "Iq", "Iq_cond")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,12 +54,20 @@ class EntropyReport:
     se: dict  # full key, e.g. ("Ic", r, t) -> standard error
 
 
+def _index_rows(rows: list, width: int) -> np.ndarray:
+    """Integer index columns of ``rows`` as the rows of a (width, n) array."""
+    return np.array(rows, dtype=int).reshape(-1, width).T
+
+
 class EntropyReportBuilder:
     """One-pass accumulator of every report entry over a record stream.
 
     With ``mode="enumerate"`` records are weighted by their exact
     probability; with ``mode="sample"`` every record counts 1/N and the
-    accumulators also produce standard errors. Builders for disjoint
+    accumulators also produce standard errors. Each entry is a weighted
+    streaming mean and variance (West's update) with an infinity flag for
+    diverging relative-entropy contributions; the entries are kept as
+    columns in ``keys`` order and updated together. Builders for disjoint
     subtree streams can be merged.
     """
 
@@ -126,56 +76,107 @@ class EntropyReportBuilder:
             raise ValueError(f"unknown mode {mode!r}")
         self.grid = grid
         self.mode = mode
-        self.count = 0
-        self.acc = {}
-        records = grid.record_times
-        for (s, t) in grid.pairs():
-            self.acc[("Ic", s, t)] = MeanAccumulator()
-            self.acc[("chi_bar", s, t)] = MeanAccumulator()
-        for t in records:
-            self.acc[("chi_at", t)] = MeanAccumulator()
-        for i, s in enumerate(records):
-            for t in records[i:]:
-                self.acc[("Iq", s, t)] = MeanAccumulator()
+        self.count = 0  # records added
+        self.weighted = 0  # records with positive weight (the se sample size)
+        times = grid.record_times
+        pairs = grid.pairs()
+        keys = []
+        for (s, t) in pairs:
+            keys += [("Ic", s, t), ("chi_bar", s, t)]
+        keys += [("chi_at", t) for t in times]
+        for i, s in enumerate(times):
+            keys += [("Iq", s, t) for t in times[i:]]
         for r in grid.reference_times:
-            laters = [t for t in records if t >= r]
+            laters = [t for t in times if t >= r]
             for i, s in enumerate(laters):
-                for t in laters[i:]:
-                    self.acc[("Iq_cond", r, s, t)] = MeanAccumulator()
+                keys += [("Iq_cond", r, s, t) for t in laters[i:]]
+        self.keys = tuple(keys)
+        self._times = times
+        self._pairs = pairs
+        kinds = np.array([key[0] for key in keys])
+        self._cols = {kind: np.flatnonzero(kinds == kind) for kind in KINDS}
+        # indices into the per-record time and pair vectors, in column order
+        at = {t: i for i, t in enumerate(times)}
+        pair_at = {p: i for i, p in enumerate(pairs)}
+        self._ic_src = _index_rows([(at[t], at[s], pair_at[(s, t)]) for s, t in pairs], 3)
+        self._iq_src = _index_rows([(at[k[1]], at[k[2]]) for k in keys if k[0] == "Iq"], 2)
+        self._iq_cond_src = _index_rows(
+            [(pair_at[k[1:3]], pair_at[(k[1], k[3])]) for k in keys if k[0] == "Iq_cond"], 2
+        )
+        n = len(keys)
+        self.total_weight = np.zeros(n)
+        self.mean = np.zeros(n)
+        self.m2 = np.zeros(n)
+        self.infinite = np.zeros(n, dtype=bool)
+
+    def _values(self, rec: TrajectoryRecord) -> np.ndarray:
+        """Every entry's contribution of one record, in ``keys`` order."""
+        times, pairs = self._times, self._pairs
+        log_prob = np.array([math.log(rec.prob_at[t]) for t in times])
+        log_incr = np.array([math.log(rec.incr_prob[p]) for p in pairs])
+        entropy = np.array([rec.entropy[t] for t in times])
+        cond_entropy = np.array([rec.cond_entropy[p] for p in pairs])
+        cols = self._cols
+        values = np.empty(len(self.keys))
+        t, r, p = self._ic_src
+        values[cols["Ic"]] = log_prob[t] - log_prob[r] - log_incr[p]
+        values[cols["chi_bar"]] = [rec.chi_term[pair] for pair in pairs]
+        values[cols["chi_at"]] = [rec.chi_at_term[t] for t in times]
+        s, t = self._iq_src
+        values[cols["Iq"]] = entropy[s] - entropy[t]
+        a, b = self._iq_cond_src
+        values[cols["Iq_cond"]] = cond_entropy[a] - cond_entropy[b]
+        return values
 
     def add(self, rec: TrajectoryRecord) -> None:
         weight = rec.prob if self.mode == "enumerate" else 1.0
         self.count += 1
-        acc = self.acc
-        for key, a in acc.items():
-            kind = key[0]
-            if kind == "Ic":
-                a.add(_ic_contribution(rec, key[1], key[2]), weight)
-            elif kind == "chi_bar":
-                a.add(rec.chi_term[(key[1], key[2])], weight)
-            elif kind == "chi_at":
-                a.add(rec.chi_at_term[key[1]], weight)
-            elif kind == "Iq":
-                a.add(rec.entropy[key[1]] - rec.entropy[key[2]], weight)
-            else:  # Iq_cond
-                r, s, t = key[1], key[2], key[3]
-                a.add(rec.cond_entropy[(r, s)] - rec.cond_entropy[(r, t)], weight)
+        if weight <= 0.0:
+            return
+        self.weighted += 1
+        values = self._values(rec)
+        infinite = np.isinf(values)
+        cols = slice(None)
+        if infinite.any():
+            self.infinite |= infinite
+            cols = ~infinite
+            values = values[cols]
+        total = self.total_weight[cols] + weight
+        mean = self.mean[cols]
+        delta = values - mean
+        mean = mean + (weight / total) * delta
+        self.m2[cols] += weight * delta * (values - mean)
+        self.mean[cols] = mean
+        self.total_weight[cols] = total
 
     def merge(self, other: "EntropyReportBuilder") -> None:
-        if set(self.acc) != set(other.acc) or self.mode != other.mode:
+        if self.keys != other.keys or self.mode != other.mode:
             raise ValueError("builders must share grid and mode to merge")
         self.count += other.count
-        for key, a in self.acc.items():
-            a.merge(other.acc[key])
+        self.weighted += other.weighted
+        self.infinite |= other.infinite
+        cols = other.total_weight != 0.0
+        weight, other_weight = self.total_weight[cols], other.total_weight[cols]
+        total = weight + other_weight
+        delta = other.mean[cols] - self.mean[cols]
+        self.mean[cols] += delta * (other_weight / total)
+        self.m2[cols] += other.m2[cols] + delta * delta * weight * other_weight / total
+        self.total_weight[cols] = total
 
     def finalize(self) -> EntropyReport:
-        tables = {"Ic": {}, "chi_bar": {}, "chi_at": {}, "Iq": {}, "Iq_cond": {}}
+        means = np.where(self.infinite, math.inf, self.mean).tolist()
+        errors = np.zeros(len(self.keys))
+        if self.mode == "sample" and self.weighted >= 2:
+            variance = self.m2 / (self.weighted - 1)
+            errors = np.sqrt(np.where(0.0 > variance, 0.0, variance) / self.weighted)
+            errors[self.infinite] = 0.0
+        tables = {kind: {} for kind in KINDS}
         se = {}
-        for key, a in self.acc.items():
+        for key, mean, error in zip(self.keys, means, errors.tolist()):
             kind = key[0]
             times = key[1] if kind == "chi_at" else key[1:]
-            tables[kind][times] = a.mean
-            se[key] = a.standard_error() if self.mode == "sample" else 0.0
+            tables[kind][times] = mean
+            se[key] = error
         return EntropyReport(
             grid=self.grid,
             mode=self.mode,
@@ -354,7 +355,7 @@ def report_to_json_dict(report: EntropyReport, units: str = "nats") -> dict:
     ln 2). Infinite values serialize as the string "inf"."""
     scale = 1.0 if units == "nats" else 1.0 / LN2
     out = {}
-    for kind in ("Ic", "chi_bar", "chi_at", "Iq", "Iq_cond"):
+    for kind in KINDS:
         table = getattr(report, kind)
         entries = {}
         for times, value in table.items():

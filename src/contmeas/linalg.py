@@ -2,7 +2,9 @@
 
 Every spectrum in this package comes from here. Eigenvalues are returned
 ascending and eigenvector phases are fixed (largest-magnitude component made
-real positive) so that repeated runs produce identical output.
+real positive) so that repeated runs produce identical output. The kernels
+take one matrix or a ``(k, d, d)`` stack; a stack is decomposed by one
+``np.linalg.eigh`` call, member by member identical to separate calls.
 """
 
 from __future__ import annotations
@@ -29,10 +31,12 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
-def hermiticity_residual(m) -> float:
-    """Relative Frobenius distance of m from its Hermitian part."""
-    a = _as_square_matrix(m)
-    return frobenius(a - a.conj().T) / max(1.0, frobenius(a))
+def hermiticity_residual(m):
+    """Relative Frobenius distance of m from its Hermitian part; for a
+    (k, d, d) stack, the array of each member's residual."""
+    diff = m - np.swapaxes(m.conj(), -1, -2)
+    norm = np.linalg.norm(m, axis=(-2, -1))
+    return np.linalg.norm(diff, axis=(-2, -1)) / np.maximum(1.0, norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,18 +52,20 @@ class Spectrum:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
+    """Rotate each column (of each matrix of a stack) so its largest-magnitude
+    entry is real positive."""
     v = np.asarray(vectors, dtype=complex)
-    idx = np.argmax(np.abs(v), axis=0)
-    pivots = v[idx, np.arange(v.shape[1])]
+    idx = np.argmax(np.abs(v), axis=-2)
+    pivots = np.take_along_axis(v, idx[..., np.newaxis, :], axis=-2)[..., 0, :]
     mags = np.abs(pivots)
     phases = np.where(mags > 0, np.conj(pivots) / np.where(mags > 0, mags, 1.0), 1.0)
-    return v * phases[np.newaxis, :]
+    return v * phases[..., np.newaxis, :]
 
 
 def eigh_phase_fixed(hermitian_matrix: np.ndarray):
     """Ascending eigenvalues and phase-fixed eigenvectors of an (assumed)
-    Hermitian matrix; no Hermiticity check, for validated callers."""
+    Hermitian matrix or stack of them; no Hermiticity check, for validated
+    callers."""
     eigenvalues, eigenvectors = np.linalg.eigh(hermitian_matrix)
     return eigenvalues, _fix_phases(eigenvectors)
 

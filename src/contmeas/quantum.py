@@ -40,11 +40,11 @@ TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-12
 
 
-def _entropy_of_eigenvalues(lam: np.ndarray) -> float:
-    pos = lam[lam > 0.0]
-    s = float(-np.sum(pos * np.log(pos)))
+def _entropies(lam: np.ndarray) -> np.ndarray:
+    """Von Neumann entropy of each row of clipped eigenvalues, 0 log 0 = 0."""
+    s = -np.sum(lam * np.log(np.where(lam > 0.0, lam, 1.0)), axis=-1)
     # clamp rounding-scale negatives and normalize -0.0
-    return 0.0 if -1e-12 < s <= 0.0 else s
+    return np.where((s > -1e-12) & (s <= 0.0), 0.0, s)
 
 
 def _clip_nonnegative(lam: np.ndarray) -> np.ndarray:
@@ -60,36 +60,69 @@ def _spectrum_psd(matrix: np.ndarray) -> Spectrum:
     )
 
 
+class StateBatch(NamedTuple):
+    """Validated states of one stack with their spectra, which the states
+    themselves do not keep."""
+
+    states: list  # DensityOperator per member, in stack order
+    eigenvalues: np.ndarray  # (k, d), ascending, clipped at zero
+    eigenvectors: np.ndarray  # (k, d, d), phase-fixed columns
+
+
+def _first_false(ok: np.ndarray) -> int:
+    """Index of the first False entry, or len(ok) when there is none."""
+    return len(ok) if ok.all() else int(np.argmin(ok))
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Positive semidefinite unit-trace matrix with a cached spectrum."""
+    """Positive semidefinite unit-trace matrix with its entropy; the
+    spectrum is computed on first use."""
 
     matrix: np.ndarray
+    entropy: float  # von Neumann entropy in nats
+
+    @classmethod
+    def from_stack(cls, matrices) -> StateBatch:
+        """Validate and wrap every member of a (k, d, d) stack with one
+        eigendecomposition call: Hermitian within 1e-10 (relative
+        Frobenius), eigenvalues >= -1e-12, trace 1 within TRACE_TOL. Each
+        test is written so that a NaN fails it. Members are checked in
+        order; the first failing member raises the error that from_matrix
+        raises for it alone. Each state owns a copy of its matrix."""
+        a = np.asarray(matrices, dtype=complex)
+        if a.ndim != 3 or a.shape[1] != a.shape[2]:
+            raise DimensionMismatch(f"state stack must be (k, d, d), got {a.shape}")
+        residual = hermiticity_residual(a)
+        n = _first_false(residual <= HERMITICITY_TOL)
+        herm = (a[:n] + np.swapaxes(a[:n].conj(), -1, -2)) / 2.0
+        eigenvalues, eigenvectors = eigh_phase_fixed(herm)
+        trace = np.trace(herm, axis1=-2, axis2=-1).real
+        psd = eigenvalues[:, 0] >= EIGENVALUE_FLOOR
+        i = _first_false(psd & (np.abs(trace - 1.0) <= TRACE_TOL))
+        if i < n and not psd[i]:
+            raise NotPositiveSemidefinite(f"state eigenvalue {eigenvalues[i, 0]:.3e} < -1e-12")
+        if i < n:
+            raise ValueError(
+                f"state trace {float(trace[i])!r} deviates from 1 beyond {TRACE_TOL:.1e}"
+            )
+        if n < len(a):
+            raise NonHermitianInput(f"state Hermiticity residual {residual[n]:.3e}")
+        # clip rounding-scale negatives to zero
+        lam = _clip_nonnegative(eigenvalues)
+        states = [cls(m.copy(), s) for m, s in zip(herm, _entropies(lam).tolist())]
+        return StateBatch(states, lam, eigenvectors)
 
     @classmethod
     def from_matrix(cls, matrix) -> "DensityOperator":
-        """Validate and wrap a matrix: Hermitian within 1e-10 (relative
-        Frobenius), eigenvalues >= -1e-12, trace 1 within TRACE_TOL. Each
-        test is written so that a NaN fails it."""
+        """Validate and wrap one matrix: the one-member case of from_stack,
+        with the spectrum kept."""
         a = np.asarray(matrix, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"state matrix must be square, got {a.shape}")
-        residual = hermiticity_residual(a)
-        if not residual <= HERMITICITY_TOL:
-            raise NonHermitianInput(f"state Hermiticity residual {residual:.3e}")
-        herm = (a + a.conj().T) / 2.0
-        eigenvalues, eigenvectors = eigh_phase_fixed(herm)
-        lam_min = float(eigenvalues[0])
-        if not lam_min >= EIGENVALUE_FLOOR:
-            raise NotPositiveSemidefinite(f"state eigenvalue {lam_min:.3e} < -1e-12")
-        trace = float(np.trace(herm).real)
-        if not abs(trace - 1.0) <= TRACE_TOL:
-            raise ValueError(f"state trace {trace!r} deviates from 1 beyond {TRACE_TOL:.1e}")
-        op = cls(matrix=herm)
-        # seed the spectrum cache; clip rounding-scale negatives to zero
-        op.__dict__["spectrum"] = Spectrum(
-            eigenvalues=_clip_nonnegative(eigenvalues), eigenvectors=eigenvectors
-        )
+        batch = cls.from_stack(a[np.newaxis])
+        op = batch.states[0]
+        op.__dict__["spectrum"] = Spectrum(batch.eigenvalues[0], batch.eigenvectors[0])
         return op
 
     @property
@@ -103,11 +136,6 @@ class DensityOperator:
     @property
     def eigenvalues(self) -> np.ndarray:
         return self.spectrum.eigenvalues
-
-    @cached_property
-    def entropy(self) -> float:
-        """Von Neumann entropy in nats."""
-        return _entropy_of_eigenvalues(self.eigenvalues)
 
     def rank(self) -> int:
         lam = self.eigenvalues
@@ -233,10 +261,10 @@ class ClassicalDistribution:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise DimensionMismatch("weights must be a nonempty vector")
-        if np.any(w < 0.0):
-            raise ValueError(f"negative weight {float(np.min(w))!r}")
+        if not np.all(w >= 0.0):
+            raise ValueError(f"negative or NaN weight {float(np.min(w))!r}")
         total = float(np.sum(w))
-        if abs(total - 1.0) > tol:
+        if not abs(total - 1.0) <= tol:
             raise ValueError(f"weights sum to {total!r}, not 1")
         return cls(weights=w)
 
@@ -285,6 +313,31 @@ def _relent_spectra(lam1, v1, lam2, v2) -> float:
     log2 = np.log(lam2[supp2])
     term2 = float(lam_in @ (overlaps[np.ix_(supp1, supp2)] @ log2))
     return term1 - term2
+
+
+def relative_entropies(lam1, v1, lam2, v2) -> np.ndarray:
+    """Tr{A (log A - log B_i)} of one spectrum (lam1, v1) against a stack of
+    spectra (lam2 of shape (m, d), v2 of shape (m, d, d)) in one pass.
+
+    Same support rule, infinity flag and 0 log 0 convention as
+    _relent_spectra, member by member; that scalar form stays separate for
+    the independent oracles.
+    """
+    a_max = float(lam1[-1])
+    if a_max <= 0.0:
+        return np.zeros(len(lam2))
+    supp1 = lam1 > SUPPORT_REL_TOL * a_max
+    lam_in = lam1[supp1]
+    term1 = float(np.sum(lam_in * np.log(lam_in)))
+    weights = np.where(supp1, lam1, 0.0)
+    b_max = lam2[:, -1]
+    supp2 = lam2 > SUPPORT_REL_TOL * b_max[:, np.newaxis]
+    overlaps = np.abs(v1.conj().T @ v2) ** 2  # [m, i, j] = |<a_i|b_j>|^2
+    outside = np.where(supp2[:, np.newaxis, :], 0.0, overlaps).sum(axis=2) @ weights
+    log2 = np.log(np.where(supp2, lam2, 1.0))  # zero off the support
+    term2 = (overlaps @ log2[:, :, np.newaxis])[:, :, 0] @ weights
+    infinite = (b_max <= 0.0) | (outside > SUPPORT_MASS_TOL * float(np.sum(lam1)))
+    return np.where(infinite, math.inf, term1 - term2)
 
 
 def quantum_relative_entropy(sigma, tau) -> float:
@@ -359,7 +412,7 @@ def hybrid_relative_entropy(
     w1 = np.array([s.weight for s in side1])
     w2 = np.array([s.weight for s in side2])
     for name, w in (("first", w1), ("second", w2)):
-        if abs(float(np.sum(w)) - 1.0) > TRACE_TOL:
+        if not abs(float(np.sum(w)) - 1.0) <= TRACE_TOL:
             raise ValueError(f"{name} side weights sum to {float(np.sum(w))!r}, not 1")
 
     classical = 0.0

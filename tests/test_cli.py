@@ -149,6 +149,25 @@ class TestCheck:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "option, fragment",
+        [
+            (["--mode", "sample", "--samples", "0"], "--samples"),
+            (["--tol", "nan"], "--tol"),
+            (["--tol", "inf"], "--tol"),
+        ],
+        ids=["samples-0", "tol-nan", "tol-inf"],
+    )
+    def test_bad_option_exit_3(self, tmp_path, capsys, option, fragment):
+        out = tmp_path / "o"
+        code = run_cli(
+            ["check", "--scenario", "identity", "--horizon", "2", *option, "--out", out]
+        )
+        assert code == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and fragment in err[0]
+        assert not out.exists()
+
 
 class TestRun:
     def test_writes_report_without_bounds(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -8,7 +9,6 @@ from contmeas.engine import enumerate_trajectories, sample_trajectories
 from contmeas.entropics import (
     EntropyReport,
     EntropyReportBuilder,
-    MeanAccumulator,
     build_entropy_report,
     check_bounds,
     mutual_entropy_hybrid,
@@ -39,6 +39,91 @@ def projective_records():
 def projective_report(projective_records):
     _, grid, records = projective_records
     return build_entropy_report(records, grid)
+
+
+class MeanAccumulator:
+    """Scalar reference for one report entry: weighted streaming mean and
+    variance (West's update), with an infinity flag for diverging
+    relative-entropy contributions."""
+
+    __slots__ = ("count", "total_weight", "_mean", "m2", "infinite")
+
+    def __init__(self):
+        self.count = 0
+        self.total_weight = 0.0
+        self._mean = 0.0
+        self.m2 = 0.0
+        self.infinite = False
+
+    def add(self, value: float, weight: float = 1.0) -> None:
+        if weight <= 0.0:
+            return
+        self.count += 1
+        if math.isinf(value):
+            self.infinite = True
+            return
+        self.total_weight += weight
+        delta = value - self._mean
+        self._mean += (weight / self.total_weight) * delta
+        self.m2 += weight * delta * (value - self._mean)
+
+    def merge(self, other: "MeanAccumulator") -> None:
+        if other.total_weight == 0.0 and not other.infinite:
+            self.count += other.count
+            return
+        self.infinite = self.infinite or other.infinite
+        self.count += other.count
+        if other.total_weight == 0.0:
+            return
+        total = self.total_weight + other.total_weight
+        delta = other._mean - self._mean
+        self._mean += delta * (other.total_weight / total)
+        self.m2 += other.m2 + delta * delta * self.total_weight * other.total_weight / total
+        self.total_weight = total
+
+    @property
+    def mean(self) -> float:
+        if self.infinite:
+            return math.inf
+        return self._mean
+
+    def standard_error(self) -> float:
+        """Standard error of the mean for unit-weight (sampling) streams."""
+        if self.infinite or self.count < 2:
+            return 0.0
+        variance = self.m2 / (self.count - 1)
+        return math.sqrt(max(variance, 0.0) / self.count)
+
+
+def reference_report(records, grid, mode="enumerate"):
+    """Every report entry through its own MeanAccumulator, in the builder's
+    key order: the per-key reference for the column-wise builder."""
+    keys = EntropyReportBuilder(grid, mode).keys
+    accs = {key: MeanAccumulator() for key in keys}
+    count = 0
+    for rec in records:
+        count += 1
+        weight = rec.prob if mode == "enumerate" else 1.0
+        for key, acc in accs.items():
+            kind, times = key[0], key[1:]
+            if kind == "Ic":
+                r, t = times
+                value = (
+                    math.log(rec.prob_at[t])
+                    - math.log(rec.prob_at[r])
+                    - math.log(rec.incr_prob[(r, t)])
+                )
+            elif kind == "chi_bar":
+                value = rec.chi_term[times]
+            elif kind == "chi_at":
+                value = rec.chi_at_term[times[0]]
+            elif kind == "Iq":
+                value = rec.entropy[times[0]] - rec.entropy[times[1]]
+            else:
+                r, s, t = times
+                value = rec.cond_entropy[(r, s)] - rec.cond_entropy[(r, t)]
+            acc.add(value, weight)
+    return count, accs
 
 
 def weighted_mean(records, term):
@@ -181,6 +266,65 @@ class TestReportBuilder:
         for key, value in exact.chi_at.items():
             se = sampled.se[("chi_at", key)]
             assert abs(sampled.chi_at[key] - value) <= 3.0 * se + 1e-12
+
+
+class TestColumnBuilder:
+    """The column-wise builder against one scalar MeanAccumulator per key."""
+
+    @staticmethod
+    def assert_matches_reference(report, records, grid, mode, tol=0.0):
+        count, accs = reference_report(records, grid, mode)
+        assert report.count == count
+        for key, acc in accs.items():
+            kind = key[0]
+            value = getattr(report, kind)[key[1] if kind == "chi_at" else key[1:]]
+            expected = (acc.mean, acc.standard_error() if mode == "sample" else 0.0)
+            for got, want in zip((value, report.se[key]), expected):
+                if tol == 0.0 or math.isinf(want):
+                    assert got == want, key
+                else:
+                    assert abs(got - want) <= tol, key
+
+    def test_enumerate_bit_for_bit(self):
+        model = random_model(4, dim=3, n_outcomes=3, horizon=3)
+        grid = full_grid(model)
+        records = list(enumerate_trajectories(model, grid))
+        report = build_entropy_report(records, grid)
+        self.assert_matches_reference(report, records, grid, "enumerate")
+
+    @pytest.fixture(scope="class")
+    def sampled_with_inf(self):
+        model = builtin_scenario("damped-qubit", horizon=3)
+        grid = full_grid(model)
+        records = list(sample_trajectories(model, grid, 300, seed=3))
+        # one record carries an infinite relative entropy
+        rec = records[7]
+        records[7] = dataclasses.replace(rec, chi_term={**rec.chi_term, (0, 2): math.inf})
+        return grid, records
+
+    def test_sample_with_inf_bit_for_bit(self, sampled_with_inf):
+        grid, records = sampled_with_inf
+        report = build_entropy_report(records, grid, mode="sample")
+        assert math.isinf(report.chi_bar[(0, 2)]) and report.se[("chi_bar", 0, 2)] == 0.0
+        self.assert_matches_reference(report, records, grid, "sample")
+
+    def test_merge_matches_reference(self, sampled_with_inf):
+        grid, records = sampled_with_inf
+        parts = [EntropyReportBuilder(grid, mode="sample") for _ in range(3)]
+        for i, rec in enumerate(records):
+            parts[(i * 7) % 3].add(rec)
+        parts[0].merge(parts[1])
+        parts[0].merge(parts[2])
+        report = parts[0].finalize()
+        self.assert_matches_reference(report, records, grid, "sample", tol=1e-12)
+
+    def test_records_own_their_matrices(self, sampled_with_inf):
+        # a view into a node's stack would keep the whole stack alive
+        model = random_model(4, dim=3, n_outcomes=3, horizon=3)
+        _, sampled = sampled_with_inf
+        for rec in list(enumerate_trajectories(model, full_grid(model))) + sampled:
+            for state in [*rec.aposteriori.values(), *rec.conditioned.values()]:
+                assert state.matrix.base is None
 
 
 class TestHybridRoute:

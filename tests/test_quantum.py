@@ -2,19 +2,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contmeas.errors import DimensionMismatch, NotPositiveSemidefinite
+from contmeas.engine import _node_states
+from contmeas.errors import (
+    DimensionMismatch,
+    NonHermitianInput,
+    NotPositiveSemidefinite,
+    NumericRangeError,
+)
+from contmeas.linalg import eigh_phase_fixed
 from contmeas.quantum import (
     ClassicalDistribution,
     DensityOperator,
     Instrument,
     KrausMap,
     UnnormalizedState,
+    _clip_nonnegative,
+    _relent_spectra,
     average_state,
     chi_quantity,
     classical_relative_entropy,
     hybrid_relative_entropy,
     quantum_relative_entropy,
+    relative_entropies,
     von_neumann_entropy,
 )
 
@@ -239,6 +251,13 @@ class TestHybridRelativeEntropy:
         out = hybrid_relative_entropy(s1, s2)
         assert math.isinf(out.direct) and math.isinf(out.decomposed)
 
+    def test_rejects_nan_weight(self):
+        # a NaN trace must not pass the weight-sum check as agreement
+        s1 = [UnnormalizedState(np.diag([math.nan, 0.0]))]
+        s2 = [UnnormalizedState(np.diag([1.0, 0.0]))]
+        with pytest.raises(ValueError):
+            hybrid_relative_entropy(s1, s2)
+
 
 class TestKrausAndInstruments:
     def test_identity_map(self):
@@ -317,3 +336,144 @@ class TestClassicalDistribution:
     def test_sum_rejected(self):
         with pytest.raises(ValueError):
             ClassicalDistribution.from_weights([0.6, 0.5])
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            ClassicalDistribution.from_weights([math.nan, 1.0])
+        with pytest.raises(ValueError):
+            classical_relative_entropy([math.nan, 1.0], [0.5, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# The batched kernels against their one-matrix forms
+# ---------------------------------------------------------------------------
+
+
+def _clipped_spectrum(matrix):
+    lam, vec = eigh_phase_fixed(matrix)
+    return _clip_nonnegative(lam), vec
+
+
+@st.composite
+def spectrum_stacks(draw):
+    """A first spectrum and a stack of others. Ranks run from 0 (the zero
+    matrix) to full; with a shared eigenbasis the supports are coordinate
+    subsets of it, so disjoint and nested supports both occur."""
+    dim = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shared = draw(st.booleans())
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    basis, _ = np.linalg.qr(g)
+    spectra = []
+    for rank in draw(st.lists(st.integers(0, dim), min_size=2, max_size=6)):
+        if shared:
+            cols = basis[:, rng.permutation(dim)[:rank]]
+        else:
+            cols = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        m = (cols * rng.uniform(0.05, 1.0, rank)) @ cols.conj().T
+        if rank:
+            m /= np.trace(m).real
+        spectra.append(_clipped_spectrum(m))
+    (lam1, v1), rest = spectra[0], spectra[1:]
+    return lam1, v1, np.array([lam for lam, _ in rest]), np.array([v for _, v in rest])
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectrum_stacks())
+def test_relative_entropies_match_scalar_kernel(stacks):
+    lam1, v1, lam2, v2 = stacks
+    batched = relative_entropies(lam1, v1, lam2, v2)
+    for i in range(len(lam2)):
+        expected = _relent_spectra(lam1, v1, lam2[i], v2[i])
+        if math.isinf(expected) or math.isinf(batched[i]):
+            assert batched[i] == expected
+        else:
+            assert abs(batched[i] - expected) <= 1e-12
+
+
+def test_relative_entropies_edge_cases():
+    zero = _clipped_spectrum(np.zeros((2, 2)))
+    ket0, ket1, plus = (_clipped_spectrum(m) for m in (KET0, KET1, PLUS))
+    lam2 = np.array([ket0[0], ket1[0], zero[0], plus[0]])
+    v2 = np.array([ket0[1], ket1[1], zero[1], plus[1]])
+    # disjoint support and a zero second argument are infinite
+    assert relative_entropies(*ket0, lam2, v2).tolist()[:3] == [0.0, math.inf, math.inf]
+    # a zero first argument gives 0 against anything
+    assert relative_entropies(*zero, lam2, v2).tolist() == [0.0] * 4
+
+
+VALID = [
+    KET0,
+    PLUS,
+    np.diag([0.25, 0.75]).astype(complex),
+]
+BAD = {
+    "non-hermitian": np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex),
+    "negative": np.diag([-1e-3, 1.0 + 1e-3]).astype(complex),
+    "trace": 2.0 * KET0,
+    "nan": np.diag([math.nan, 1.0]).astype(complex),
+}
+
+
+def _raised(fn, arg):
+    with pytest.raises(Exception) as info:
+        fn(arg)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("kind", sorted(BAD))
+@pytest.mark.parametrize("position", [0, 1, 3])
+def test_from_stack_raises_like_from_matrix(kind, position):
+    stack = list(VALID)
+    stack.insert(position, BAD[kind])
+    assert _raised(DensityOperator.from_stack, np.array(stack)) == _raised(
+        DensityOperator.from_matrix, BAD[kind]
+    )
+
+
+@pytest.mark.parametrize("first, second", [("non-hermitian", "negative"), ("trace", "nan"),
+                                           ("negative", "non-hermitian"), ("nan", "trace")])
+def test_from_stack_earliest_member_wins(first, second):
+    stack = np.array([KET0, BAD[first], PLUS, BAD[second]])
+    assert _raised(DensityOperator.from_stack, stack) == _raised(
+        DensityOperator.from_matrix, BAD[first]
+    )
+
+
+def test_from_stack_matches_from_matrix():
+    rng = np.random.default_rng(12)
+    stack = np.array([random_density(rng, 3).matrix for _ in range(4)])
+    batch = DensityOperator.from_stack(stack)
+    for i, op in enumerate(batch.states):
+        one = DensityOperator.from_matrix(stack[i])
+        assert np.array_equal(op.matrix, one.matrix) and op.matrix.base is None
+        assert op.entropy == one.entropy
+        assert np.array_equal(batch.eigenvalues[i], one.eigenvalues)
+        # a batch member computes its spectrum on demand, with the same values
+        assert np.array_equal(op.eigenvalues, one.eigenvalues)
+        assert np.array_equal(op.spectrum.eigenvectors, one.spectrum.eigenvectors)
+
+
+def test_from_stack_rejects_wrong_shape():
+    with pytest.raises(DimensionMismatch):
+        DensityOperator.from_stack(KET0)
+
+
+@pytest.mark.parametrize(
+    "masses, bad, error",
+    [
+        # the main state's mass is checked before anything else
+        ((0.0, 1.0, 1.0), (1, "negative"), NumericRangeError),
+        # a track's state failure comes before a later track's mass
+        ((1.0, 1.0, 0.0), (1, "negative"), NotPositiveSemidefinite),
+        # a track's mass comes before a later track's state
+        ((1.0, 0.0, 1.0), (2, "non-hermitian"), NumericRangeError),
+        ((1.0, 1.0, 1.0), (2, "non-hermitian"), NonHermitianInput),
+    ],
+)
+def test_node_states_failure_order(masses, bad, error):
+    live = np.array([m * PLUS for m in masses])
+    position, kind = bad
+    live[position] = BAD[kind] * masses[position]
+    with pytest.raises(error):
+        _node_states(live)
