@@ -112,15 +112,17 @@ def _node_states(live):
     return masses.tolist(), batch
 
 
-def _record_time_data(t, stack, ref_times, eta, record):
+def _record_time_data(t, stack, pairs, eta, record):
     """Record everything attached to time t into fresh copies of the
     per-path dicts (copy-on-write so subtree siblings never alias). The
     node's states come from one validated batch and their relative
-    entropies from one pass."""
+    entropies from one pass; ``pairs`` holds the (s, t) keys of the
+    stack's tracks, shared by every record so that records do not each
+    carry their own copies."""
     (prob_at, apost, cond, incrp, ent, cent, chit, chiat) = record
     eta_t = eta[t]
     # a track seeded at t is exactly the a-priori state: no batch member
-    fresh = bool(ref_times) and ref_times[-1] == t
+    fresh = bool(pairs) and pairs[-1][0] == t
     masses, batch = _node_states(stack[: len(stack) - fresh])
     rho, *varrhos = batch.states
     # against eta_t first, then against each earlier-seeded track
@@ -137,14 +139,14 @@ def _record_time_data(t, stack, ref_times, eta, record):
     incrp = dict(incrp)
     cent = dict(cent)
     chit = dict(chit)
-    tracks = zip(ref_times, varrhos, masses[1:], chis[1:])
+    tracks = zip(pairs, varrhos, masses[1:], chis[1:])
     if fresh:
-        tracks = [*tracks, (t, eta_t, 1.0, chis[0])]
-    for s, varrho, weight, chi in tracks:
-        cond[(s, t)] = varrho
-        incrp[(s, t)] = weight
-        cent[(s, t)] = varrho.entropy
-        chit[(s, t)] = chi
+        tracks = [*tracks, (pairs[-1], eta_t, 1.0, chis[0])]
+    for key, varrho, weight, chi in tracks:
+        cond[key] = varrho
+        incrp[key] = weight
+        cent[key] = varrho.entropy
+        chit[key] = chi
     return (prob_at, apost, cond, incrp, ent, cent, chit, chiat)
 
 
@@ -161,30 +163,29 @@ class _Walk:
         self.model = model
         self.eta = apriori if apriori is not None else compute_a_priori(model, grid)
         self.roots = _letter_roots(model)
-        self.record_set = set(grid.record_times)
         self.ref_set = set(grid.reference_times)
+        self.pairs = {
+            t: tuple((s, t) for s in grid.reference_times if s <= t) for t in grid.record_times
+        }
 
-    def visit(self, letter, outcomes, t, stack, ref_times, record):
+    def visit(self, letter, outcomes, t, stack, record):
         """Seed the reference track of time t and attach the record-time
-        data; an error names the trajectory. Returns (stack, ref_times,
-        record)."""
+        data; an error names the trajectory. Returns (stack, record)."""
         if t in self.ref_set:
             stack = np.concatenate([stack, self.eta[t].matrix[np.newaxis]])
-            ref_times = ref_times + (t,)
-        if t in self.record_set:
+        if t in self.pairs:
             try:
-                record = _record_time_data(t, stack, ref_times, self.eta, record)
+                record = _record_time_data(t, stack, self.pairs[t], self.eta, record)
             except (NotPositiveSemidefinite, NumericRangeError) as exc:
                 raise type(exc)(f"{_path_name(letter, outcomes, t)}: {exc}") from exc
-        return stack, ref_times, record
+        return stack, record
 
     def replay(self, letter, outcomes) -> TrajectoryRecord:
         """Rebuild the full record for a known path (no randomness involved)."""
         stack = self.roots[letter][np.newaxis]
-        ref_times = ()
         record = _EMPTY_RECORD
         for t in range(self.model.horizon + 1):
-            stack, ref_times, record = self.visit(letter, outcomes, t, stack, ref_times, record)
+            stack, record = self.visit(letter, outcomes, t, stack, record)
             if t == self.model.horizon:
                 break
             stack = self.model.instrument_at(t + 1).map_for(outcomes[t]).apply(stack)
@@ -212,11 +213,11 @@ def enumerate_trajectories(
     for letter, (p, root) in enumerate(zip(model.ensemble.prior, walk.roots)):
         if p <= 0.0:
             continue
-        # pending entries: (depth, state stack, reference times, record dicts, outcomes)
-        pending = [(0, root[np.newaxis], (), _EMPTY_RECORD, ())]
+        # pending entries: (depth, state stack, record dicts, outcomes)
+        pending = [(0, root[np.newaxis], _EMPTY_RECORD, ())]
         while pending:
-            t, stack, ref_times, record, outcomes = pending.pop()
-            stack, ref_times, record = walk.visit(letter, outcomes, t, stack, ref_times, record)
+            t, stack, record, outcomes = pending.pop()
+            stack, record = walk.visit(letter, outcomes, t, stack, record)
             if t == horizon:
                 yield TrajectoryRecord(letter, outcomes, *record)
                 continue
@@ -227,7 +228,7 @@ def enumerate_trajectories(
                 child = kraus.apply(stack)
                 if float(np.trace(child[0]).real) < PRUNE_REL_TOL * parent_trace:
                     continue
-                children.append((t + 1, child, ref_times, record, outcomes + (label,)))
+                children.append((t + 1, child, record, outcomes + (label,)))
             pending.extend(reversed(children))
 
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -74,13 +73,15 @@ def _first_false(ok: np.ndarray) -> int:
     return len(ok) if ok.all() else int(np.argmin(ok))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class DensityOperator:
     """Positive semidefinite unit-trace matrix with its entropy; the
-    spectrum is computed on first use."""
+    spectrum is computed on first use. Slotted: trajectory records hold
+    hundreds of these each."""
 
     matrix: np.ndarray
     entropy: float  # von Neumann entropy in nats
+    _spectrum: Optional[Spectrum] = field(default=None, repr=False)
 
     @classmethod
     def from_stack(cls, matrices) -> StateBatch:
@@ -122,16 +123,18 @@ class DensityOperator:
             raise DimensionMismatch(f"state matrix must be square, got {a.shape}")
         batch = cls.from_stack(a[np.newaxis])
         op = batch.states[0]
-        op.__dict__["spectrum"] = Spectrum(batch.eigenvalues[0], batch.eigenvectors[0])
+        object.__setattr__(op, "_spectrum", Spectrum(batch.eigenvalues[0], batch.eigenvectors[0]))
         return op
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @cached_property
+    @property
     def spectrum(self) -> Spectrum:
-        return _spectrum_psd(self.matrix)
+        if self._spectrum is None:
+            object.__setattr__(self, "_spectrum", _spectrum_psd(self.matrix))
+        return self._spectrum
 
     @property
     def eigenvalues(self) -> np.ndarray:
