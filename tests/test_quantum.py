@@ -431,8 +431,10 @@ def test_from_stack_raises_like_from_matrix(kind, position):
     )
 
 
-@pytest.mark.parametrize("first, second", [("non-hermitian", "negative"), ("trace", "nan"),
-                                           ("negative", "non-hermitian"), ("nan", "trace")])
+@pytest.mark.parametrize(
+    "first, second",
+    [("non-hermitian", "negative"), ("trace", "nan"), ("negative", "non-hermitian"), ("nan", "trace")],
+)
 def test_from_stack_earliest_member_wins(first, second):
     stack = np.array([KET0, BAD[first], PLUS, BAD[second]])
     assert _raised(DensityOperator.from_stack, stack) == _raised(
