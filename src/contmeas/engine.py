@@ -33,8 +33,6 @@ from .quantum import DensityOperator, _first_false, relative_entropies
 PRUNE_REL_TOL = 1e-14
 # Default cap on letters x outcome strings for exhaustive enumeration.
 DEFAULT_LEAF_BUDGET = 10**7
-# Distinct sampled paths cached per sample_trajectories call.
-SAMPLE_MEMO_CAP = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,9 +243,12 @@ def sample_trajectories(
     equal to the trace its Kraus map leaves on the current state. Records
     carry the same attached states as enumeration, with prob_at holding the
     true path probability (not the 1/N estimator weight). A record is a
-    pure function of its path, so repeated paths are served from a memo;
-    the random stream never depends on the memo. Raises NumericRangeError
-    when a path's mass falls below the smallest normal float.
+    pure function of its path, so all paths are drawn first and each
+    distinct path is replayed once: the memo keeps a record only until the
+    last draw of its path, so memory holds just the records a later draw
+    still needs. The random stream never depends on the memo. Raises
+    NumericRangeError when a path's mass falls below the smallest normal
+    float.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -259,8 +260,9 @@ def sample_trajectories(
         [km.normalization() for km in model.instrument_at(step).maps]
         for step in range(1, model.horizon + 1)
     ]
-    memo = {}
-    for _ in range(n_samples):
+    paths = []
+    last = {}  # path -> index of its last draw
+    for i in range(n_samples):
         letter = int(np.searchsorted(prior_cum, rng.random(), side="right"))
         letter = min(letter, len(prior) - 1)
         main = walk.roots[letter]
@@ -284,12 +286,16 @@ def sample_trajectories(
                     break
             main = instrument.maps[pick].apply(main)
             outcomes = outcomes + (instrument.outcomes[pick],)
-        key = (letter, outcomes)
-        record = memo.get(key)
+        path = (letter, outcomes)
+        paths.append(path)
+        last[path] = i
+    memo = {}
+    for i, path in enumerate(paths):
+        record = memo.pop(path, None)
         if record is None:
-            record = walk.replay(letter, outcomes)
-            if len(memo) < SAMPLE_MEMO_CAP:
-                memo[key] = record
+            record = walk.replay(*path)
+        if last[path] > i:
+            memo[path] = record
         yield record
 
 

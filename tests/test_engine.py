@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -185,6 +186,26 @@ class TestSample:
         a = [(r.letter, r.outcomes, r.prob) for r in sample_trajectories(model, grid, 50, seed=3)]
         b = [(r.letter, r.outcomes, r.prob) for r in sample_trajectories(model, grid, 50, seed=3)]
         assert a == b
+
+    def test_memo_keeps_only_records_a_later_draw_needs(self):
+        # a repeated path is served as one record; once a path has no later
+        # draw, the sampler holds no reference to its record
+        model = builtin_scenario("qubit-weak", horizon=6)
+        paths, refs, alive = [], [], []
+        for rec in sample_trajectories(model, full_grid(model), 60, seed=5):
+            path = (rec.letter, rec.outcomes)
+            if path in paths:
+                assert refs[paths.index(path)]() is rec
+            paths.append(path)
+            refs.append(weakref.ref(rec))
+            del rec
+            alive.append([ref() is not None for ref in refs])
+        assert 1 < len(set(paths)) < len(paths)
+        for i, now in enumerate(alive):
+            for j, is_alive in enumerate(now):
+                # the generator still holds the record it yielded last
+                needed = paths[j] == paths[i] or paths[j] in paths[i + 1 :]
+                assert is_alive == needed, (i, j)
 
     def test_event_frequencies_match_enumeration(self):
         # enumeration is the oracle for the law of (letter, outcomes)
