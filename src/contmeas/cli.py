@@ -110,6 +110,8 @@ def _parse_times(text: Optional[str]) -> Optional[tuple]:
 def _load_model(model_path, scenario, horizon, seed) -> MeasurementModel:
     if (model_path is None) == (scenario is None):
         raise _Failure(EXIT_IO, "exactly one of --model and --scenario is required")
+    if horizon is not None and horizon < 1:
+        raise _Failure(EXIT_IO, f"--horizon must be at least 1, got {horizon}")
     if scenario is not None:
         try:
             return builtin_scenario(

@@ -304,11 +304,30 @@ def sample_trajectories(
 # ---------------------------------------------------------------------------
 
 
+def _worst(residuals, worst=0.0):
+    """Largest of ``worst`` and the ``residuals``. Unlike ``max`` it keeps a
+    NaN (``max(0.0, nan)`` is 0.0), so that a NaN residual fails its check."""
+    for residual in residuals:
+        if worst == worst and not residual <= worst:
+            worst = residual
+    return worst
+
+
+def _keep_first(table, key, entry, worst):
+    """Hold the first (prob, matrix) entry of each key; fold the deviation of
+    a later entry for a held key from it into ``worst``."""
+    seen = table.setdefault(key, entry)
+    if seen is entry:
+        return worst
+    return _worst((abs(seen[0] - entry[0]), float(np.linalg.norm(seen[1] - entry[1]))), worst)
+
+
 class ConsistencyAccumulator:
     """Streaming verifier of the structural identities of the enumerated
     table: probability conservation, martingale marginals, measurability of
-    the outcome-only states, a-priori averaging, map composition and the
-    normalized-state recursion."""
+    the outcome-only states, a-priori averaging, map composition, the
+    normalized-state recursion and the agreement of records that share a
+    prefix or an increment string."""
 
     def __init__(self, model, grid, apriori, tol: float = 1e-9):
         self.model = model
@@ -320,59 +339,61 @@ class ConsistencyAccumulator:
         self.prefix = {t: {} for t in grid.record_times}
         # (s, t) -> increments -> (incr_prob, conditioned matrix)
         self.incr = {pair: {} for pair in grid.pairs()}
+        self.prefix_dependence = 0.0
         self.incr_dependence = 0.0
-        self.composition = 0.0
-        self.recursion = 0.0
 
     def add(self, rec: TrajectoryRecord) -> None:
         self.total_prob += rec.prob
         for t in self.grid.record_times:
             key = (rec.letter, rec.outcomes[:t])
-            self.prefix[t][key] = (rec.prob_at[t], rec.aposteriori[t].matrix)
+            entry = (rec.prob_at[t], rec.aposteriori[t].matrix)
+            self.prefix_dependence = _keep_first(
+                self.prefix[t], key, entry, self.prefix_dependence
+            )
         for (s, t) in self.grid.pairs():
-            z = rec.outcomes[s:t]
             entry = (rec.incr_prob[(s, t)], rec.conditioned[(s, t)].matrix)
-            seen = self.incr[(s, t)].get(z)
-            if seen is None:
-                self.incr[(s, t)][z] = entry
-            else:
-                dev = max(
-                    abs(seen[0] - entry[0]), float(np.linalg.norm(seen[1] - entry[1]))
-                )
-                self.incr_dependence = max(self.incr_dependence, dev)
-        self._check_composition(rec)
-        self._check_recursion(rec)
+            self.incr_dependence = _keep_first(
+                self.incr[(s, t)], rec.outcomes[s:t], entry, self.incr_dependence
+            )
 
-    def _steps_between(self, rec, s, t, matrix):
-        out = matrix
+    def _pushed(self, s, t, starts, paths) -> np.ndarray:
+        """A fresh stack of the start matrices, each pushed through the
+        outcome maps of steps s+1..t along its path: one Kraus application
+        per (step, outcome) group."""
+        stack = np.array(starts, dtype=complex)
         for step in range(s + 1, t + 1):
-            inst = self.model.instrument_at(step)
-            out = inst.map_for(rec.outcomes[step - 1]).apply(out)
-        return out
+            groups = {}
+            for row, path in enumerate(paths):
+                groups.setdefault(path[step - s - 1], []).append(row)
+            instrument = self.model.instrument_at(step)
+            for label, rows in groups.items():
+                stack[rows] = instrument.map_for(label).apply(stack[rows])
+        return stack
 
-    def _check_composition(self, rec) -> None:
-        # conditioning r -> s, rescaling, then s -> t must match r -> t
+    def _composition_residuals(self):
+        """Conditioning r -> s, rescaling, then s -> t must match r -> t:
+        one residual per increment-table entry that has a parent."""
         times = self.grid.record_times
         for r in self.grid.reference_times:
             laters = [t for t in times if t >= r]
             for s, t in zip(laters, laters[1:]):
-                sigma_rs = rec.incr_prob[(r, s)] * rec.conditioned[(r, s)].matrix
-                via = self._steps_between(rec, s, t, sigma_rs)
-                direct = rec.incr_prob[(r, t)] * rec.conditioned[(r, t)].matrix
-                self.composition = max(
-                    self.composition, float(np.linalg.norm(via - direct))
-                )
+                table = self.incr[(r, t)]
+                starts = [w * m for w, m in (self.incr[(r, s)][z[: s - r]] for z in table)]
+                via = self._pushed(s, t, starts, [z[s - r :] for z in table])
+                for sigma, (w, m) in zip(via, table.values()):
+                    yield float(np.linalg.norm(sigma - w * m))
 
-    def _check_recursion(self, rec) -> None:
+    def _recursion_residuals(self):
+        """The state at s pushed to t and normalized must be the state at t,
+        per prefix-table entry; a pushed trace <= 0 gives residual 1."""
         times = self.grid.record_times
         for s, t in zip(times, times[1:]):
-            pushed = self._steps_between(rec, s, t, rec.aposteriori[s].matrix)
-            trace = float(np.trace(pushed).real)
-            if trace <= 0.0:
-                self.recursion = max(self.recursion, 1.0)
-                continue
-            dev = float(np.linalg.norm(pushed / trace - rec.aposteriori[t].matrix))
-            self.recursion = max(self.recursion, dev)
+            table = self.prefix[t]
+            starts = [self.prefix[s][(letter, xs[:s])][1] for letter, xs in table]
+            pushed = self._pushed(s, t, starts, [xs[s:] for _, xs in table])
+            for sigma, (_, rho) in zip(pushed, table.values()):
+                trace = float(np.trace(sigma).real)
+                yield 1.0 if trace <= 0.0 else float(np.linalg.norm(sigma / trace - rho))
 
     def finalize(self) -> CheckReport:
         """One check per identity; each margin is minus its residual."""
@@ -384,12 +405,8 @@ class ConsistencyAccumulator:
                 for (letter, xs), (prob, _) in self.prefix[t].items():
                     gkey = (letter, xs[:s])
                     grouped[gkey] = grouped.get(gkey, 0.0) + prob
-                residual = max(
-                    (
-                        abs(total - self.prefix[s][gkey][0])
-                        for gkey, total in grouped.items()
-                    ),
-                    default=0.0,
+                residual = _worst(
+                    abs(total - self.prefix[s][gkey][0]) for gkey, total in grouped.items()
                 )
                 checks.append(Check("martingale", -residual, self.tol, (s, t)))
         for (s, t) in self.grid.pairs():
@@ -402,7 +419,7 @@ class ConsistencyAccumulator:
                     (s, t),
                 )
             )
-            residual = 0.0
+            devs = []
             sums = {}
             for (letter, xs), (prob, rho) in self.prefix[t].items():
                 z = xs[s:t]
@@ -411,21 +428,20 @@ class ConsistencyAccumulator:
                 sums[z] = (mass + prob, acc)
             for z, (mass, acc) in sums.items():
                 incr_w, cond_matrix = table[z]
-                residual = max(residual, abs(mass - incr_w))
+                devs.append(abs(mass - incr_w))
                 if mass > 0.0:
-                    residual = max(
-                        residual, float(np.linalg.norm(acc / mass - cond_matrix))
-                    )
-            checks.append(Check("measurability", -residual, self.tol, (s, t)))
+                    devs.append(float(np.linalg.norm(acc / mass - cond_matrix)))
+            checks.append(Check("measurability", -_worst(devs), self.tol, (s, t)))
         for t in times:
             acc = np.zeros((self.model.dim, self.model.dim), dtype=complex)
             for prob, rho in self.prefix[t].values():
                 acc += prob * rho
             residual = float(np.linalg.norm(acc - self.eta[t].matrix))
             checks.append(Check("apriori-mean", -residual, self.tol, (t,)))
+        checks.append(Check("prefix-dependence", -self.prefix_dependence, 1e-12))
         checks.append(Check("increment-dependence", -self.incr_dependence, 1e-12))
-        checks.append(Check("composition", -self.composition, 1e-12))
-        checks.append(Check("state-recursion", -self.recursion, 1e-10))
+        checks.append(Check("composition", -_worst(self._composition_residuals()), 1e-12))
+        checks.append(Check("state-recursion", -_worst(self._recursion_residuals()), 1e-10))
         return CheckReport(checks=tuple(checks))
 
 

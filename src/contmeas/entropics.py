@@ -67,8 +67,7 @@ class EntropyReportBuilder:
     accumulators also produce standard errors. Each entry is a weighted
     streaming mean and variance (West's update) with an infinity flag for
     diverging relative-entropy contributions; the entries are kept as
-    columns in ``keys`` order and updated together. Builders for disjoint
-    subtree streams can be merged.
+    columns in ``keys`` order and updated together.
     """
 
     def __init__(self, grid: TimeGrid, mode: str = "enumerate"):
@@ -147,20 +146,6 @@ class EntropyReportBuilder:
         mean = mean + (weight / total) * delta
         self.m2[cols] += weight * delta * (values - mean)
         self.mean[cols] = mean
-        self.total_weight[cols] = total
-
-    def merge(self, other: "EntropyReportBuilder") -> None:
-        if self.keys != other.keys or self.mode != other.mode:
-            raise ValueError("builders must share grid and mode to merge")
-        self.count += other.count
-        self.weighted += other.weighted
-        self.infinite |= other.infinite
-        cols = other.total_weight != 0.0
-        weight, other_weight = self.total_weight[cols], other.total_weight[cols]
-        total = weight + other_weight
-        delta = other.mean[cols] - self.mean[cols]
-        self.mean[cols] += delta * (other_weight / total)
-        self.m2[cols] += other.m2[cols] + delta * delta * weight * other_weight / total
         self.total_weight[cols] = total
 
     def finalize(self) -> EntropyReport:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -78,10 +78,6 @@ class MeasurementModel:
     ensemble: Ensemble
     steps: tuple  # one Instrument per step 1..horizon
     homogeneous: bool = False
-    # Fixed convention: uniform letter measure, uniform product measure on
-    # outcome strings. All information quantities are reference-free, so the
-    # engine works with probabilities directly.
-    reference_measure: ClassVar[str] = "uniform"
 
     def __post_init__(self):
         if self.dim < 1 or self.horizon < 1:

@@ -155,8 +155,9 @@ class TestCheck:
             (["--mode", "sample", "--samples", "0"], "--samples"),
             (["--tol", "nan"], "--tol"),
             (["--tol", "inf"], "--tol"),
+            (["--horizon", "0"], "--horizon must be at least 1"),
         ],
-        ids=["samples-0", "tol-nan", "tol-inf"],
+        ids=["samples-0", "tol-nan", "tol-inf", "horizon-0"],
     )
     def test_bad_option_exit_3(self, tmp_path, capsys, option, fragment):
         out = tmp_path / "o"
@@ -166,6 +167,18 @@ class TestCheck:
         assert code == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and fragment in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["check", "run", "validate"])
+    def test_horizon_below_1_on_model_route_exit_3(self, tmp_path, capsys, command):
+        path = tmp_path / "model.json"
+        path.write_text(serialize_model(random_model(3, dim=2, n_outcomes=2)))
+        out = tmp_path / "o"
+        args = [command, "--model", path, "--horizon", "-2"]
+        code = run_cli(args if command == "validate" else [*args, "--out", out])
+        assert code == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: --horizon must be at least 1, got -2"]
         assert not out.exists()
 
 

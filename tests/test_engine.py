@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import weakref
 
@@ -13,6 +14,7 @@ from contmeas.engine import (
 )
 from contmeas.errors import BudgetExceeded, NotPositiveSemidefinite
 from contmeas.model import Ensemble, MeasurementModel, TimeGrid, builtin_scenario, random_model
+from contmeas.quantum import DensityOperator
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -267,10 +269,56 @@ class TestConsistency:
             "increment-total",
             "measurability",
             "apriori-mean",
+            "prefix-dependence",
             "increment-dependence",
             "composition",
             "state-recursion",
         }
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        model = random_model(3, dim=2, n_outcomes=2, horizon=3)
+        grid = full_grid(model)
+        records = list(enumerate_trajectories(model, grid))
+        # record 1 shares its letter and its first two outcomes with record 0
+        assert (records[1].letter, records[1].outcomes[:2]) == (0, records[0].outcomes[:2])
+        return model, grid, records
+
+    @pytest.mark.parametrize(
+        "field, key, index, scale, check",
+        [
+            ("aposteriori", 1, 1, 1e-6, "prefix-dependence"),
+            ("conditioned", (1, 2), 1, 1e-6, "increment-dependence"),
+            ("conditioned", (0, 2), 0, 1e-6, "composition"),
+            ("aposteriori", 3, 0, 1e-6, "state-recursion"),
+            ("conditioned", (1, 2), 1, math.nan, "increment-dependence"),
+            ("aposteriori", 1, 1, math.nan, "prefix-dependence"),
+            ("incr_prob", (1, 2), 1, math.nan, "increment-dependence"),
+        ],
+        ids=[
+            "later-aposteriori",
+            "later-conditioned",
+            "first-conditioned",
+            "first-aposteriori",
+            "nan-conditioned",
+            "nan-aposteriori",
+            "nan-incr-prob",
+        ],
+    )
+    def test_corrupted_entry_fails(self, table, field, key, index, scale, check):
+        # record 0 is the first to carry every key; record 1 is a later one
+        model, grid, records = table
+        rec = records[index]
+        entries = getattr(rec, field)
+        value = entries[key]
+        if isinstance(value, DensityOperator):
+            value = DensityOperator(value.matrix + scale * np.diag([1.0, -1.0]), value.entropy)
+        else:
+            value = value + scale
+        corrupted = list(records)
+        corrupted[index] = dataclasses.replace(rec, **{field: {**entries, key: value}})
+        report = consistency_checks(model, grid, records=corrupted)
+        assert check in {c.name for c in report.failures()}
 
 
 class TestDump:

@@ -67,20 +67,6 @@ class MeanAccumulator:
         self._mean += (weight / self.total_weight) * delta
         self.m2 += weight * delta * (value - self._mean)
 
-    def merge(self, other: "MeanAccumulator") -> None:
-        if other.total_weight == 0.0 and not other.infinite:
-            self.count += other.count
-            return
-        self.infinite = self.infinite or other.infinite
-        self.count += other.count
-        if other.total_weight == 0.0:
-            return
-        total = self.total_weight + other.total_weight
-        delta = other._mean - self._mean
-        self._mean += delta * (other.total_weight / total)
-        self.m2 += other.m2 + delta * delta * self.total_weight * other.total_weight / total
-        self.total_weight = total
-
     @property
     def mean(self) -> float:
         if self.infinite:
@@ -235,24 +221,6 @@ class TestReportBuilder:
             assert report.Ic[(0, t)] >= -1e-9
             assert report.chi_bar[(0, t)] >= -1e-9
 
-    def test_merge_equals_single_pass(self):
-        model = builtin_scenario("damped-qubit", horizon=2)
-        grid = full_grid(model)
-        records = list(enumerate_trajectories(model, grid))
-        whole = EntropyReportBuilder(grid)
-        for rec in records:
-            whole.add(rec)
-        left = EntropyReportBuilder(grid)
-        right = EntropyReportBuilder(grid)
-        for i, rec in enumerate(records):
-            (left if i % 2 == 0 else right).add(rec)
-        left.merge(right)
-        a, b = whole.finalize(), left.finalize()
-        for key in a.Ic:
-            assert abs(a.Ic[key] - b.Ic[key]) <= 1e-12
-        for key in a.chi_bar:
-            assert abs(a.chi_bar[key] - b.chi_bar[key]) <= 1e-12
-
     def test_sampled_report_close_to_enumerated(self):
         model = builtin_scenario("qubit-projective", horizon=2)
         grid = full_grid(model)
@@ -272,18 +240,14 @@ class TestColumnBuilder:
     """The column-wise builder against one scalar MeanAccumulator per key."""
 
     @staticmethod
-    def assert_matches_reference(report, records, grid, mode, tol=0.0):
+    def assert_matches_reference(report, records, grid, mode):
         count, accs = reference_report(records, grid, mode)
         assert report.count == count
         for key, acc in accs.items():
             kind = key[0]
             value = getattr(report, kind)[key[1] if kind == "chi_at" else key[1:]]
             expected = (acc.mean, acc.standard_error() if mode == "sample" else 0.0)
-            for got, want in zip((value, report.se[key]), expected):
-                if tol == 0.0 or math.isinf(want):
-                    assert got == want, key
-                else:
-                    assert abs(got - want) <= tol, key
+            assert (value, report.se[key]) == expected, key
 
     def test_enumerate_bit_for_bit(self):
         model = random_model(4, dim=3, n_outcomes=3, horizon=3)
@@ -307,16 +271,6 @@ class TestColumnBuilder:
         report = build_entropy_report(records, grid, mode="sample")
         assert math.isinf(report.chi_bar[(0, 2)]) and report.se[("chi_bar", 0, 2)] == 0.0
         self.assert_matches_reference(report, records, grid, "sample")
-
-    def test_merge_matches_reference(self, sampled_with_inf):
-        grid, records = sampled_with_inf
-        parts = [EntropyReportBuilder(grid, mode="sample") for _ in range(3)]
-        for i, rec in enumerate(records):
-            parts[(i * 7) % 3].add(rec)
-        parts[0].merge(parts[1])
-        parts[0].merge(parts[2])
-        report = parts[0].finalize()
-        self.assert_matches_reference(report, records, grid, "sample", tol=1e-12)
 
     def test_records_own_their_matrices(self, sampled_with_inf):
         # a view into a node's stack would keep the whole stack alive
@@ -500,18 +454,6 @@ class TestMeanAccumulator:
         acc.add(1.0, 0.25)
         acc.add(3.0, 0.75)
         assert acc.mean == pytest.approx(2.5)
-
-    def test_merge(self):
-        rng = np.random.default_rng(2)
-        xs = rng.standard_normal(200)
-        one = MeanAccumulator()
-        a, b = MeanAccumulator(), MeanAccumulator()
-        for i, x in enumerate(xs):
-            one.add(float(x))
-            (a if i < 77 else b).add(float(x))
-        a.merge(b)
-        assert a.mean == pytest.approx(one.mean, abs=1e-12)
-        assert a.standard_error() == pytest.approx(one.standard_error(), abs=1e-12)
 
     def test_infinite_flag(self):
         acc = MeanAccumulator()
