@@ -29,7 +29,6 @@ from .errors import (
     ShapeError,
     UnknownScenario,
 )
-from .linalg import Spectrum, hermitian_eig
 from .model import (
     Check,
     CheckReport,
@@ -44,17 +43,13 @@ from .model import (
     validate_model,
 )
 from .quantum import (
-    ClassicalDistribution,
     DensityOperator,
     Instrument,
     KrausMap,
-    UnnormalizedState,
     average_state,
     chi_quantity,
-    classical_relative_entropy,
     hybrid_relative_entropy,
     quantum_relative_entropy,
-    von_neumann_entropy,
 )
 
 __version__ = "0.1.0"

@@ -110,15 +110,15 @@ def _node_states(live):
     return masses.tolist(), batch
 
 
-def _record_time_data(t, stack, pairs, eta, record):
+def _record_time_data(t, stack, pairs, eta_t, eta_spectrum, record):
     """Record everything attached to time t into fresh copies of the
     per-path dicts (copy-on-write so subtree siblings never alias). The
     node's states come from one validated batch and their relative
-    entropies from one pass; ``pairs`` holds the (s, t) keys of the
-    stack's tracks, shared by every record so that records do not each
-    carry their own copies."""
+    entropies from one pass; ``eta_spectrum`` is the (eigenvalues,
+    eigenvectors) pair of the a-priori state ``eta_t``, and ``pairs``
+    holds the (s, t) keys of the stack's tracks, shared by every record so
+    that records do not each carry their own copies."""
     (prob_at, apost, cond, incrp, ent, cent, chit, chiat) = record
-    eta_t = eta[t]
     # a track seeded at t is exactly the a-priori state: no batch member
     fresh = bool(pairs) and pairs[-1][0] == t
     masses, batch = _node_states(stack[: len(stack) - fresh])
@@ -126,8 +126,7 @@ def _record_time_data(t, stack, pairs, eta, record):
     # against eta_t first, then against each earlier-seeded track
     lam2 = batch.eigenvalues.copy()
     vec2 = batch.eigenvectors.copy()
-    lam2[0] = eta_t.spectrum.eigenvalues
-    vec2[0] = eta_t.spectrum.eigenvectors
+    lam2[0], vec2[0] = eta_spectrum
     chis = relative_entropies(batch.eigenvalues[0], batch.eigenvectors[0], lam2, vec2).tolist()
     prob_at = {**prob_at, t: masses[0]}
     apost = {**apost, t: rho}
@@ -160,6 +159,9 @@ class _Walk:
     def __init__(self, model: MeasurementModel, grid: TimeGrid, apriori: Optional[dict]):
         self.model = model
         self.eta = apriori if apriori is not None else compute_a_priori(model, grid)
+        times = sorted(self.eta)
+        batch = DensityOperator.from_stack([self.eta[t].matrix for t in times])
+        self.eta_spectra = dict(zip(times, zip(batch.eigenvalues, batch.eigenvectors)))
         self.roots = _letter_roots(model)
         self.ref_set = set(grid.reference_times)
         self.pairs = {
@@ -173,7 +175,9 @@ class _Walk:
             stack = np.concatenate([stack, self.eta[t].matrix[np.newaxis]])
         if t in self.pairs:
             try:
-                record = _record_time_data(t, stack, self.pairs[t], self.eta, record)
+                record = _record_time_data(
+                    t, stack, self.pairs[t], self.eta[t], self.eta_spectra[t], record
+                )
             except (NotPositiveSemidefinite, NumericRangeError) as exc:
                 raise type(exc)(f"{_path_name(letter, outcomes, t)}: {exc}") from exc
         return stack, record
@@ -317,7 +321,8 @@ def _keep_first(table, key, entry, worst):
     """Hold the first (prob, matrix) entry of each key; fold the deviation of
     a later entry for a held key from it into ``worst``."""
     seen = table.setdefault(key, entry)
-    if seen is entry:
+    # records of one subtree share their state objects: nothing to compare
+    if seen is entry or (seen[1] is entry[1] and seen[0] == entry[0]):
         return worst
     return _worst((abs(seen[0] - entry[0]), float(np.linalg.norm(seen[1] - entry[1]))), worst)
 

@@ -32,7 +32,7 @@ import numpy as np
 from .engine import TrajectoryRecord
 from .errors import GridMiss
 from .model import Check, CheckReport, TimeGrid
-from .quantum import HybridRelativeEntropy, UnnormalizedState, hybrid_relative_entropy
+from .quantum import HybridRelativeEntropy, hybrid_relative_entropy
 
 LN2 = math.log(2.0)
 KINDS = ("Ic", "chi_bar", "chi_at", "Iq", "Iq_cond")
@@ -213,12 +213,12 @@ def mutual_entropy_hybrid(records, r: int, s: int) -> HybridRelativeEntropy:
     except KeyError as exc:
         raise GridMiss(f"time {exc.args[0]!r} is not on the record/reference grid") from exc
     zero = np.zeros((dim, dim), dtype=complex)
-    side1 = []
-    side2 = []
-    for (letter, prefix), prob_r in marginal.items():
-        for z, (incr_w, cond_matrix) in increments.items():
-            side1.append(UnnormalizedState(matrix=joint.get((letter, prefix + z), zero)))
-            side2.append(UnnormalizedState(matrix=prob_r * incr_w * cond_matrix))
+    side1 = np.array(
+        [joint.get((letter, prefix + z), zero) for letter, prefix in marginal for z in increments]
+    )
+    side2 = np.array(
+        [prob_r * w * m for prob_r in marginal.values() for w, m in increments.values()]
+    )
     return hybrid_relative_entropy(side1, side2)
 
 

@@ -29,11 +29,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameters, ModelSyntaxError, ShapeError, UnknownScenario
-from .quantum import Instrument, KrausMap
+from .quantum import (
+    EIGENVALUE_FLOOR,
+    HERMITICITY_TOL,
+    TRACE_TOL,
+    Instrument,
+    KrausMap,
+    hermiticity_residual,
+)
 
 INSTRUMENT_COMPLETENESS_TOL = 1e-10
-STATE_TRACE_TOL = 1e-10
-STATE_EIGENVALUE_TOL = 1e-12
 PRIOR_SUM_TOL = 1e-12
 
 SCENARIO_NAMES = (
@@ -202,16 +207,12 @@ def validate_model(model: MeasurementModel) -> CheckReport:
     checks.append(Check("prior:nonnegative", -max(0.0, -float(np.min(prior))), PRIOR_SUM_TOL))
     checks.append(Check("prior:sum", -abs(float(np.sum(prior)) - 1.0), PRIOR_SUM_TOL))
     for i, state in enumerate(model.ensemble.states):
-        herm = float(np.linalg.norm(state - state.conj().T)) / max(
-            1.0, float(np.linalg.norm(state))
-        )
-        checks.append(Check(f"state[{i}]:hermitian", -herm, 1e-10))
+        herm = float(hermiticity_residual(state))
+        checks.append(Check(f"state[{i}]:hermitian", -herm, HERMITICITY_TOL))
         sym = (state + state.conj().T) / 2.0
         lam_min = float(np.linalg.eigvalsh(sym)[0])
-        checks.append(Check(f"state[{i}]:psd", -max(0.0, -lam_min), STATE_EIGENVALUE_TOL))
-        checks.append(
-            Check(f"state[{i}]:trace", -abs(float(np.trace(sym).real) - 1.0), STATE_TRACE_TOL)
-        )
+        checks.append(Check(f"state[{i}]:psd", -max(0.0, -lam_min), -EIGENVALUE_FLOOR))
+        checks.append(Check(f"state[{i}]:trace", -abs(float(np.trace(sym).real) - 1.0), TRACE_TOL))
     if model.homogeneous:
         residual = model.steps[0].completeness_residual()
         checks.append(Check("instrument:completeness", -residual, INSTRUMENT_COMPLETENESS_TOL))

@@ -9,34 +9,48 @@ Conventions used throughout:
   largest eigenvalue;
 * zero-weight branches of hybrid (classical/quantum) states are dropped,
   never normalized.
+
+A state is its matrix and its entropy. ``DensityOperator.from_stack`` is the
+one place where states are validated and decomposed, with one
+``np.linalg.eigh`` call per stack; the engine takes the spectra it needs
+from that call, and the independent oracles (``quantum_relative_entropy``,
+``hybrid_relative_entropy``) decompose their own inputs. Every quantity
+depends only on eigenvalues and on the overlaps |<a|b>|^2, so eigenvectors
+are used exactly as LAPACK returns them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonHermitianInput, NotPositiveSemidefinite
-from .linalg import (
-    HERMITICITY_TOL,
-    Spectrum,
-    eigh_phase_fixed,
-    frobenius,
-    hermitian_eig,
-    hermiticity_residual,
-)
 
 # Eigenvalues above SUPPORT_REL_TOL * lambda_max count as support.
 SUPPORT_REL_TOL = 1e-12
 # First-argument mass tolerated outside the second argument's support
 # (relative to the first argument's trace) before flagging infinity.
 SUPPORT_MASS_TOL = 1e-12
-# Validation tolerances for states.
+# Validation tolerances for states: relative Hermiticity residual, trace
+# deviation from 1, smallest eigenvalue.
+HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-12
+
+
+def hermiticity_residual(m):
+    """Relative Frobenius distance of m from its Hermitian part; for a
+    (k, d, d) stack, the array of each member's residual."""
+    diff = m - np.swapaxes(m.conj(), -1, -2)
+    norm = np.linalg.norm(m, axis=(-2, -1))
+    return np.linalg.norm(diff, axis=(-2, -1)) / np.maximum(1.0, norm)
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    return (a + np.swapaxes(a.conj(), -1, -2)) / 2.0
 
 
 def _entropies(lam: np.ndarray) -> np.ndarray:
@@ -52,20 +66,13 @@ def _clip_nonnegative(lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spectrum_psd(matrix: np.ndarray) -> Spectrum:
-    spec = hermitian_eig(matrix)
-    return Spectrum(
-        eigenvalues=_clip_nonnegative(spec.eigenvalues), eigenvectors=spec.eigenvectors
-    )
-
-
 class StateBatch(NamedTuple):
     """Validated states of one stack with their spectra, which the states
     themselves do not keep."""
 
     states: list  # DensityOperator per member, in stack order
     eigenvalues: np.ndarray  # (k, d), ascending, clipped at zero
-    eigenvectors: np.ndarray  # (k, d, d), phase-fixed columns
+    eigenvectors: np.ndarray  # (k, d, d), orthonormal columns
 
 
 def _first_false(ok: np.ndarray) -> int:
@@ -75,29 +82,28 @@ def _first_false(ok: np.ndarray) -> int:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class DensityOperator:
-    """Positive semidefinite unit-trace matrix with its entropy; the
-    spectrum is computed on first use. Slotted: trajectory records hold
-    hundreds of these each."""
+    """Positive semidefinite unit-trace matrix with its entropy. Slotted:
+    trajectory records hold hundreds of these each."""
 
     matrix: np.ndarray
     entropy: float  # von Neumann entropy in nats
-    _spectrum: Optional[Spectrum] = field(default=None, repr=False)
 
     @classmethod
     def from_stack(cls, matrices) -> StateBatch:
         """Validate and wrap every member of a (k, d, d) stack with one
-        eigendecomposition call: Hermitian within 1e-10 (relative
-        Frobenius), eigenvalues >= -1e-12, trace 1 within TRACE_TOL. Each
-        test is written so that a NaN fails it. Members are checked in
-        order; the first failing member raises the error that from_matrix
-        raises for it alone. Each state owns a copy of its matrix."""
+        eigendecomposition call: Hermitian within HERMITICITY_TOL (relative
+        Frobenius), eigenvalues >= EIGENVALUE_FLOOR, trace 1 within
+        TRACE_TOL. Each test is written so that a NaN fails it. Members are
+        checked in order; the first failing member raises the error that
+        from_matrix raises for it alone. Each state owns a copy of its
+        matrix."""
         a = np.asarray(matrices, dtype=complex)
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise DimensionMismatch(f"state stack must be (k, d, d), got {a.shape}")
         residual = hermiticity_residual(a)
         n = _first_false(residual <= HERMITICITY_TOL)
-        herm = (a[:n] + np.swapaxes(a[:n].conj(), -1, -2)) / 2.0
-        eigenvalues, eigenvectors = eigh_phase_fixed(herm)
+        herm = _hermitian_part(a[:n])
+        eigenvalues, eigenvectors = np.linalg.eigh(herm)
         trace = np.trace(herm, axis1=-2, axis2=-1).real
         psd = eigenvalues[:, 0] >= EIGENVALUE_FLOOR
         i = _first_false(psd & (np.abs(trace - 1.0) <= TRACE_TOL))
@@ -116,57 +122,15 @@ class DensityOperator:
 
     @classmethod
     def from_matrix(cls, matrix) -> "DensityOperator":
-        """Validate and wrap one matrix: the one-member case of from_stack,
-        with the spectrum kept."""
+        """Validate and wrap one matrix: the one-member case of from_stack."""
         a = np.asarray(matrix, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"state matrix must be square, got {a.shape}")
-        batch = cls.from_stack(a[np.newaxis])
-        op = batch.states[0]
-        object.__setattr__(op, "_spectrum", Spectrum(batch.eigenvalues[0], batch.eigenvectors[0]))
-        return op
+        return cls.from_stack(a[np.newaxis]).states[0]
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def spectrum(self) -> Spectrum:
-        if self._spectrum is None:
-            object.__setattr__(self, "_spectrum", _spectrum_psd(self.matrix))
-        return self._spectrum
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.spectrum.eigenvalues
-
-    def rank(self) -> int:
-        lam = self.eigenvalues
-        lam_max = float(lam[-1])
-        return int(np.sum(lam > SUPPORT_REL_TOL * lam_max))
-
-
-@dataclass(frozen=True, eq=False)
-class UnnormalizedState:
-    """PSD matrix together with its trace, interpreted as probability mass."""
-
-    matrix: np.ndarray
-    weight: float = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", a)
-        if self.weight is None:
-            object.__setattr__(self, "weight", float(np.trace(a).real))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def normalized(self) -> DensityOperator:
-        if self.weight <= 0.0:
-            raise ZeroDivisionError("cannot normalize a zero-weight state")
-        return DensityOperator.from_matrix(self.matrix / self.weight)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +205,7 @@ class Instrument:
 
     def completeness_residual(self) -> float:
         total = sum(km.normalization() for km in self.maps)
-        return frobenius(total - np.eye(self.dim))
+        return float(np.linalg.norm(total - np.eye(self.dim)))
 
     def apply_total(self, matrix: np.ndarray) -> np.ndarray:
         """One a-priori step: sum of all outcome maps (trace preserving
@@ -253,28 +217,6 @@ class Instrument:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class ClassicalDistribution:
-    """Finite probability vector."""
-
-    weights: np.ndarray
-
-    @classmethod
-    def from_weights(cls, weights, tol: float = 1e-12) -> "ClassicalDistribution":
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or w.size < 1:
-            raise DimensionMismatch("weights must be a nonempty vector")
-        if not np.all(w >= 0.0):
-            raise ValueError(f"negative or NaN weight {float(np.min(w))!r}")
-        total = float(np.sum(w))
-        if not abs(total - 1.0) <= tol:
-            raise ValueError(f"weights sum to {total!r}, not 1")
-        return cls(weights=w)
-
-    def __len__(self) -> int:
-        return self.weights.size
-
-
 # ---------------------------------------------------------------------------
 # Entropic functionals
 # ---------------------------------------------------------------------------
@@ -284,11 +226,6 @@ def _as_density(state) -> DensityOperator:
     if isinstance(state, DensityOperator):
         return state
     return DensityOperator.from_matrix(state)
-
-
-def von_neumann_entropy(state) -> float:
-    """-Tr(rho log rho) in nats, with 0 log 0 = 0."""
-    return _as_density(state).entropy
 
 
 def _relent_spectra(lam1, v1, lam2, v2) -> float:
@@ -345,40 +282,14 @@ def relative_entropies(lam1, v1, lam2, v2) -> np.ndarray:
 
 def quantum_relative_entropy(sigma, tau) -> float:
     """S_q(sigma|tau) = Tr{sigma (log sigma - log tau)}, or math.inf when
-    the support of sigma is not contained in the support of tau."""
-    s = _as_density(sigma)
-    t = _as_density(tau)
-    if s.dim != t.dim:
-        raise DimensionMismatch(f"dimensions {s.dim} and {t.dim} differ")
-    return _relent_spectra(
-        s.spectrum.eigenvalues,
-        s.spectrum.eigenvectors,
-        t.spectrum.eigenvalues,
-        t.spectrum.eigenvectors,
-    )
-
-
-def _weights_of(dist) -> np.ndarray:
-    if isinstance(dist, ClassicalDistribution):
-        return dist.weights
-    return ClassicalDistribution.from_weights(dist).weights
-
-
-def classical_relative_entropy(p, q) -> float:
-    """Kullback-Leibler divergence sum p log(p/q) in nats, math.inf when p
-    puts mass where q has none."""
-    pw = _weights_of(p)
-    qw = _weights_of(q)
-    if pw.size != qw.size:
-        raise DimensionMismatch(f"lengths {pw.size} and {qw.size} differ")
-    total = 0.0
-    for pi, qi in zip(pw, qw):
-        if pi <= 0.0:
-            continue
-        if qi <= 0.0:
-            return math.inf
-        total += pi * math.log(pi / qi)
-    return total
+    the support of sigma is not contained in the support of tau. Both
+    arguments (states or matrices) are validated and decomposed together."""
+    pair = [s.matrix if isinstance(s, DensityOperator) else np.asarray(s) for s in (sigma, tau)]
+    if pair[0].shape != pair[1].shape:
+        raise DimensionMismatch(f"shapes {pair[0].shape} and {pair[1].shape} differ")
+    batch = DensityOperator.from_stack(np.array(pair))
+    lam, vec = batch.eigenvalues, batch.eigenvectors
+    return _relent_spectra(lam[0], vec[0], lam[1], vec[1])
 
 
 class HybridRelativeEntropy(NamedTuple):
@@ -394,66 +305,74 @@ class HybridRelativeEntropy(NamedTuple):
         return self.classical + self.quantum
 
 
-def hybrid_relative_entropy(
-    side1: Sequence[UnnormalizedState], side2: Sequence[UnnormalizedState]
-) -> HybridRelativeEntropy:
+def hybrid_relative_entropy(side1: Sequence, side2: Sequence) -> HybridRelativeEntropy:
     """Relative entropy of two states over a finite hybrid sample space.
 
-    Each side is a list of PSD matrices indexed by the same finite outcome
-    set, traces summing to 1 within TRACE_TOL. Returns the direct form (one
-    trace expression per outcome) and the decomposition into a classical
+    Each side is a sequence (or stack) of PSD matrices indexed by the same
+    finite outcome set; a matrix's real trace is its weight, and each side's
+    weights sum to 1 within TRACE_TOL. Each side is checked for Hermiticity
+    and decomposed as one stack. Returns the direct form (one trace
+    expression per outcome) and the decomposition into a classical
     divergence of the weights plus the mean conditional quantum relative
     entropy; the two forms agree within numerical error whenever finite.
     """
     if len(side1) != len(side2):
         raise DimensionMismatch(f"index sets differ: {len(side1)} vs {len(side2)}")
-    if not side1:
+    if len(side1) == 0:
         raise DimensionMismatch("empty hybrid state")
-    for a, b in zip(side1, side2):
-        if a.dim != b.dim:
-            raise DimensionMismatch("hybrid members must share one dimension")
-    w1 = np.array([s.weight for s in side1])
-    w2 = np.array([s.weight for s in side2])
-    for name, w in (("first", w1), ("second", w2)):
+    if len({np.shape(m) for m in (*side1, *side2)}) != 1:
+        raise DimensionMismatch("hybrid members must share one dimension")
+    stacks = [np.asarray(side, dtype=complex) for side in (side1, side2)]
+    if stacks[0].ndim != 3 or stacks[0].shape[1] != stacks[0].shape[2]:
+        raise DimensionMismatch(f"hybrid members must be square, got {stacks[0].shape[1:]}")
+    weights = []
+    for name, a in zip(("first", "second"), stacks):
+        w = np.trace(a, axis1=1, axis2=2).real
         if not abs(float(np.sum(w)) - 1.0) <= TRACE_TOL:
             raise ValueError(f"{name} side weights sum to {float(np.sum(w))!r}, not 1")
+        weights.append(w.tolist())
+    for name, a in zip(("first", "second"), stacks):
+        residual = hermiticity_residual(a)
+        i = _first_false(residual <= HERMITICITY_TOL)
+        if i < len(a):
+            raise NonHermitianInput(
+                f"{name} side member {i}: Hermiticity residual {residual[i]:.3e} "
+                f"exceeds {HERMITICITY_TOL:.1e}"
+            )
+    (lam1, v1), (lam2, v2) = (np.linalg.eigh(_hermitian_part(a)) for a in stacks)
+    lam1, lam2 = _clip_nonnegative(lam1), _clip_nonnegative(lam2)
 
     classical = 0.0
     quantum = 0.0
     direct = 0.0
-    for a, b in zip(side1, side2):
-        if a.weight <= 0.0:
+    for i, (w1, w2) in enumerate(zip(*weights)):
+        if w1 <= 0.0:
             continue  # P-null branch
-        if b.weight <= 0.0:
+        if w2 <= 0.0:
             return HybridRelativeEntropy(math.inf, math.inf, math.inf)
-        if not math.isinf(classical):
-            classical += a.weight * math.log(a.weight / b.weight)
-        sa = _spectrum_psd(a.matrix)
-        sb = _spectrum_psd(b.matrix)
-        if not math.isinf(direct):
-            r = _relent_spectra(sa.eigenvalues, sa.eigenvectors, sb.eigenvalues, sb.eigenvectors)
-            direct = math.inf if math.isinf(r) else direct + r
-        if not math.isinf(quantum):
-            rq = _relent_spectra(
-                sa.eigenvalues / a.weight,
-                sa.eigenvectors,
-                sb.eigenvalues / b.weight,
-                sb.eigenvectors,
-            )
-            quantum = math.inf if math.isinf(rq) else quantum + a.weight * rq
+        classical += w1 * math.log(w1 / w2)
+        direct += _relent_spectra(lam1[i], v1[i], lam2[i], v2[i])
+        quantum += w1 * _relent_spectra(lam1[i] / w1, v1[i], lam2[i] / w2, v2[i])
     return HybridRelativeEntropy(direct=direct, classical=classical, quantum=quantum)
 
 
 def average_state(members: Sequence[tuple]) -> DensityOperator:
-    """Probability-weighted average of an ensemble's states."""
-    probs = ClassicalDistribution.from_weights([p for p, _ in members])
+    """Probability-weighted average of an ensemble's states. The weights
+    must be nonnegative and sum to 1 within 1e-12; a NaN fails both."""
+    probs = np.asarray([p for p, _ in members], dtype=float)
+    if probs.size < 1:
+        raise DimensionMismatch("an ensemble needs at least one member")
+    if not np.all(probs >= 0.0):
+        raise ValueError(f"negative or NaN weight {float(np.min(probs))!r}")
+    if not abs(float(np.sum(probs)) - 1.0) <= 1e-12:
+        raise ValueError(f"weights sum to {float(np.sum(probs))!r}, not 1")
     states = [_as_density(s) for _, s in members]
     d = states[0].dim
     for s in states:
         if s.dim != d:
             raise DimensionMismatch("ensemble members must share one dimension")
     avg = np.zeros((d, d), dtype=complex)
-    for p, s in zip(probs.weights, states):
+    for p, s in zip(probs, states):
         avg += p * s.matrix
     return DensityOperator.from_matrix(avg)
 
@@ -466,7 +385,7 @@ def chi_quantity(members: Sequence[tuple]) -> float:
     for p, s in members:
         if p <= 0.0:
             continue
-        r = quantum_relative_entropy(_as_density(s), avg)
+        r = quantum_relative_entropy(s, avg)
         if math.isinf(r):
             return math.inf
         total += p * r

@@ -12,22 +12,17 @@ from contmeas.errors import (
     NotPositiveSemidefinite,
     NumericRangeError,
 )
-from contmeas.linalg import eigh_phase_fixed
 from contmeas.quantum import (
-    ClassicalDistribution,
     DensityOperator,
     Instrument,
     KrausMap,
-    UnnormalizedState,
     _clip_nonnegative,
     _relent_spectra,
     average_state,
     chi_quantity,
-    classical_relative_entropy,
     hybrid_relative_entropy,
     quantum_relative_entropy,
     relative_entropies,
-    von_neumann_entropy,
 )
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -38,6 +33,20 @@ PLUS = np.full((2, 2), 0.5, dtype=complex)
 def binary_entropy(p):
     q = 1.0 - p
     return -(p * math.log(p) + q * math.log(q))
+
+
+def entropy(matrix):
+    return DensityOperator.from_matrix(matrix).entropy
+
+
+def spectrum(matrix):
+    """Clipped eigenvalues and eigenvectors of one state, from from_stack."""
+    batch = DensityOperator.from_stack(np.asarray(matrix)[np.newaxis])
+    return batch.eigenvalues[0], batch.eigenvectors[0]
+
+
+def trace(matrix):
+    return float(np.trace(matrix).real)
 
 
 def random_density(rng, dim):
@@ -62,7 +71,7 @@ class TestDensityOperator:
     def test_valid(self):
         rho = DensityOperator.from_matrix(PLUS)
         assert rho.dim == 2
-        assert np.allclose(rho.eigenvalues, [0.0, 1.0], atol=1e-12)
+        assert np.allclose(spectrum(PLUS)[0], [0.0, 1.0], atol=1e-12)
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError):
@@ -76,24 +85,20 @@ class TestDensityOperator:
         with pytest.raises(ValueError):
             DensityOperator.from_matrix(np.diag([np.nan, 1.0]))
 
-    def test_rank(self):
-        assert DensityOperator.from_matrix(KET0).rank() == 1
-        assert DensityOperator.from_matrix(np.eye(2) / 2).rank() == 2
-
 
 class TestVonNeumannEntropy:
     def test_pure_state(self):
-        assert von_neumann_entropy(KET0) == 0.0
-        assert abs(von_neumann_entropy(PLUS)) <= 1e-12
+        assert entropy(KET0) == 0.0
+        assert abs(entropy(PLUS)) <= 1e-12
 
     def test_maximally_mixed_qubit(self):
-        assert abs(von_neumann_entropy(np.eye(2) / 2) - math.log(2.0)) <= 1e-12
+        assert abs(entropy(np.eye(2) / 2) - math.log(2.0)) <= 1e-12
 
     def test_half_zero_half_plus(self):
         # eigenvalues of (|0><0| + |+><+|)/2 are (1 +- 1/sqrt(2))/2
         eta = 0.5 * (KET0 + PLUS)
         expected = binary_entropy((1.0 + 2.0**-0.5) / 2.0)
-        got = von_neumann_entropy(eta)
+        got = entropy(eta)
         assert abs(got - expected) <= 1e-12
         assert abs(got - 0.416496) <= 1e-4
 
@@ -101,7 +106,7 @@ class TestVonNeumannEntropy:
         rng = np.random.default_rng(2)
         for dim in (2, 3, 5):
             for _ in range(5):
-                s = von_neumann_entropy(random_density(rng, dim))
+                s = random_density(rng, dim).entropy
                 assert 0.0 <= s <= math.log(dim) + 1e-9
 
 
@@ -150,16 +155,10 @@ class TestQuantumRelativeEntropy:
             w1 /= w1.sum()
             w2 = rng.random(4) + 0.05
             w2 /= w2.sum()
-            fine1 = [UnnormalizedState(w * random_density(rng, 2).matrix) for w in w1]
-            fine2 = [UnnormalizedState(w * random_density(rng, 2).matrix) for w in w2]
-            coarse1 = [
-                UnnormalizedState(fine1[0].matrix + fine1[1].matrix),
-                UnnormalizedState(fine1[2].matrix + fine1[3].matrix),
-            ]
-            coarse2 = [
-                UnnormalizedState(fine2[0].matrix + fine2[1].matrix),
-                UnnormalizedState(fine2[2].matrix + fine2[3].matrix),
-            ]
+            fine1 = [w * random_density(rng, 2).matrix for w in w1]
+            fine2 = [w * random_density(rng, 2).matrix for w in w2]
+            coarse1 = [fine1[0] + fine1[1], fine1[2] + fine1[3]]
+            coarse2 = [fine2[0] + fine2[1], fine2[2] + fine2[3]]
             before = hybrid_relative_entropy(fine1, fine2).direct
             after = hybrid_relative_entropy(coarse1, coarse2).direct
             assert after <= before + 1e-9
@@ -176,54 +175,62 @@ class TestQuantumRelativeEntropy:
             assert lhs <= rhs + 1e-9
 
 
+def hybrid_classical(w1, w2):
+    """The classical part of the hybrid relative entropy of two sides that
+    share one conditional state: the Kullback-Leibler divergence of the
+    weights."""
+    rho = np.diag([0.25, 0.75]).astype(complex)
+    return hybrid_relative_entropy([w * rho for w in w1], [w * rho for w in w2]).classical
+
+
 class TestClassicalRelativeEntropy:
     def test_equal(self):
-        assert classical_relative_entropy([0.3, 0.7], [0.3, 0.7]) == 0.0
+        assert hybrid_classical([0.3, 0.7], [0.3, 0.7]) == 0.0
 
     def test_point_vs_fair_coin(self):
-        assert abs(classical_relative_entropy([1.0, 0.0], [0.5, 0.5]) - math.log(2.0)) <= 1e-12
+        assert abs(hybrid_classical([1.0, 0.0], [0.5, 0.5]) - math.log(2.0)) <= 1e-12
 
     def test_two_term_evaluation(self):
         # oracle: 0.75 ln(3/2) + 0.25 ln(1/2)
         expected = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
-        got = classical_relative_entropy([0.75, 0.25], [0.5, 0.5])
+        got = hybrid_classical([0.75, 0.25], [0.5, 0.5])
         assert abs(got - expected) <= 1e-12
         assert abs(got - 0.1308120) <= 1e-6
 
     def test_infinite(self):
-        assert math.isinf(classical_relative_entropy([0.5, 0.5], [1.0, 0.0]))
+        assert math.isinf(hybrid_classical([0.5, 0.5], [1.0, 0.0]))
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            classical_relative_entropy([1.0], [0.5, 0.5])
+            hybrid_classical([1.0], [0.5, 0.5])
 
 
 class TestHybridRelativeEntropy:
     def test_identical(self):
-        side = [UnnormalizedState(0.5 * KET0), UnnormalizedState(0.5 * PLUS)]
+        side = [0.5 * KET0, 0.5 * PLUS]
         out = hybrid_relative_entropy(side, side)
         assert abs(out.direct) <= 1e-10
         assert abs(out.decomposed) <= 1e-10
 
     def test_equal_classical_parts(self):
         rng = np.random.default_rng(8)
-        s1 = [UnnormalizedState(0.5 * random_density(rng, 2).matrix) for _ in range(2)]
-        s2 = [UnnormalizedState(0.5 * random_density(rng, 2).matrix) for _ in range(2)]
+        s1 = [0.5 * random_density(rng, 2).matrix for _ in range(2)]
+        s2 = [0.5 * random_density(rng, 2).matrix for _ in range(2)]
         out = hybrid_relative_entropy(s1, s2)
         assert abs(out.classical) <= 1e-12
         expected = sum(
-            0.5 * quantum_relative_entropy(a.normalized(), b.normalized())
-            for a, b in zip(s1, s2)
+            0.5 * quantum_relative_entropy(a / trace(a), b / trace(b)) for a, b in zip(s1, s2)
         )
         assert abs(out.quantum - expected) <= 1e-9
         assert abs(out.direct - out.decomposed) <= 1e-9
 
     def test_identical_conditionals_reduce_to_classical(self):
         rho = random_density(np.random.default_rng(9), 2)
-        s1 = [UnnormalizedState(0.75 * rho.matrix), UnnormalizedState(0.25 * rho.matrix)]
-        s2 = [UnnormalizedState(0.5 * rho.matrix), UnnormalizedState(0.5 * rho.matrix)]
+        s1 = [0.75 * rho.matrix, 0.25 * rho.matrix]
+        s2 = [0.5 * rho.matrix, 0.5 * rho.matrix]
         out = hybrid_relative_entropy(s1, s2)
-        expected = classical_relative_entropy([0.75, 0.25], [0.5, 0.5])
+        # 0.75 ln(0.75 / 0.5) + 0.25 ln(0.25 / 0.5)
+        expected = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
         assert abs(out.direct - expected) <= 1e-9
         assert abs(out.quantum) <= 1e-10
 
@@ -234,41 +241,56 @@ class TestHybridRelativeEntropy:
             w1 /= w1.sum()
             w2 = rng.random(3) + 0.05
             w2 /= w2.sum()
-            s1 = [UnnormalizedState(w * random_density(rng, 2).matrix) for w in w1]
-            s2 = [UnnormalizedState(w * random_density(rng, 2).matrix) for w in w2]
+            s1 = [w * random_density(rng, 2).matrix for w in w1]
+            s2 = [w * random_density(rng, 2).matrix for w in w2]
             out = hybrid_relative_entropy(s1, s2)
             assert abs(out.direct - out.decomposed) <= 1e-9
 
     def test_null_branch_dropped(self):
-        s1 = [UnnormalizedState(1.0 * KET0), UnnormalizedState(0.0 * KET1)]
-        s2 = [UnnormalizedState(0.5 * KET0), UnnormalizedState(0.5 * KET1)]
+        s1 = [1.0 * KET0, 0.0 * KET1]
+        s2 = [0.5 * KET0, 0.5 * KET1]
         out = hybrid_relative_entropy(s1, s2)
         assert abs(out.direct - math.log(2.0)) <= 1e-10
 
     def test_infinite_on_unmatched_mass(self):
-        s1 = [UnnormalizedState(0.5 * KET0), UnnormalizedState(0.5 * KET1)]
-        s2 = [UnnormalizedState(1.0 * KET0), UnnormalizedState(0.0 * KET1)]
+        s1 = [0.5 * KET0, 0.5 * KET1]
+        s2 = [1.0 * KET0, 0.0 * KET1]
         out = hybrid_relative_entropy(s1, s2)
         assert math.isinf(out.direct) and math.isinf(out.decomposed)
 
     def test_rejects_nan_weight(self):
         # a NaN trace must not pass the weight-sum check as agreement
-        s1 = [UnnormalizedState(np.diag([math.nan, 0.0]))]
-        s2 = [UnnormalizedState(np.diag([1.0, 0.0]))]
+        s1 = [np.diag([math.nan, 0.0])]
+        s2 = [np.diag([1.0, 0.0])]
         with pytest.raises(ValueError):
+            hybrid_relative_entropy(s1, s2)
+
+    @pytest.mark.parametrize("position", [0, 2])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_rejects_non_hermitian_member(self, side, position):
+        # weights still sum to 1; the offending member is named
+        sides = [[0.25 * KET0, 0.25 * PLUS, 0.5 * KET1] for _ in range(2)]
+        sides[side][position] = sides[side][position] + np.array([[0.0, 0.1], [0.0, 0.0]])
+        with pytest.raises(NonHermitianInput, match=f"member {position}"):
+            hybrid_relative_entropy(*sides)
+
+    def test_rejects_mixed_member_dimensions(self):
+        s1 = [0.5 * KET0, 0.5 * np.eye(3) / 3]
+        s2 = [0.5 * KET1, 0.5 * np.eye(3) / 3]
+        with pytest.raises(DimensionMismatch):
             hybrid_relative_entropy(s1, s2)
 
 
 class TestKrausAndInstruments:
     def test_identity_map(self):
-        out = UnnormalizedState(KrausMap((np.eye(2),)).apply(PLUS))
-        assert np.allclose(out.matrix, PLUS)
-        assert abs(out.weight - 1.0) <= 1e-12
+        out = KrausMap((np.eye(2),)).apply(PLUS)
+        assert np.allclose(out, PLUS)
+        assert abs(trace(out) - 1.0) <= 1e-12
 
     def test_projective_born_rule(self):
-        out = UnnormalizedState(KrausMap((KET0,)).apply(PLUS))
-        assert np.allclose(out.matrix, 0.5 * KET0)
-        assert abs(out.weight - 0.5) <= 1e-12
+        out = KrausMap((KET0,)).apply(PLUS)
+        assert np.allclose(out, 0.5 * KET0)
+        assert abs(trace(out) - 0.5) <= 1e-12
 
     def test_outcome_weights_sum_to_one(self):
         rng = np.random.default_rng(12)
@@ -277,7 +299,7 @@ class TestKrausAndInstruments:
             inst = random_instrument(rng, dim, int(rng.integers(2, 4)), kraus_per_outcome=2)
             assert inst.completeness_residual() <= 1e-12
             rho = random_density(rng, dim)
-            weights = [UnnormalizedState(km.apply(rho.matrix)).weight for km in inst.maps]
+            weights = [trace(km.apply(rho.matrix)) for km in inst.maps]
             assert abs(sum(weights) - 1.0) <= 1e-10
 
     def test_a_priori_identity_instrument(self):
@@ -292,8 +314,7 @@ class TestKrausAndInstruments:
         rng = np.random.default_rng(13)
         inst = random_instrument(rng, 3, 3, kraus_per_outcome=2)
         rho = random_density(rng, 3)
-        out = UnnormalizedState(inst.apply_total(rho.matrix))
-        assert abs(out.weight - 1.0) <= 1e-10
+        assert abs(trace(inst.apply_total(rho.matrix)) - 1.0) <= 1e-10
 
 
 class TestChiQuantity:
@@ -324,24 +345,30 @@ class TestChiQuantity:
             assert -1e-12 <= chi <= math.log(3.0) + 1e-9
 
 
+def ensemble(weights):
+    return list(zip(weights, (KET0, PLUS)))
+
+
 class TestClassicalDistribution:
+    """The ensemble weights that average_state accepts."""
+
     def test_valid(self):
-        d = ClassicalDistribution.from_weights([0.25, 0.75])
-        assert len(d) == 2
+        avg = average_state(ensemble([0.25, 0.75]))
+        assert np.allclose(avg.matrix, 0.25 * KET0 + 0.75 * PLUS)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            ClassicalDistribution.from_weights([-0.1, 1.1])
+            average_state(ensemble([-0.1, 1.1]))
 
     def test_sum_rejected(self):
         with pytest.raises(ValueError):
-            ClassicalDistribution.from_weights([0.6, 0.5])
+            average_state(ensemble([0.6, 0.5]))
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            ClassicalDistribution.from_weights([math.nan, 1.0])
+            average_state(ensemble([math.nan, 1.0]))
         with pytest.raises(ValueError):
-            classical_relative_entropy([math.nan, 1.0], [0.5, 0.5])
+            hybrid_classical([math.nan, 1.0], [0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +377,7 @@ class TestClassicalDistribution:
 
 
 def _clipped_spectrum(matrix):
-    lam, vec = eigh_phase_fixed(matrix)
+    lam, vec = np.linalg.eigh(matrix)
     return _clip_nonnegative(lam), vec
 
 
@@ -389,6 +416,30 @@ def test_relative_entropies_match_scalar_kernel(stacks):
             assert batched[i] == expected
         else:
             assert abs(batched[i] - expected) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectrum_stacks(), st.integers(0, 2**32 - 1))
+def test_relative_entropies_ignore_eigenvector_phases(stacks, seed):
+    # every quantity uses eigenvalues and |<a|b>|^2 only, so no phase
+    # convention is needed: a unit phase on any eigenvector changes nothing
+    lam1, v1, lam2, v2 = stacks
+    rng = np.random.default_rng(seed)
+
+    def rotated(v):
+        return v * np.exp(2j * np.pi * rng.random(v.shape[:-2] + (1, v.shape[-1])))
+
+    w1, w2 = rotated(v1), rotated(v2)
+    batched = zip(relative_entropies(lam1, v1, lam2, v2), relative_entropies(lam1, w1, lam2, w2))
+    scalar = (
+        (_relent_spectra(lam1, v1, lam2[i], v2[i]), _relent_spectra(lam1, w1, lam2[i], w2[i]))
+        for i in range(len(lam2))
+    )
+    for before, after in (*batched, *scalar):
+        if math.isinf(before) or math.isinf(after):
+            assert before == after
+        else:
+            assert abs(before - after) <= 1e-13
 
 
 def test_relative_entropies_edge_cases():
@@ -450,10 +501,9 @@ def test_from_stack_matches_from_matrix():
         one = DensityOperator.from_matrix(stack[i])
         assert np.array_equal(op.matrix, one.matrix) and op.matrix.base is None
         assert op.entropy == one.entropy
-        assert np.array_equal(batch.eigenvalues[i], one.eigenvalues)
-        # a batch member computes its spectrum on demand, with the same values
-        assert np.array_equal(op.eigenvalues, one.eigenvalues)
-        assert np.array_equal(op.spectrum.eigenvectors, one.spectrum.eigenvectors)
+        lam, vec = spectrum(stack[i])
+        assert np.array_equal(batch.eigenvalues[i], lam)
+        assert np.array_equal(batch.eigenvectors[i], vec)
 
 
 def test_from_stack_rejects_wrong_shape():
