@@ -31,6 +31,9 @@ from .quantum import DensityOperator, _first_false, relative_entropies
 
 # A branch is pruned when its trace drops below this fraction of its parent.
 PRUNE_REL_TOL = 1e-14
+# Nodes stepped together: the walk holds the nodes of one depth in blocks of
+# at most this many, in emission order, each one (n, 1 + k, d, d) array.
+BLOCK_NODES = 32
 # Default cap on letters x outcome strings for exhaustive enumeration.
 DEFAULT_LEAF_BUDGET = 10**7
 
@@ -81,70 +84,92 @@ def _letter_roots(model: MeasurementModel) -> list:
     ]
 
 
-def compute_a_priori(model: MeasurementModel, grid: TimeGrid) -> dict:
-    """A-priori states eta_t = average over letters and all outcomes, as a
-    dict from each record time t to its DensityOperator."""
+class APrioriTrack(dict):
+    """The a-priori states eta_t by record time t. ``spectra[t]`` is the
+    (eigenvalues, eigenvectors) pair of eta_t from the same decomposition,
+    which the walk reuses."""
+
+    spectra: dict
+
+
+def compute_a_priori(model: MeasurementModel, grid: TimeGrid) -> APrioriTrack:
+    """A-priori states eta_t = average over letters and all outcomes, at
+    each record time t, validated and decomposed as one stack."""
     record_set = set(grid.record_times)
-    states = {}
+    times, matrices = [], []
     current = sum(_letter_roots(model))
-    if 0 in record_set:
-        states[0] = DensityOperator.from_matrix(current)
-    for step in range(1, model.horizon + 1):
-        current = model.instrument_at(step).apply_total(current)
+    for step in range(model.horizon + 1):
+        if step > 0:
+            current = model.instrument_at(step).apply_total(current)
         if step in record_set:
-            states[step] = DensityOperator.from_matrix(current)
-    return states
+            times.append(step)
+            matrices.append(current)
+    batch = DensityOperator.from_stack(matrices)
+    track = APrioriTrack(zip(times, batch.states))
+    track.spectra = dict(zip(times, zip(batch.eigenvalues, batch.eigenvectors)))
+    return track
 
 
 def _node_states(live):
-    """Masses and validated normalized states of a node's live stack (main
-    state first, then the reference tracks in seeding order), checked in
-    that order: each member's mass, then its state."""
-    masses = np.trace(live, axis1=1, axis2=2).real
-    n = _first_false(masses >= sys.float_info.min)
-    batch = DensityOperator.from_stack(live[:n] / masses[:n, np.newaxis, np.newaxis])
-    if n < len(masses):
+    """Masses (n, L) and validated normalized states of a block's live
+    stacks (n, L, d, d): per node, the main state, then the reference
+    tracks in seeding order. Checked in emission order, node by node and
+    member by member: each member's mass, then its state."""
+    n, size, d = live.shape[:3]
+    flat = live.reshape(n * size, d, d)
+    masses = np.trace(flat, axis1=1, axis2=2).real
+    k = _first_false(masses >= sys.float_info.min)
+    batch = DensityOperator.from_stack(flat[:k] / masses[:k, np.newaxis, np.newaxis])
+    if k < len(masses):
         raise NumericRangeError(
-            f"path mass {float(masses[n])!r} is below the smallest normal float"
+            f"path mass {float(masses[k])!r} is below the smallest normal float"
         )
-    return masses.tolist(), batch
+    return masses.reshape(n, size).tolist(), batch
 
 
-def _record_time_data(t, stack, pairs, eta_t, eta_spectrum, record):
-    """Record everything attached to time t into fresh copies of the
-    per-path dicts (copy-on-write so subtree siblings never alias). The
-    node's states come from one validated batch and their relative
-    entropies from one pass; ``eta_spectrum`` is the (eigenvalues,
-    eigenvectors) pair of the a-priori state ``eta_t``, and ``pairs``
-    holds the (s, t) keys of the stack's tracks, shared by every record so
-    that records do not each carry their own copies."""
-    (prob_at, apost, cond, incrp, ent, cent, chit, chiat) = record
+def _record_time_data(t, stacks, pairs, eta_t, eta_spectrum, records):
+    """Record everything attached to time t for each node of a block, into
+    fresh copies of its per-path dicts (copy-on-write so subtree siblings
+    never alias). The block's states come from one validated batch and
+    their relative entropies from one pass; ``eta_spectrum`` is the
+    (eigenvalues, eigenvectors) pair of the a-priori state ``eta_t``, and
+    ``pairs`` holds the (s, t) keys of the tracks, shared by every record
+    so that records do not each carry their own copies."""
     # a track seeded at t is exactly the a-priori state: no batch member
     fresh = bool(pairs) and pairs[-1][0] == t
-    masses, batch = _node_states(stack[: len(stack) - fresh])
-    rho, *varrhos = batch.states
-    # against eta_t first, then against each earlier-seeded track
-    lam2 = batch.eigenvalues.copy()
-    vec2 = batch.eigenvectors.copy()
-    lam2[0], vec2[0] = eta_spectrum
-    chis = relative_entropies(batch.eigenvalues[0], batch.eigenvectors[0], lam2, vec2).tolist()
-    prob_at = {**prob_at, t: masses[0]}
-    apost = {**apost, t: rho}
-    ent = {**ent, t: rho.entropy}
-    chiat = {**chiat, t: chis[0]}
-    cond = dict(cond)
-    incrp = dict(incrp)
-    cent = dict(cent)
-    chit = dict(chit)
-    tracks = zip(pairs, varrhos, masses[1:], chis[1:])
-    if fresh:
-        tracks = [*tracks, (pairs[-1], eta_t, 1.0, chis[0])]
-    for key, varrho, weight, chi in tracks:
-        cond[key] = varrho
-        incrp[key] = weight
-        cent[key] = varrho.entropy
-        chit[key] = chi
-    return (prob_at, apost, cond, incrp, ent, cent, chit, chiat)
+    n, size, d = stacks.shape[:3]
+    live = size - fresh
+    masses, batch = _node_states(stacks[:, :live])
+    lam = batch.eigenvalues.reshape(n, live, d)
+    vec = batch.eigenvectors.reshape(n, live, d, d)
+    # each main state against eta_t first, then against its own tracks
+    lam2 = lam.copy()
+    vec2 = vec.copy()
+    lam2[:, 0], vec2[:, 0] = eta_spectrum
+    chis = relative_entropies(lam[:, 0], vec[:, 0], lam2, vec2).tolist()
+    states = batch.states
+    out = []
+    for i, (prob_at, apost, cond, incrp, ent, cent, chit, chiat) in enumerate(records):
+        rho, *varrhos = states[i * live : (i + 1) * live]
+        node_masses, node_chis = masses[i], chis[i]
+        prob_at = {**prob_at, t: node_masses[0]}
+        apost = {**apost, t: rho}
+        ent = {**ent, t: rho.entropy}
+        chiat = {**chiat, t: node_chis[0]}
+        cond = dict(cond)
+        incrp = dict(incrp)
+        cent = dict(cent)
+        chit = dict(chit)
+        tracks = zip(pairs, varrhos, node_masses[1:], node_chis[1:])
+        if fresh:
+            tracks = [*tracks, (pairs[-1], eta_t, 1.0, node_chis[0])]
+        for key, varrho, weight, chi in tracks:
+            cond[key] = varrho
+            incrp[key] = weight
+            cent[key] = varrho.entropy
+            chit[key] = chi
+        out.append((prob_at, apost, cond, incrp, ent, cent, chit, chiat))
+    return out
 
 
 _EMPTY_RECORD = ({}, {}, {}, {}, {}, {}, {}, {})
@@ -152,58 +177,70 @@ _EMPTY_RECORD = ({}, {}, {}, {}, {}, {}, {}, {})
 
 class _Walk:
     """What enumeration and sampling share: the letter roots, and the step
-    taken at every node of a path. A path's states travel as one
-    (1 + k, d, d) stack: the main state, then one track per reference time
-    passed so far, in seeding order."""
+    taken at every node of a path. Nodes are stepped in blocks of siblings
+    at one depth, held as one (n, 1 + k, d, d) array: per node the main
+    state, then one track per reference time passed so far, in seeding
+    order. Replay steps a one-node block."""
 
-    def __init__(self, model: MeasurementModel, grid: TimeGrid, apriori: Optional[dict]):
+    def __init__(self, model: MeasurementModel, grid: TimeGrid, apriori: Optional[APrioriTrack]):
         self.model = model
         self.eta = apriori if apriori is not None else compute_a_priori(model, grid)
-        times = sorted(self.eta)
-        batch = DensityOperator.from_stack([self.eta[t].matrix for t in times])
-        self.eta_spectra = dict(zip(times, zip(batch.eigenvalues, batch.eigenvectors)))
         self.roots = _letter_roots(model)
-        self.ref_set = set(grid.reference_times)
+        # the a-priori state of each reference time, as a block's new tracks
+        self.seeds = {
+            s: np.broadcast_to(self.eta[s].matrix, (BLOCK_NODES, 1) + self.eta[s].matrix.shape)
+            for s in grid.reference_times
+        }
         self.pairs = {
             t: tuple((s, t) for s in grid.reference_times if s <= t) for t in grid.record_times
         }
 
-    def visit(self, letter, outcomes, t, stack, record):
-        """Seed the reference track of time t and attach the record-time
-        data; an error names the trajectory. Returns (stack, record)."""
-        if t in self.ref_set:
-            stack = np.concatenate([stack, self.eta[t].matrix[np.newaxis]])
+    def visit(self, letter, paths, t, stacks, records):
+        """Seed the reference track of time t in every node of a block and
+        attach the record-time data; ``paths`` and ``records`` hold the
+        nodes' outcome strings and record dicts in emission order. An error
+        names the trajectory of the first failing node. Returns (stacks,
+        records)."""
+        if t in self.seeds:
+            stacks = np.concatenate([stacks, self.seeds[t][: len(stacks)]], axis=1)
         if t in self.pairs:
+            args = (self.pairs[t], self.eta[t], self.eta.spectra[t])
             try:
-                record = _record_time_data(
-                    t, stack, self.pairs[t], self.eta[t], self.eta_spectra[t], record
-                )
-            except (NotPositiveSemidefinite, NumericRangeError) as exc:
-                raise type(exc)(f"{_path_name(letter, outcomes, t)}: {exc}") from exc
-        return stack, record
+                records = _record_time_data(t, stacks, *args, records)
+            except (NotPositiveSemidefinite, NumericRangeError):
+                # the first failing node raises the same error on its own
+                for path, stack, record in zip(paths, stacks, records):
+                    try:
+                        _record_time_data(t, stack[np.newaxis], *args, [record])
+                    except (NotPositiveSemidefinite, NumericRangeError) as exc:
+                        raise type(exc)(f"{_path_name(letter, path, t)}: {exc}") from exc
+                raise
+        return stacks, records
 
     def replay(self, letter, outcomes) -> TrajectoryRecord:
         """Rebuild the full record for a known path (no randomness involved)."""
-        stack = self.roots[letter][np.newaxis]
-        record = _EMPTY_RECORD
+        stacks = self.roots[letter][np.newaxis, np.newaxis]
+        records = [_EMPTY_RECORD]
         for t in range(self.model.horizon + 1):
-            stack, record = self.visit(letter, outcomes, t, stack, record)
+            stacks, records = self.visit(letter, (outcomes,), t, stacks, records)
             if t == self.model.horizon:
                 break
-            stack = self.model.instrument_at(t + 1).map_for(outcomes[t]).apply(stack)
-        return TrajectoryRecord(letter, outcomes, *record)
+            stacks = self.model.instrument_at(t + 1).map_for(outcomes[t]).apply(stacks)
+        return TrajectoryRecord(letter, outcomes, *records[0])
 
 
 def enumerate_trajectories(
     model: MeasurementModel,
     grid: TimeGrid,
-    apriori: Optional[dict] = None,
+    apriori: Optional[APrioriTrack] = None,
     budget: int = DEFAULT_LEAF_BUDGET,
 ) -> Iterator[TrajectoryRecord]:
-    """Depth-first walk over all (letter, outcome string) paths.
+    """Depth-first walk over all (letter, outcome string) paths, in blocks
+    of at most BLOCK_NODES nodes at one depth.
 
     Yields one record per positive-probability leaf; the emitted
-    probabilities sum to 1 up to the pruning tolerance. Raises
+    probabilities sum to 1 up to the pruning tolerance. ``apriori`` is the
+    track that compute_a_priori returns (computed when omitted). Raises
     BudgetExceeded before doing any work when the leaf count is too large.
     """
     leaves = model.leaf_count()
@@ -215,23 +252,30 @@ def enumerate_trajectories(
     for letter, (p, root) in enumerate(zip(model.ensemble.prior, walk.roots)):
         if p <= 0.0:
             continue
-        # pending entries: (depth, state stack, record dicts, outcomes)
-        pending = [(0, root[np.newaxis], _EMPTY_RECORD, ())]
+        # pending blocks: (depth, (n, 1 + k, d, d) stacks, records, outcome strings)
+        pending = [(0, root[np.newaxis, np.newaxis], [_EMPTY_RECORD], [()])]
         while pending:
-            t, stack, record, outcomes = pending.pop()
-            stack, record = walk.visit(letter, outcomes, t, stack, record)
+            t, stacks, records, paths = pending.pop()
+            stacks, records = walk.visit(letter, paths, t, stacks, records)
             if t == horizon:
-                yield TrajectoryRecord(letter, outcomes, *record)
+                for outcomes, record in zip(paths, records):
+                    yield TrajectoryRecord(letter, outcomes, *record)
                 continue
             instrument = model.instrument_at(t + 1)
-            parent_trace = float(np.trace(stack[0]).real)
-            children = []
-            for label, kraus in zip(instrument.outcomes, instrument.maps):
-                child = kraus.apply(stack)
-                if float(np.trace(child[0]).real) < PRUNE_REL_TOL * parent_trace:
-                    continue
-                children.append((t + 1, child, record, outcomes + (label,)))
-            pending.extend(reversed(children))
+            n_out = instrument.n_outcomes
+            children = np.empty((len(stacks), n_out) + stacks.shape[1:], dtype=complex)
+            for v, kraus in enumerate(instrument.maps):
+                children[:, v] = kraus.apply(stacks)
+            parent_trace = np.trace(stacks[:, 0], axis1=1, axis2=2).real[:, np.newaxis]
+            child_trace = np.trace(children[:, :, 0], axis1=2, axis2=3).real
+            kept = np.flatnonzero(~(child_trace < PRUNE_REL_TOL * parent_trace)).tolist()
+            # node-major, outcome-minor: emission order
+            children = children.reshape((-1,) + stacks.shape[1:])[kept]
+            records = [records[i // n_out] for i in kept]
+            paths = [paths[i // n_out] + (instrument.outcomes[i % n_out],) for i in kept]
+            for j in reversed(range(0, len(kept), BLOCK_NODES)):
+                block = slice(j, j + BLOCK_NODES)
+                pending.append((t + 1, children[block], records[block], paths[block]))
 
 
 def sample_trajectories(
@@ -239,7 +283,7 @@ def sample_trajectories(
     grid: TimeGrid,
     n_samples: int,
     seed: int,
-    apriori: Optional[dict] = None,
+    apriori: Optional[APrioriTrack] = None,
 ) -> Iterator[TrajectoryRecord]:
     """Draw trajectories under the physical law; deterministic in the seed.
 
@@ -317,14 +361,24 @@ def _worst(residuals, worst=0.0):
     return worst
 
 
-def _keep_first(table, key, entry, worst):
-    """Hold the first (prob, matrix) entry of each key; fold the deviation of
-    a later entry for a held key from it into ``worst``."""
+def _hold_first(table, key, entry, later):
+    """Hold the first (prob, matrix) entry of each key; append a later entry
+    for a held key to ``later`` as a (first, later) pair."""
     seen = table.setdefault(key, entry)
     # records of one subtree share their state objects: nothing to compare
-    if seen is entry or (seen[1] is entry[1] and seen[0] == entry[0]):
+    if seen is not entry and (seen[1] is not entry[1] or seen[0] != entry[0]):
+        later.append((seen, entry))
+
+
+def _deviation(later, worst) -> float:
+    """Fold the deviations of the (first, later) pairs into ``worst``, their
+    matrix distances taken as one stack."""
+    if not later:
         return worst
-    return _worst((abs(seen[0] - entry[0]), float(np.linalg.norm(seen[1] - entry[1]))), worst)
+    firsts, seconds = zip(*later)
+    probs = [abs(a[0] - b[0]) for a, b in zip(firsts, seconds)]
+    diffs = np.array([a[1] for a in firsts]) - np.array([b[1] for b in seconds])
+    return _worst([*probs, *np.linalg.norm(diffs, axis=(1, 2)).tolist()], worst)
 
 
 class ConsistencyAccumulator:
@@ -349,17 +403,15 @@ class ConsistencyAccumulator:
 
     def add(self, rec: TrajectoryRecord) -> None:
         self.total_prob += rec.prob
+        prefix_later, incr_later = [], []
         for t in self.grid.record_times:
-            key = (rec.letter, rec.outcomes[:t])
             entry = (rec.prob_at[t], rec.aposteriori[t].matrix)
-            self.prefix_dependence = _keep_first(
-                self.prefix[t], key, entry, self.prefix_dependence
-            )
-        for (s, t) in self.grid.pairs():
+            _hold_first(self.prefix[t], (rec.letter, rec.outcomes[:t]), entry, prefix_later)
+        for (s, t), table in self.incr.items():
             entry = (rec.incr_prob[(s, t)], rec.conditioned[(s, t)].matrix)
-            self.incr_dependence = _keep_first(
-                self.incr[(s, t)], rec.outcomes[s:t], entry, self.incr_dependence
-            )
+            _hold_first(table, rec.outcomes[s:t], entry, incr_later)
+        self.prefix_dependence = _deviation(prefix_later, self.prefix_dependence)
+        self.incr_dependence = _deviation(incr_later, self.incr_dependence)
 
     def _pushed(self, s, t, starts, paths) -> np.ndarray:
         """A fresh stack of the start matrices, each pushed through the
@@ -454,7 +506,7 @@ def consistency_checks(
     model: MeasurementModel,
     grid: TimeGrid,
     records: Optional[Iterable[TrajectoryRecord]] = None,
-    apriori: Optional[dict] = None,
+    apriori: Optional[APrioriTrack] = None,
     tol: float = 1e-9,
     budget: int = DEFAULT_LEAF_BUDGET,
 ) -> CheckReport:

@@ -256,28 +256,29 @@ def _relent_spectra(lam1, v1, lam2, v2) -> float:
 
 
 def relative_entropies(lam1, v1, lam2, v2) -> np.ndarray:
-    """Tr{A (log A - log B_i)} of one spectrum (lam1, v1) against a stack of
-    spectra (lam2 of shape (m, d), v2 of shape (m, d, d)) in one pass.
+    """Tr{A_n (log A_n - log B_nj)} of first spectra (lam1 of shape (..., d),
+    v1 of shape (..., d, d)) against stacks of spectra (lam2 of shape
+    (..., m, d), v2 of shape (..., m, d, d)) in one pass; shape (..., m).
 
     Same support rule, infinity flag and 0 log 0 convention as
-    _relent_spectra, member by member; that scalar form stays separate for
+    _relent_spectra, entry by entry; that scalar form stays separate for
     the independent oracles.
     """
-    a_max = float(lam1[-1])
-    if a_max <= 0.0:
-        return np.zeros(len(lam2))
+    a_max = lam1[..., -1:]
     supp1 = lam1 > SUPPORT_REL_TOL * a_max
-    lam_in = lam1[supp1]
-    term1 = float(np.sum(lam_in * np.log(lam_in)))
     weights = np.where(supp1, lam1, 0.0)
-    b_max = lam2[:, -1]
-    supp2 = lam2 > SUPPORT_REL_TOL * b_max[:, np.newaxis]
-    overlaps = np.abs(v1.conj().T @ v2) ** 2  # [m, i, j] = |<a_i|b_j>|^2
-    outside = np.where(supp2[:, np.newaxis, :], 0.0, overlaps).sum(axis=2) @ weights
+    term1 = (weights * np.log(np.where(supp1, lam1, 1.0))).sum(axis=-1, keepdims=True)
+    b_max = lam2[..., -1]
+    supp2 = lam2 > SUPPORT_REL_TOL * b_max[..., np.newaxis]
+    # [..., j, a, b] = |<a_a|b_jb>|^2
+    overlaps = np.abs(v1.conj().swapaxes(-1, -2)[..., np.newaxis, :, :] @ v2) ** 2
+    weights = weights[..., np.newaxis]
+    outside = (np.where(supp2[..., np.newaxis, :], 0.0, overlaps).sum(axis=-1) @ weights)[..., 0]
     log2 = np.log(np.where(supp2, lam2, 1.0))  # zero off the support
-    term2 = (overlaps @ log2[:, :, np.newaxis])[:, :, 0] @ weights
-    infinite = (b_max <= 0.0) | (outside > SUPPORT_MASS_TOL * float(np.sum(lam1)))
-    return np.where(infinite, math.inf, term1 - term2)
+    term2 = ((overlaps @ log2[..., np.newaxis])[..., 0] @ weights)[..., 0]
+    infinite = (b_max <= 0.0) | (outside > SUPPORT_MASS_TOL * lam1.sum(axis=-1, keepdims=True))
+    # every term of a zero first argument vanishes: 0 against anything
+    return np.where(infinite & (a_max > 0.0), math.inf, term1 - term2)
 
 
 def quantum_relative_entropy(sigma, tau) -> float:

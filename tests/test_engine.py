@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from contmeas.engine import (
+    BLOCK_NODES,
+    _EMPTY_RECORD,
+    _path_name,
+    _Walk,
     compute_a_priori,
     consistency_checks,
     enumerate_trajectories,
     format_outcomes,
     sample_trajectories,
 )
-from contmeas.errors import BudgetExceeded, NotPositiveSemidefinite
+from contmeas.errors import BudgetExceeded, NotPositiveSemidefinite, NumericRangeError
 from contmeas.model import Ensemble, MeasurementModel, TimeGrid, builtin_scenario, random_model
 from contmeas.quantum import DensityOperator
 
@@ -163,6 +167,105 @@ class TestEnumerate:
         )
         with pytest.raises(NotPositiveSemidefinite, match="letter 0"):
             list(enumerate_trajectories(model, full_grid(model)))
+
+
+def _zero_prior_model():
+    base = random_model(12, dim=2, n_outcomes=3, n_letters=3, horizon=3)
+    ensemble = Ensemble(prior=np.array([0.5, 0.0, 0.5]), states=base.ensemble.states)
+    return dataclasses.replace(base, ensemble=ensemble)
+
+
+SCALAR_FIELDS = ("prob_at", "incr_prob", "entropy", "cond_entropy", "chi_term", "chi_at_term")
+
+
+class TestBlocks:
+    """Enumeration steps blocks of up to BLOCK_NODES nodes; replay steps a
+    one-node block. Both must give every leaf the very same record."""
+
+    CASES = {
+        # 81 nodes per letter at depth 4: blocks split at the cap
+        "split-seed1": lambda: (random_model(1, dim=3, n_outcomes=3, horizon=4), None),
+        "split-seed2": lambda: (random_model(2, dim=3, n_outcomes=3, horizon=4), None),
+        # null branches pruned inside a block
+        "pruned": lambda: (builtin_scenario("qubit-projective", horizon=3), None),
+        "zero-prior": lambda: (_zero_prior_model(), None),
+        "sparse-grid": lambda: (
+            random_model(5, dim=2, n_outcomes=3, horizon=4),
+            ([0, 2, 3, 4], [0, 3]),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_leaves_equal_replay(self, case):
+        model, times = self.CASES[case]()
+        grid = full_grid(model) if times is None else TimeGrid.make(model.horizon, *times)
+        walk = _Walk(model, grid, None)
+        records = list(enumerate_trajectories(model, grid))
+        if case.startswith("split"):
+            assert len(records) == model.leaf_count() > 2 * BLOCK_NODES
+        # depth-first emission: letters ascending, then outcomes in instrument order
+        order = [
+            [rec.letter]
+            + [model.instrument_at(s + 1).outcomes.index(x) for s, x in enumerate(rec.outcomes)]
+            for rec in records
+        ]
+        assert order == sorted(order)
+        if case == "pruned":
+            assert len(records) < model.leaf_count()
+        if case == "zero-prior":
+            assert {rec.letter for rec in records} == {0, 2}
+        for rec in records:
+            one = walk.replay(rec.letter, rec.outcomes)
+            for field in SCALAR_FIELDS:
+                assert getattr(rec, field) == getattr(one, field), field
+            for field in ("aposteriori", "conditioned"):
+                mine, theirs = getattr(rec, field), getattr(one, field)
+                assert mine.keys() == theirs.keys()
+                for key, state in mine.items():
+                    assert np.array_equal(state.matrix, theirs[key].matrix), (field, key)
+                    assert state.entropy == theirs[key].entropy
+                    # a view into a block would keep the whole block alive
+                    assert state.matrix.base is None
+
+    BAD = {
+        "negative": np.diag([-1e-3, 1.0 + 1e-3]).astype(complex),
+        "massless": np.zeros((2, 2), dtype=complex),
+    }
+
+    @pytest.mark.parametrize(
+        "faults, first, error",
+        [
+            # node 1's state fails before node 2's mass
+            ([(1, 0, "negative"), (2, 0, "massless")], 1, NotPositiveSemidefinite),
+            # node 1's track mass fails before node 2's main state
+            ([(2, 0, "negative"), (1, 1, "massless")], 1, NumericRangeError),
+            # within a node, the main state comes before its track
+            (
+                [(1, 1, "massless"), (1, 0, "negative"), (3, 0, "massless")],
+                1,
+                NotPositiveSemidefinite,
+            ),
+            # within a node, the main state's mass comes before its track's state
+            ([(2, 0, "negative"), (0, 1, "negative"), (0, 0, "massless")], 0, NumericRangeError),
+        ],
+    )
+    def test_first_failing_node_raises(self, faults, first, error):
+        model = random_model(3, dim=2, n_outcomes=4, horizon=2)
+        grid = full_grid(model)
+        walk = _Walk(model, grid, None)
+        # four nodes at time 1, each with its main state and the track seeded at 0
+        stacks = np.array([[0.3 * KET0 + 0.2 * KET1, 0.5 * np.eye(2)]] * 4, dtype=complex)
+        for node, member, kind in faults:
+            stacks[node, member] = self.BAD[kind]
+        paths = [(label,) for label in model.instrument_at(1).outcomes]
+        records = [_EMPTY_RECORD] * 4
+        with pytest.raises(error) as info:
+            walk.visit(1, paths, 1, stacks, records)
+        assert str(info.value).startswith(_path_name(1, paths[first], 1) + ": ")
+        # the same type and message as that node alone
+        with pytest.raises(error) as alone:
+            walk.visit(1, paths[first : first + 1], 1, stacks[first : first + 1], records[:1])
+        assert str(info.value) == str(alone.value)
 
 
 class TestSample:

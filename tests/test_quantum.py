@@ -418,6 +418,31 @@ def test_relative_entropies_match_scalar_kernel(stacks):
             assert abs(batched[i] - expected) <= 1e-12
 
 
+@settings(max_examples=300, deadline=None)
+@given(spectrum_stacks())
+def test_relative_entropies_of_a_block_match_scalar_kernel(stacks):
+    # every drawn spectrum is a first argument, against all of them in a
+    # per-row rotated order: zero first arguments and disjoint supports occur
+    lam1, v1, lam2, v2 = stacks
+    lam = np.concatenate([lam1[np.newaxis], lam2])
+    vec = np.concatenate([v1[np.newaxis], v2])
+    k = len(lam)
+    order = (np.arange(k)[:, np.newaxis] + np.arange(k)) % k
+    block = relative_entropies(lam, vec, lam[order], vec[order])
+    assert block.shape == (k, k)
+    for i in range(k):
+        row = relative_entropies(lam[i], vec[i], lam[order[i]], vec[order[i]])
+        assert np.array_equal(block[i], row)
+        for j in range(k):
+            expected = _relent_spectra(lam[i], vec[i], lam[order[i, j]], vec[order[i, j]])
+            if math.isinf(expected) or math.isinf(block[i, j]):
+                assert block[i, j] == expected
+            elif lam[i][-1] <= 0.0:
+                assert block[i, j] == expected == 0.0
+            else:
+                assert abs(block[i, j] - expected) <= 1e-12
+
+
 @settings(max_examples=200, deadline=None)
 @given(spectrum_stacks(), st.integers(0, 2**32 - 1))
 def test_relative_entropies_ignore_eigenvector_phases(stacks, seed):
@@ -451,6 +476,10 @@ def test_relative_entropies_edge_cases():
     assert relative_entropies(*ket0, lam2, v2).tolist()[:3] == [0.0, math.inf, math.inf]
     # a zero first argument gives 0 against anything
     assert relative_entropies(*zero, lam2, v2).tolist() == [0.0] * 4
+    # the same, with both first arguments in one block
+    lam1, v1 = (np.array(pair) for pair in zip(ket0, zero))
+    block = relative_entropies(lam1, v1, np.array([lam2, lam2]), np.array([v2, v2]))
+    assert block.tolist() == [[0.0, math.inf, math.inf, block[0, 3]], [0.0] * 4]
 
 
 VALID = [
@@ -528,4 +557,4 @@ def test_node_states_failure_order(masses, bad, error):
     position, kind = bad
     live[position] = BAD[kind] * masses[position]
     with pytest.raises(error):
-        _node_states(live)
+        _node_states(live[np.newaxis])
