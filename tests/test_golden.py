@@ -21,12 +21,18 @@ from contmeas.model import random_model, serialize_model
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 GOLDEN_TOL = 1e-12
-RANDOM_SEEDS = (0, 1)
+# model document name -> random_model arguments
+MODELS = {
+    "random-seed0": dict(seed=0, dim=3, n_outcomes=3, horizon=3),
+    "random-seed1": dict(seed=1, dim=3, n_outcomes=3, horizon=3),
+    # 486 leaves: many blocks of sibling nodes per depth
+    "random-seed2-h5": dict(seed=2, dim=3, n_outcomes=3, horizon=5),
+}
 
 
-def _model_path(seed: int) -> str:
+def _model_path(name: str) -> str:
     # relative to the repository root, because report.json records it
-    return f"tests/golden/models/random-seed{seed}.json"
+    return f"tests/golden/models/{name}.json"
 
 
 CASES = {
@@ -40,7 +46,10 @@ CASES = {
             "damped-qubit",
         )
     },
-    **{f"random-seed{seed}": ["check", "--model", _model_path(seed)] for seed in RANDOM_SEEDS},
+    **{name: ["check", "--model", _model_path(name)] for name in MODELS},
+    "random-seed2-h5-sparse": [
+        "check", "--model", _model_path("random-seed2-h5"), "--grid", "0,2,3,5", "--refs", "0,3",
+    ],
     "sample-damped-qubit-seed1": [
         "check", "--scenario", "damped-qubit", "--horizon", "3",
         "--mode", "sample", "--samples", "500", "--seed", "1",
@@ -112,9 +121,9 @@ def test_golden_case(case, tmp_path, monkeypatch):
 def regenerate() -> None:
     """Rewrite every golden file from the code on the import path."""
     (GOLDEN / "models").mkdir(parents=True, exist_ok=True)
-    for seed in RANDOM_SEEDS:
-        model = random_model(seed, dim=3, n_outcomes=3, horizon=3)
-        (ROOT / _model_path(seed)).write_text(serialize_model(model), encoding="utf-8")
+    for name, kwargs in MODELS.items():
+        model = random_model(**kwargs)
+        (ROOT / _model_path(name)).write_text(serialize_model(model), encoding="utf-8")
     codes = {}
     for case, args in sorted(CASES.items()):
         codes[case] = _run_case(args, GOLDEN / case)
