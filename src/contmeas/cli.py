@@ -48,6 +48,7 @@ from .errors import (
 )
 from .model import (
     SCENARIO_NAMES,
+    CheckReport,
     MeasurementModel,
     TimeGrid,
     builtin_scenario,
@@ -177,21 +178,18 @@ def run_pipeline(cfg: RunConfig, with_bounds: bool = True) -> int:
 
         apriori = compute_a_priori(model, grid)
         builder = EntropyReportBuilder(grid, mode=cfg.mode)
-        consistency = (
-            ConsistencyAccumulator(model, grid, apriori, tol=cfg.tol)
-            if cfg.mode == "enumerate"
-            else None
-        )
-        if cfg.mode == "enumerate":
-            records = enumerate_trajectories(model, grid, apriori=apriori)
-        else:
-            records = sample_trajectories(
-                model, grid, cfg.samples, seed=cfg.seed, apriori=apriori
-            )
         dump_stream = None
         dump_writer = None
         count = 0
         try:
+            consistency = None
+            if cfg.mode == "enumerate":
+                consistency = ConsistencyAccumulator(model, grid, apriori, tol=cfg.tol)
+                records = enumerate_trajectories(model, grid, apriori=apriori)
+            else:
+                records = sample_trajectories(
+                    model, grid, cfg.samples, seed=cfg.seed, apriori=apriori
+                )
             if cfg.dump_trajectories:
                 dump_stream = (out_dir / "trajectories.csv").open("w", encoding="utf-8")
                 dump_writer = csv.writer(dump_stream, lineterminator="\n")
@@ -203,9 +201,10 @@ def run_pipeline(cfg: RunConfig, with_bounds: bool = True) -> int:
                 if consistency is not None:
                     consistency.add(rec)
                 if dump_writer is not None:
+                    entropy = rec.entropy
                     dump_writer.writerow(
                         [rec.letter, format_outcomes(rec.outcomes), repr(rec.prob)]
-                        + [repr(rec.entropy[t]) for t in grid.record_times]
+                        + [repr(entropy[t]) for t in grid.record_times]
                     )
                 count += 1
         except BudgetExceeded as exc:
@@ -227,9 +226,10 @@ def run_pipeline(cfg: RunConfig, with_bounds: bool = True) -> int:
                     _say(f"consistency failure: {check}")
                 violations.append("consistency")
             else:
+                worst = consistency_report.worst()
                 _say(
                     f"consistency: {len(consistency_report.checks)} checks passed "
-                    f"(max residual {consistency_report.max_residual():.3e})"
+                    f"(max residual {-worst.margin:.3e} at {worst.label})"
                 )
 
         report = builder.finalize()
@@ -257,6 +257,12 @@ def run_pipeline(cfg: RunConfig, with_bounds: bool = True) -> int:
             with bounds_path.open("w", encoding="utf-8") as stream:
                 write_bounds_csv(bounds, stream, units=cfg.units)
             _say(f"wrote {bounds_path} ({len(bounds.checks)} bound checks)")
+            families = {}
+            for check in bounds.checks:
+                families.setdefault(check.name, []).append(check)
+            for family, checks in families.items():
+                worst = CheckReport(tuple(checks)).worst()
+                _say(f"bound {family}: smallest margin {worst.margin:.3e} at {worst.label}")
             if not bounds.passed:
                 for check in bounds.failures():
                     _say(f"bound failure: {check}")

@@ -19,13 +19,14 @@ normalized.
 
 from __future__ import annotations
 
+import copy
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import BudgetExceeded, NotPositiveSemidefinite, NumericRangeError
+from .errors import BudgetExceeded, GridMiss, NotPositiveSemidefinite, NumericRangeError
 from .model import Check, CheckReport, MeasurementModel, TimeGrid
 from .quantum import DensityOperator, _first_false, relative_entropies
 
@@ -38,31 +39,70 @@ BLOCK_NODES = 32
 DEFAULT_LEAF_BUDGET = 10**7
 
 
+_TIME_COLUMNS = ("prob_at", "aposteriori", "entropy", "chi_at_term")
+_PAIR_COLUMNS = ("incr_prob", "conditioned", "cond_entropy", "chi_term")
+
+
+class RecordBlock:
+    """The record columns of a block of nodes of one letter, a row per node
+    in emission order. By record time t, (n, len(times)): prob_at, the mass
+    of (letter, outcomes up to t); aposteriori, the state given them (a
+    DensityOperator, shared by the rows of a subtree); its entropy; and
+    chi_at_term, its relative entropy against the a-priori state. By pair
+    (s, t), (n, len(pairs)): incr_prob, the mass of the outcomes s+1..t
+    alone from the a-priori state at s; conditioned, the state given them;
+    its cond_entropy; and chi_term, the relative entropy of aposteriori[t]
+    against it. ``codes`` holds each node's outcome index at each step. A
+    column not reached yet holds NaN (None for states)."""
+
+    __slots__ = ("letter", "times", "pairs", "codes") + _TIME_COLUMNS + _PAIR_COLUMNS
+
+    def __init__(self, letter, times, pairs, horizon):
+        """The one-row block of a letter's root."""
+        self.letter, self.times, self.pairs = letter, times, pairs
+        self.codes = np.zeros((1, horizon), dtype=np.int64)
+        for name in _TIME_COLUMNS + _PAIR_COLUMNS:
+            width = len(times) if name in _TIME_COLUMNS else len(pairs)
+            states = name in ("aposteriori", "conditioned")
+            fill, dtype = (None, object) if states else (np.nan, float)
+            setattr(self, name, np.full((1, width), fill, dtype=dtype))
+
+    def take(self, rows) -> "RecordBlock":
+        """A new block of copies of the given rows."""
+        block = copy.copy(self)
+        for name in ("codes",) + _TIME_COLUMNS + _PAIR_COLUMNS:
+            setattr(block, name, getattr(self, name)[rows])
+        return block
+
+    def check_grid(self, times, pairs) -> None:
+        if self.times != tuple(times) or self.pairs != tuple(pairs):
+            raise GridMiss("the records were made on another time grid")
+
+
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    """One enumerated or sampled trajectory with all attached states.
-
-    prob_at[t] is the probability mass of (letter, outcomes up to t);
-    incr_prob[(s, t)] the mass of the outcome increments s+1..t alone,
-    computed from the a-priori state at s. The *_term caches hold the
-    per-trajectory entropic contributions so that report building never
-    re-decomposes a matrix.
-    """
+    """One enumerated or sampled trajectory: row ``row`` of a block of
+    leaves. Each column of the block reads as a dict of this row, keyed by
+    time or by (s, t) pair: ``rec.prob_at[t]``, ``rec.conditioned[(s, t)]``
+    (see RecordBlock). The entropic terms are cached so that report
+    building never re-decomposes a matrix."""
 
     letter: int
     outcomes: tuple
-    prob_at: dict
-    aposteriori: dict  # t -> DensityOperator (state given letter and outcomes)
-    conditioned: dict  # (s, t) -> DensityOperator (state given outcomes after s)
-    incr_prob: dict  # (s, t) -> float
-    entropy: dict  # t -> S_q(aposteriori[t])
-    cond_entropy: dict  # (s, t) -> S_q(conditioned[(s, t)])
-    chi_term: dict  # (s, t) -> S_q(aposteriori[t] | conditioned[(s, t)])
-    chi_at_term: dict  # t -> S_q(aposteriori[t] | a-priori state at t)
+    block: RecordBlock
+    row: int
+
+    def __getattr__(self, name):
+        if name not in _TIME_COLUMNS + _PAIR_COLUMNS:
+            raise AttributeError(name)
+        block = self.block
+        keys = block.times if name in _TIME_COLUMNS else block.pairs
+        return dict(zip(keys, getattr(block, name)[self.row].tolist()))
 
     @property
     def prob(self) -> float:
-        return self.prob_at[max(self.prob_at)]
+        # the last record time is the horizon
+        return self.block.prob_at[self.row, -1].item()
 
 
 def format_outcomes(outcomes) -> str:
@@ -110,33 +150,35 @@ def compute_a_priori(model: MeasurementModel, grid: TimeGrid) -> APrioriTrack:
     return track
 
 
+def _track(model: MeasurementModel, grid: TimeGrid, apriori) -> APrioriTrack:
+    """``apriori``, computed when None; only compute_a_priori's track
+    carries the spectra the walk reuses."""
+    if apriori is not None and not isinstance(apriori, APrioriTrack):
+        name = type(apriori).__name__
+        raise TypeError(f"apriori must be the track that compute_a_priori returns, not {name}")
+    return compute_a_priori(model, grid) if apriori is None else apriori
+
+
 def _node_states(live):
-    """Masses (n, L) and validated normalized states of a block's live
-    stacks (n, L, d, d): per node, the main state, then the reference
-    tracks in seeding order. Checked in emission order, node by node and
-    member by member: each member's mass, then its state."""
-    n, size, d = live.shape[:3]
-    flat = live.reshape(n * size, d, d)
+    """Masses and validated normalized states of a block's live stacks
+    (n, L, d, d), both flat in node-major order. Checked in emission order,
+    node by node and member by member (the main state, then the tracks):
+    each member's mass, then its state."""
+    flat = live.reshape((-1,) + live.shape[2:])
     masses = np.trace(flat, axis1=1, axis2=2).real
     k = _first_false(masses >= sys.float_info.min)
     batch = DensityOperator.from_stack(flat[:k] / masses[:k, np.newaxis, np.newaxis])
     if k < len(masses):
-        raise NumericRangeError(
-            f"path mass {float(masses[k])!r} is below the smallest normal float"
-        )
-    return masses.reshape(n, size).tolist(), batch
+        raise NumericRangeError(f"path mass {float(masses[k])!r} is below the smallest normal float")
+    return masses, batch
 
 
-def _record_time_data(t, stacks, pairs, eta_t, eta_spectrum, records):
-    """Record everything attached to time t for each node of a block, into
-    fresh copies of its per-path dicts (copy-on-write so subtree siblings
-    never alias). The block's states come from one validated batch and
-    their relative entropies from one pass; ``eta_spectrum`` is the
-    (eigenvalues, eigenvectors) pair of the a-priori state ``eta_t``, and
-    ``pairs`` holds the (s, t) keys of the tracks, shared by every record
-    so that records do not each carry their own copies."""
-    # a track seeded at t is exactly the a-priori state: no batch member
-    fresh = bool(pairs) and pairs[-1][0] == t
+def _record_time_data(stacks, block, col, track_cols, fresh, eta_t, eta_spectrum):
+    """Write one record time into the rows of ``block``: time column
+    ``col``, and the pair columns ``track_cols`` of the tracks in seeding
+    order. One validated batch of states, one relative-entropy pass against
+    ``eta_t`` (spectrum ``eta_spectrum``) and the tracks. A track seeded at
+    this time (``fresh``) is exactly the a-priori state: no batch member."""
     n, size, d = stacks.shape[:3]
     live = size - fresh
     masses, batch = _node_states(stacks[:, :live])
@@ -146,33 +188,17 @@ def _record_time_data(t, stacks, pairs, eta_t, eta_spectrum, records):
     lam2 = lam.copy()
     vec2 = vec.copy()
     lam2[:, 0], vec2[:, 0] = eta_spectrum
-    chis = relative_entropies(lam[:, 0], vec[:, 0], lam2, vec2).tolist()
-    states = batch.states
-    out = []
-    for i, (prob_at, apost, cond, incrp, ent, cent, chit, chiat) in enumerate(records):
-        rho, *varrhos = states[i * live : (i + 1) * live]
-        node_masses, node_chis = masses[i], chis[i]
-        prob_at = {**prob_at, t: node_masses[0]}
-        apost = {**apost, t: rho}
-        ent = {**ent, t: rho.entropy}
-        chiat = {**chiat, t: node_chis[0]}
-        cond = dict(cond)
-        incrp = dict(incrp)
-        cent = dict(cent)
-        chit = dict(chit)
-        tracks = zip(pairs, varrhos, node_masses[1:], node_chis[1:])
-        if fresh:
-            tracks = [*tracks, (pairs[-1], eta_t, 1.0, node_chis[0])]
-        for key, varrho, weight, chi in tracks:
-            cond[key] = varrho
-            incrp[key] = weight
-            cent[key] = varrho.entropy
-            chit[key] = chi
-        out.append((prob_at, apost, cond, incrp, ent, cent, chit, chiat))
-    return out
-
-
-_EMPTY_RECORD = ({}, {}, {}, {}, {}, {}, {}, {})
+    chis = relative_entropies(lam[:, 0], vec[:, 0], lam2, vec2)
+    states = np.empty(n * live, dtype=object)
+    states[:] = batch.states
+    entropies = np.array([state.entropy for state in batch.states])
+    columns = [a.reshape(n, live) for a in (masses, states, entropies)] + [chis]
+    if fresh:
+        seeded = (1.0, eta_t, eta_t.entropy, chis[:, 0])
+        columns = [np.column_stack([c, np.full(n, v, dtype=c.dtype)]) for c, v in zip(columns, seeded)]
+    for time_name, pair_name, values in zip(_TIME_COLUMNS, _PAIR_COLUMNS, columns):
+        getattr(block, time_name)[:, col] = values[:, 0]
+        getattr(block, pair_name)[:, track_cols] = values[:, 1:]
 
 
 class _Walk:
@@ -184,49 +210,59 @@ class _Walk:
 
     def __init__(self, model: MeasurementModel, grid: TimeGrid, apriori: Optional[APrioriTrack]):
         self.model = model
-        self.eta = apriori if apriori is not None else compute_a_priori(model, grid)
+        self.eta = _track(model, grid, apriori)
         self.roots = _letter_roots(model)
         # the a-priori state of each reference time, as a block's new tracks
         self.seeds = {
             s: np.broadcast_to(self.eta[s].matrix, (BLOCK_NODES, 1) + self.eta[s].matrix.shape)
             for s in grid.reference_times
         }
-        self.pairs = {
-            t: tuple((s, t) for s in grid.reference_times if s <= t) for t in grid.record_times
+        self.times = grid.record_times
+        self.pairs = tuple(grid.pairs())
+        # per record time: the _record_time_data arguments after the block
+        self.columns = {
+            t: (col, [self.pairs.index((s, t)) for s in grid.reference_times if s <= t],
+                t in self.seeds, self.eta[t], self.eta.spectra[t])
+            for col, t in enumerate(self.times)
         }
 
-    def visit(self, letter, paths, t, stacks, records):
+    def root(self, letter) -> RecordBlock:
+        return RecordBlock(letter, self.times, self.pairs, self.model.horizon)
+
+    def visit(self, paths, t, stacks, block):
         """Seed the reference track of time t in every node of a block and
-        attach the record-time data; ``paths`` and ``records`` hold the
-        nodes' outcome strings and record dicts in emission order. An error
-        names the trajectory of the first failing node. Returns (stacks,
-        records)."""
+        write its record-time columns into ``block``; ``paths`` holds the
+        nodes' outcome strings in emission order. An error names the
+        trajectory of the first failing node. Returns the stacks."""
         if t in self.seeds:
             stacks = np.concatenate([stacks, self.seeds[t][: len(stacks)]], axis=1)
-        if t in self.pairs:
-            args = (self.pairs[t], self.eta[t], self.eta.spectra[t])
+        if t in self.columns:
+            args = self.columns[t]
             try:
-                records = _record_time_data(t, stacks, *args, records)
+                _record_time_data(stacks, block, *args)
             except (NotPositiveSemidefinite, NumericRangeError):
                 # the first failing node raises the same error on its own
-                for path, stack, record in zip(paths, stacks, records):
+                for i, path in enumerate(paths):
                     try:
-                        _record_time_data(t, stack[np.newaxis], *args, [record])
+                        _record_time_data(stacks[i : i + 1], block.take([i]), *args)
                     except (NotPositiveSemidefinite, NumericRangeError) as exc:
-                        raise type(exc)(f"{_path_name(letter, path, t)}: {exc}") from exc
+                        name = _path_name(block.letter, path, t)
+                        raise type(exc)(f"{name}: {exc}") from exc
                 raise
-        return stacks, records
+        return stacks
 
     def replay(self, letter, outcomes) -> TrajectoryRecord:
         """Rebuild the full record for a known path (no randomness involved)."""
         stacks = self.roots[letter][np.newaxis, np.newaxis]
-        records = [_EMPTY_RECORD]
+        block = self.root(letter)
         for t in range(self.model.horizon + 1):
-            stacks, records = self.visit(letter, (outcomes,), t, stacks, records)
+            stacks = self.visit((outcomes,), t, stacks, block)
             if t == self.model.horizon:
                 break
-            stacks = self.model.instrument_at(t + 1).map_for(outcomes[t]).apply(stacks)
-        return TrajectoryRecord(letter, outcomes, *records[0])
+            instrument = self.model.instrument_at(t + 1)
+            block.codes[0, t] = code = instrument.outcomes.index(outcomes[t])
+            stacks = instrument.maps[code].apply(stacks)
+        return TrajectoryRecord(letter, outcomes, block, 0)
 
 
 def enumerate_trajectories(
@@ -238,10 +274,11 @@ def enumerate_trajectories(
     """Depth-first walk over all (letter, outcome string) paths, in blocks
     of at most BLOCK_NODES nodes at one depth.
 
-    Yields one record per positive-probability leaf; the emitted
-    probabilities sum to 1 up to the pruning tolerance. ``apriori`` is the
-    track that compute_a_priori returns (computed when omitted). Raises
-    BudgetExceeded before doing any work when the leaf count is too large.
+    Yields one record per positive-probability leaf, a block of leaves row
+    by row; the emitted probabilities sum to 1 up to the pruning tolerance.
+    ``apriori`` is compute_a_priori's track (computed when omitted; anything
+    else raises TypeError). Raises BudgetExceeded before doing any work when
+    the leaf count is too large.
     """
     leaves = model.leaf_count()
     if leaves > budget:
@@ -252,14 +289,14 @@ def enumerate_trajectories(
     for letter, (p, root) in enumerate(zip(model.ensemble.prior, walk.roots)):
         if p <= 0.0:
             continue
-        # pending blocks: (depth, (n, 1 + k, d, d) stacks, records, outcome strings)
-        pending = [(0, root[np.newaxis, np.newaxis], [_EMPTY_RECORD], [()])]
+        # pending blocks: (depth, (n, 1 + k, d, d) stacks, record block, outcome strings)
+        pending = [(0, root[np.newaxis, np.newaxis], walk.root(letter), [()])]
         while pending:
-            t, stacks, records, paths = pending.pop()
-            stacks, records = walk.visit(letter, paths, t, stacks, records)
+            t, stacks, block, paths = pending.pop()
+            stacks = walk.visit(paths, t, stacks, block)
             if t == horizon:
-                for outcomes, record in zip(paths, records):
-                    yield TrajectoryRecord(letter, outcomes, *record)
+                for row, outcomes in enumerate(paths):
+                    yield TrajectoryRecord(letter, outcomes, block, row)
                 continue
             instrument = model.instrument_at(t + 1)
             n_out = instrument.n_outcomes
@@ -268,14 +305,17 @@ def enumerate_trajectories(
                 children[:, v] = kraus.apply(stacks)
             parent_trace = np.trace(stacks[:, 0], axis1=1, axis2=2).real[:, np.newaxis]
             child_trace = np.trace(children[:, :, 0], axis1=2, axis2=3).real
-            kept = np.flatnonzero(~(child_trace < PRUNE_REL_TOL * parent_trace)).tolist()
+            kept = np.flatnonzero(~(child_trace < PRUNE_REL_TOL * parent_trace))
             # node-major, outcome-minor: emission order
             children = children.reshape((-1,) + stacks.shape[1:])[kept]
-            records = [records[i // n_out] for i in kept]
-            paths = [paths[i // n_out] + (instrument.outcomes[i % n_out],) for i in kept]
+            parents, codes = np.divmod(kept, n_out)
+            labels = instrument.outcomes
+            paths = [paths[i] + (labels[v],) for i, v in zip(parents.tolist(), codes.tolist())]
             for j in reversed(range(0, len(kept), BLOCK_NODES)):
-                block = slice(j, j + BLOCK_NODES)
-                pending.append((t + 1, children[block], records[block], paths[block]))
+                rows = slice(j, j + BLOCK_NODES)
+                child = block.take(parents[rows])
+                child.codes[:, t] = codes[rows]
+                pending.append((t + 1, children[rows], child, paths[rows]))
 
 
 def sample_trajectories(
@@ -352,33 +392,93 @@ def sample_trajectories(
 # ---------------------------------------------------------------------------
 
 
-def _worst(residuals, worst=0.0):
-    """Largest of ``worst`` and the ``residuals``. Unlike ``max`` it keeps a
-    NaN (``max(0.0, nan)`` is 0.0), so that a NaN residual fails its check."""
-    for residual in residuals:
-        if worst == worst and not residual <= worst:
-            worst = residual
-    return worst
+def _worst(residuals, worst=0.0) -> float:
+    """Largest of ``worst`` and the ``residuals``. Unlike the builtin ``max``
+    (``max(0.0, nan)`` is 0.0) np.max keeps a NaN, so that a NaN residual
+    fails its check."""
+    return float(np.max(residuals, initial=worst))
 
 
-def _hold_first(table, key, entry, later):
-    """Hold the first (prob, matrix) entry of each key; append a later entry
-    for a held key to ``later`` as a (first, later) pair."""
-    seen = table.setdefault(key, entry)
-    # records of one subtree share their state objects: nothing to compare
-    if seen is not entry and (seen[1] is not entry[1] or seen[0] != entry[0]):
-        later.append((seen, entry))
+def _norms(stack) -> np.ndarray:
+    """Frobenius norm of each matrix of a (m, d, d) stack, a slice at a time."""
+    parts = [np.linalg.norm(stack[i : i + 256], axis=(1, 2)) for i in range(0, len(stack), 256)]
+    return np.concatenate([np.zeros(0)] + parts)
 
 
-def _deviation(later, worst) -> float:
-    """Fold the deviations of the (first, later) pairs into ``worst``, their
-    matrix distances taken as one stack."""
-    if not later:
-        return worst
-    firsts, seconds = zip(*later)
-    probs = [abs(a[0] - b[0]) for a, b in zip(firsts, seconds)]
-    diffs = np.array([a[1] for a in firsts]) - np.array([b[1] for b in seconds])
-    return _worst([*probs, *np.linalg.norm(diffs, axis=(1, 2)).tolist()], worst)
+class _Table:
+    """The first (prob, matrix) entry of each key of one family, prefixes or
+    increment strings, over all its columns (record times or pairs): a key
+    is the string's number times ``width`` plus the column. Entries are
+    kept in first-seen order, in arrays that grow by doubling."""
+
+    def __init__(self, width, dim):
+        self.width = width
+        self.index = {}  # key -> row
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.probs = np.zeros(0)
+        self.matrices = np.zeros((0, dim, dim), dtype=complex)
+        self.deviation = 0.0  # of later entries from the held ones
+
+    def hold(self, strings, probs, states) -> None:
+        """Hold the first entry of each key and fold the deviation of every
+        other one; (n, width) arrays, a row per record in the order the
+        records came."""
+        n = len(strings)
+        # down a column, a run of rows with one key and one entry (records
+        # of one subtree share their states) takes one lookup and comparison
+        start = np.ones(strings.shape, dtype=bool)
+        start[1:] = (strings[1:] != strings[:-1]) | (states[1:] != states[:-1])
+        start[1:] |= probs[1:] != probs[:-1]
+        firsts = np.flatnonzero(start.T)
+        keys = strings.T.ravel()[firsts] * self.width + firsts // n
+        probs, states = probs.T.ravel()[firsts], states.T.ravel()[firsts]
+        size = len(self.index)
+        rows = np.array([self.index.setdefault(key, len(self.index)) for key in keys.tolist()])
+        # a new row first shows above every row before it
+        new = rows > np.maximum.accumulate(np.append(size - 1, rows[:-1]))
+        n = self._grow(len(self.index))
+        self.keys[size:n], self.probs[size:n] = keys[new], probs[new]
+        matrices = [state.matrix for state in states[new]]
+        self.matrices[size:n] = np.array(matrices).reshape((n - size,) + self.matrices.shape[1:])
+        later = np.flatnonzero(~new)
+        if len(later):
+            held = rows[later]
+            self.deviation = _worst(np.abs(self.probs[held] - probs[later]), self.deviation)
+            diffs = self.matrices[held] - np.array([state.matrix for state in states[later]])
+            self.deviation = _worst(_norms(diffs), self.deviation)
+
+    def _grow(self, size) -> int:
+        """Room for ``size`` entries: the arrays double when they are full."""
+        if size > len(self.keys):
+            capacity = max(size, 2 * len(self.keys))
+            for name in ("keys", "probs", "matrices"):
+                old = getattr(self, name)
+                new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
+                new[: len(old)] = old
+                setattr(self, name, new)
+        return size
+
+    def column(self, col):
+        """Keys (string numbers), probabilities and rows of one column's
+        entries, in first-seen order."""
+        rows = np.flatnonzero(self.keys[: len(self.index)] % self.width == col)
+        return self.keys[rows] // self.width, self.probs[rows], rows
+
+
+def _find(keys, wanted) -> np.ndarray:
+    """Positions in ``keys`` of the ``wanted`` keys, all of which occur."""
+    order = np.argsort(keys, kind="stable")
+    return order[np.searchsorted(keys[order], wanted)]
+
+
+def _group_sums(groups, count, probs, matrices, rows) -> np.ndarray:
+    """Sum of probs[i] * matrices[rows[i]] per group index ``groups[i]``,
+    each group added up in order, a slice at a time."""
+    out = np.zeros((count,) + matrices.shape[1:], dtype=complex)
+    for i in range(0, len(probs), 256):
+        part = slice(i, i + 256)
+        np.add.at(out, groups[part], probs[part, None, None] * matrices[rows[part]])
+    return out
 
 
 class ConsistencyAccumulator:
@@ -386,119 +486,144 @@ class ConsistencyAccumulator:
     table: probability conservation, martingale marginals, measurability of
     the outcome-only states, a-priori averaging, map composition, the
     normalized-state recursion and the agreement of records that share a
-    prefix or an increment string."""
+    prefix or an increment string.
+
+    ``add`` queues a record; the queued rows of one block are checked
+    together when a record of another block comes, or at ``finalize``. A
+    prefix (letter, outcomes up to t) or an increment string (outcomes
+    s+1..t) is numbered in mixed radix, outcome indices as digits."""
 
     def __init__(self, model, grid, apriori, tol: float = 1e-9):
-        self.model = model
-        self.grid = grid
-        self.eta = apriori
-        self.tol = tol
+        self._pairs = tuple(grid.pairs())
+        width = max(len(grid.record_times), len(self._pairs))
+        if model.leaf_count() * width > np.iinfo(np.int64).max:
+            raise BudgetExceeded(f"{model.leaf_count()} leaves are too many to key the tables")
+        self.model, self.grid, self.eta, self.tol = model, grid, apriori, tol
         self.total_prob = 0.0
-        # (alpha, outcomes up to t) -> (prob_t, rho_t matrix)
-        self.prefix = {t: {} for t in grid.record_times}
-        # (s, t) -> increments -> (incr_prob, conditioned matrix)
-        self.incr = {pair: {} for pair in grid.pairs()}
-        self.prefix_dependence = 0.0
-        self.incr_dependence = 0.0
+        self._radix = [1] + [model.instrument_at(k).n_outcomes for k in range(1, model.horizon + 1)]
+        self._count = np.cumprod(self._radix)  # outcome strings up to each time
+        self.prefix = _Table(len(grid.record_times), model.dim)
+        self.incr = _Table(len(self._pairs), model.dim)
+        self._block, self._rows = None, []
+
+    def _span(self, s, t):
+        """The number of outcome strings of steps s+1..t."""
+        return self._count[t] // self._count[s]
 
     def add(self, rec: TrajectoryRecord) -> None:
-        self.total_prob += rec.prob
-        prefix_later, incr_later = [], []
-        for t in self.grid.record_times:
-            entry = (rec.prob_at[t], rec.aposteriori[t].matrix)
-            _hold_first(self.prefix[t], (rec.letter, rec.outcomes[:t]), entry, prefix_later)
-        for (s, t), table in self.incr.items():
-            entry = (rec.incr_prob[(s, t)], rec.conditioned[(s, t)].matrix)
-            _hold_first(table, rec.outcomes[s:t], entry, incr_later)
-        self.prefix_dependence = _deviation(prefix_later, self.prefix_dependence)
-        self.incr_dependence = _deviation(incr_later, self.incr_dependence)
+        if rec.block is not self._block:
+            self._flush()
+            self._block = rec.block
+        self._rows.append(rec.row)
 
-    def _pushed(self, s, t, starts, paths) -> np.ndarray:
-        """A fresh stack of the start matrices, each pushed through the
-        outcome maps of steps s+1..t along its path: one Kraus application
-        per (step, outcome) group."""
-        stack = np.array(starts, dtype=complex)
+    def _flush(self) -> None:
+        """Check the queued rows of one block, in the order they came."""
+        block, rows = self._block, self._rows
+        self._block, self._rows = None, []
+        if not rows:
+            return
+        block.check_grid(self.grid.record_times, self._pairs)
+        prob_at = block.prob_at[rows]
+        # added one by one, as the records came
+        self.total_prob = float(np.cumsum(np.append(self.total_prob, prob_at[:, -1]))[-1])
+        codes = block.codes[rows]
+        strings = np.zeros((len(rows), len(self._radix)), dtype=np.int64)
+        for k in range(1, len(self._radix)):
+            strings[:, k] = strings[:, k - 1] * self._radix[k] + codes[:, k - 1]
+        times = np.array(self.grid.record_times)
+        s, t = np.array(self._pairs).reshape(-1, 2).T
+        prefixes = block.letter * self._count[times] + strings[:, times]
+        self.prefix.hold(prefixes, prob_at, block.aposteriori[rows])
+        increments = strings[:, t] - strings[:, s] * self._span(s, t)
+        self.incr.hold(increments, block.incr_prob[rows], block.conditioned[rows])
+
+    def _pushed(self, table, parent, keys, s, t, weighted):
+        """The ``parent`` entries (a column of ``table`` at s) of the keys
+        (strings ending at t), times their probabilities when ``weighted``,
+        each pushed through the outcome maps of steps s+1..t along the
+        digits of its key: one Kraus application per (step, outcome) group
+        of up to 256 rows."""
+        parent_keys, parent_probs, parent_rows = parent
+        at = _find(parent_keys, keys // self._span(s, t))
+        stack = table.matrices[parent_rows[at]]
+        if weighted:
+            stack *= parent_probs[at, None, None]
         for step in range(s + 1, t + 1):
-            groups = {}
-            for row, path in enumerate(paths):
-                groups.setdefault(path[step - s - 1], []).append(row)
-            instrument = self.model.instrument_at(step)
-            for label, rows in groups.items():
-                stack[rows] = instrument.map_for(label).apply(stack[rows])
+            labels = keys // self._span(step, t) % self._radix[step]
+            for v, kraus in enumerate(self.model.instrument_at(step).maps):
+                group = np.flatnonzero(labels == v)
+                for i in range(0, len(group), 256):
+                    rows = group[i : i + 256]
+                    stack[rows] = kraus.apply(stack[rows])
         return stack
 
-    def _composition_residuals(self):
+    def _composition_residuals(self, incr):
         """Conditioning r -> s, rescaling, then s -> t must match r -> t:
         one residual per increment-table entry that has a parent."""
-        times = self.grid.record_times
+        residuals = [np.zeros(0)]
         for r in self.grid.reference_times:
-            laters = [t for t in times if t >= r]
+            laters = [t for t in self.grid.record_times if t >= r]
             for s, t in zip(laters, laters[1:]):
-                table = self.incr[(r, t)]
-                starts = [w * m for w, m in (self.incr[(r, s)][z[: s - r]] for z in table)]
-                via = self._pushed(s, t, starts, [z[s - r :] for z in table])
-                for sigma, (w, m) in zip(via, table.values()):
-                    yield float(np.linalg.norm(sigma - w * m))
+                keys, weights, rows = incr[(r, t)]
+                via = self._pushed(self.incr, incr[(r, s)], keys, s, t, weighted=True)
+                via -= weights[:, None, None] * self.incr.matrices[rows]
+                residuals.append(_norms(via))
+        return np.concatenate(residuals)
 
-    def _recursion_residuals(self):
+    def _recursion_residuals(self, prefix):
         """The state at s pushed to t and normalized must be the state at t,
         per prefix-table entry; a pushed trace <= 0 gives residual 1."""
         times = self.grid.record_times
+        residuals = [np.zeros(0)]
         for s, t in zip(times, times[1:]):
-            table = self.prefix[t]
-            starts = [self.prefix[s][(letter, xs[:s])][1] for letter, xs in table]
-            pushed = self._pushed(s, t, starts, [xs[s:] for _, xs in table])
-            for sigma, (_, rho) in zip(pushed, table.values()):
-                trace = float(np.trace(sigma).real)
-                yield 1.0 if trace <= 0.0 else float(np.linalg.norm(sigma / trace - rho))
+            keys, _, rows = prefix[t]
+            pushed = self._pushed(self.prefix, prefix[s], keys, s, t, weighted=False)
+            trace = np.trace(pushed, axis1=1, axis2=2).real
+            positive = ~(trace <= 0.0)
+            pushed /= np.where(positive, trace, 1.0)[:, None, None]
+            pushed -= self.prefix.matrices[rows]
+            residuals.append(np.where(positive, _norms(pushed), 1.0))
+        return np.concatenate(residuals)
 
     def finalize(self) -> CheckReport:
         """One check per identity; each margin is minus its residual."""
-        checks = [Check("total-probability", -abs(self.total_prob - 1.0), self.tol)]
+        self._flush()
         times = self.grid.record_times
+        prefix = {t: self.prefix.column(i) for i, t in enumerate(times)}
+        incr = {pair: self.incr.column(i) for i, pair in enumerate(self._pairs)}
+        checks = [Check("total-probability", -abs(self.total_prob - 1.0), self.tol)]
         for i, s in enumerate(times):
+            keys_s, probs_s, _ = prefix[s]
             for t in times[i + 1 :]:
-                grouped = {}
-                for (letter, xs), (prob, _) in self.prefix[t].items():
-                    gkey = (letter, xs[:s])
-                    grouped[gkey] = grouped.get(gkey, 0.0) + prob
-                residual = _worst(
-                    abs(total - self.prefix[s][gkey][0]) for gkey, total in grouped.items()
-                )
+                keys_t, probs_t, _ = prefix[t]
+                groups, inverse = np.unique(keys_t // self._span(s, t), return_inverse=True)
+                totals = np.bincount(inverse, probs_t, len(groups))
+                residual = _worst(np.abs(totals - probs_s[_find(keys_s, groups)]))
                 checks.append(Check("martingale", -residual, self.tol, (s, t)))
-        for (s, t) in self.grid.pairs():
-            table = self.incr[(s, t)]
-            checks.append(
-                Check(
-                    "increment-total",
-                    -abs(sum(w for w, _ in table.values()) - 1.0),
-                    self.tol,
-                    (s, t),
-                )
-            )
-            devs = []
-            sums = {}
-            for (letter, xs), (prob, rho) in self.prefix[t].items():
-                z = xs[s:t]
-                mass, acc = sums.get(z, (0.0, None))
-                acc = prob * rho if acc is None else acc + prob * rho
-                sums[z] = (mass + prob, acc)
-            for z, (mass, acc) in sums.items():
-                incr_w, cond_matrix = table[z]
-                devs.append(abs(mass - incr_w))
-                if mass > 0.0:
-                    devs.append(float(np.linalg.norm(acc / mass - cond_matrix)))
-            checks.append(Check("measurability", -_worst(devs), self.tol, (s, t)))
+        for (s, t) in self._pairs:
+            keys_z, weights, rows_z = incr[(s, t)]
+            total = sum(weights.tolist())
+            checks.append(Check("increment-total", -abs(total - 1.0), self.tol, (s, t)))
+            keys_t, probs_t, rows_t = prefix[t]
+            groups, inverse = np.unique(keys_t % self._span(s, t), return_inverse=True)
+            mass = np.bincount(inverse, probs_t, len(groups))
+            mean = _group_sums(inverse, len(groups), probs_t, self.prefix.matrices, rows_t)
+            at = _find(keys_z, groups)
+            positive = mass > 0.0
+            mean /= np.where(positive, mass, 1.0)[:, None, None]
+            mean -= self.incr.matrices[rows_z[at]]
+            residual = _worst(_norms(mean)[positive], _worst(np.abs(mass - weights[at])))
+            checks.append(Check("measurability", -residual, self.tol, (s, t)))
         for t in times:
-            acc = np.zeros((self.model.dim, self.model.dim), dtype=complex)
-            for prob, rho in self.prefix[t].values():
-                acc += prob * rho
-            residual = float(np.linalg.norm(acc - self.eta[t].matrix))
+            _, probs_t, rows_t = prefix[t]
+            groups = np.zeros(len(probs_t), dtype=int)
+            acc = _group_sums(groups, 1, probs_t, self.prefix.matrices, rows_t)
+            residual = _worst(_norms(acc - self.eta[t].matrix))
             checks.append(Check("apriori-mean", -residual, self.tol, (t,)))
-        checks.append(Check("prefix-dependence", -self.prefix_dependence, 1e-12))
-        checks.append(Check("increment-dependence", -self.incr_dependence, 1e-12))
-        checks.append(Check("composition", -_worst(self._composition_residuals()), 1e-12))
-        checks.append(Check("state-recursion", -_worst(self._recursion_residuals()), 1e-10))
+        checks.append(Check("prefix-dependence", -self.prefix.deviation, 1e-12))
+        checks.append(Check("increment-dependence", -self.incr.deviation, 1e-12))
+        checks.append(Check("composition", -_worst(self._composition_residuals(incr)), 1e-12))
+        checks.append(Check("state-recursion", -_worst(self._recursion_residuals(prefix)), 1e-10))
         return CheckReport(checks=tuple(checks))
 
 
@@ -511,8 +636,10 @@ def consistency_checks(
     budget: int = DEFAULT_LEAF_BUDGET,
 ) -> CheckReport:
     """Run all structural checks over the enumerated table (requires
-    enumeration to be feasible within the budget)."""
-    eta = apriori if apriori is not None else compute_a_priori(model, grid)
+    enumeration to be feasible within the budget). ``apriori`` is the
+    track that compute_a_priori returns (computed when omitted; anything
+    else raises TypeError)."""
+    eta = _track(model, grid, apriori)
     if records is None:
         records = enumerate_trajectories(model, grid, apriori=eta, budget=budget)
     acc = ConsistencyAccumulator(model, grid, eta, tol=tol)

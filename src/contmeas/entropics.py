@@ -54,6 +54,13 @@ class EntropyReport:
     se: dict  # full key, e.g. ("Ic", r, t) -> standard error
 
 
+def _logs(a: np.ndarray) -> np.ndarray:
+    """math.log of every entry, once per distinct value (np.log may round
+    differently in the last bit)."""
+    values, inverse = np.unique(a, return_inverse=True)
+    return np.array([math.log(x) for x in values.tolist()])[inverse].reshape(a.shape)
+
+
 def _index_rows(rows: list, width: int) -> np.ndarray:
     """Integer index columns of ``rows`` as the rows of a (width, n) array."""
     return np.array(rows, dtype=int).reshape(-1, width).T
@@ -107,24 +114,26 @@ class EntropyReportBuilder:
         self.mean = np.zeros(n)
         self.m2 = np.zeros(n)
         self.infinite = np.zeros(n, dtype=bool)
+        # the block of the last record added, and the values of its rows
+        self._block = None
+        self._block_values = None
 
-    def _values(self, rec: TrajectoryRecord) -> np.ndarray:
-        """Every entry's contribution of one record, in ``keys`` order."""
-        times, pairs = self._times, self._pairs
-        log_prob = np.array([math.log(rec.prob_at[t]) for t in times])
-        log_incr = np.array([math.log(rec.incr_prob[p]) for p in pairs])
-        entropy = np.array([rec.entropy[t] for t in times])
-        cond_entropy = np.array([rec.cond_entropy[p] for p in pairs])
+    def _values(self, block) -> np.ndarray:
+        """Every entry's contribution of each row of a block of records,
+        (n, len(keys)) in ``keys`` order."""
+        block.check_grid(self._times, self._pairs)
+        log_prob = _logs(block.prob_at)
+        log_incr = _logs(block.incr_prob)
         cols = self._cols
-        values = np.empty(len(self.keys))
+        values = np.empty((len(block.prob_at), len(self.keys)))
         t, r, p = self._ic_src
-        values[cols["Ic"]] = log_prob[t] - log_prob[r] - log_incr[p]
-        values[cols["chi_bar"]] = [rec.chi_term[pair] for pair in pairs]
-        values[cols["chi_at"]] = [rec.chi_at_term[t] for t in times]
+        values[:, cols["Ic"]] = log_prob[:, t] - log_prob[:, r] - log_incr[:, p]
+        values[:, cols["chi_bar"]] = block.chi_term
+        values[:, cols["chi_at"]] = block.chi_at_term
         s, t = self._iq_src
-        values[cols["Iq"]] = entropy[s] - entropy[t]
+        values[:, cols["Iq"]] = block.entropy[:, s] - block.entropy[:, t]
         a, b = self._iq_cond_src
-        values[cols["Iq_cond"]] = cond_entropy[a] - cond_entropy[b]
+        values[:, cols["Iq_cond"]] = block.cond_entropy[:, a] - block.cond_entropy[:, b]
         return values
 
     def add(self, rec: TrajectoryRecord) -> None:
@@ -133,7 +142,10 @@ class EntropyReportBuilder:
         if weight <= 0.0:
             return
         self.weighted += 1
-        values = self._values(rec)
+        if rec.block is not self._block:
+            self._block = rec.block
+            self._block_values = self._values(rec.block)
+        values = self._block_values[rec.row]
         infinite = np.isinf(values)
         cols = slice(None)
         if infinite.any():

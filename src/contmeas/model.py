@@ -161,13 +161,17 @@ class Check:
     def passed(self) -> bool:
         return bool(self.margin >= -self.tol)
 
+    @property
+    def label(self) -> str:
+        """The name and the time tuple, as in ``martingale(0,2)``."""
+        if not self.times:
+            return self.name
+        return self.name + "(" + ",".join(str(t) for t in self.times) + ")"
+
     def __str__(self) -> str:
         mark = "ok" if self.passed else "FAIL"
-        label = self.name
-        if self.times:
-            label += "(" + ",".join(str(t) for t in self.times) + ")"
         sides = "" if self.lhs is None else f"lhs {self.lhs!r} rhs {self.rhs!r} "
-        return f"[{mark}] {label}: {sides}margin {self.margin:.3e} (tol {self.tol:.1e})"
+        return f"[{mark}] {self.label}: {sides}margin {self.margin:.3e} (tol {self.tol:.1e})"
 
 
 @dataclass(frozen=True)
@@ -187,9 +191,22 @@ class CheckReport:
                 return c
         return None
 
+    def worst(self, prefix: str = "") -> Optional[Check]:
+        """The first check with the smallest margin among those whose name
+        starts with ``prefix`` (None if there is none). A NaN margin is the
+        smallest wherever it sits, where the builtin ``min`` keeps or drops
+        it by position."""
+        worst = None
+        for c in self.checks:
+            if c.name.startswith(prefix) and (
+                worst is None or (worst.margin == worst.margin and not c.margin >= worst.margin)
+            ):
+                worst = c
+        return worst
+
     def min_margin(self, prefix: str = "") -> float:
-        margins = [c.margin for c in self.checks if c.name.startswith(prefix)]
-        return min(margins, default=math.inf)
+        worst = self.worst(prefix)
+        return math.inf if worst is None else worst.margin
 
     def max_residual(self) -> float:
         return -self.min_margin()

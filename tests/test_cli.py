@@ -4,7 +4,8 @@ import math
 import pytest
 
 from contmeas.cli import main
-from contmeas.model import builtin_scenario, random_model, serialize_model
+from contmeas.engine import consistency_checks
+from contmeas.model import TimeGrid, builtin_scenario, random_model, serialize_model
 
 
 def run_cli(args):
@@ -180,6 +181,49 @@ class TestCheck:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: --horizon must be at least 1, got -2"]
         assert not out.exists()
+
+
+class TestStderrSummary:
+    def test_consistency_names_its_worst_check(self, tmp_path, capsys):
+        assert run_cli(["check", "--scenario", "qubit-weak", "--horizon", "2", "--out", tmp_path]) == 0
+        err = capsys.readouterr().err.splitlines()
+        lines = [line for line in err if line.startswith("consistency: ")]
+        model = builtin_scenario("qubit-weak", horizon=2)
+        report = consistency_checks(model, TimeGrid.make(2))
+        worst = min(report.checks, key=lambda c: c.margin)
+        assert lines == [
+            f"consistency: {len(report.checks)} checks passed "
+            f"(max residual {-worst.margin:.3e} at {worst.label})"
+        ]
+
+    def test_one_line_per_bound_family(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli(["check", "--scenario", "qubit-projective", "--horizon", "2", "--out", out]) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("bound ")]
+        rows = (out / "bounds.csv").read_text().splitlines()[1:]
+        families = list(dict.fromkeys(row.split(",")[0] for row in rows))
+        assert [line.split(":")[0] for line in lines] == [f"bound {f}" for f in families]
+        for family, line in zip(families, lines):
+            margins = [float(row.rsplit(",", 2)[1]) for row in rows if row.split(",")[0] == family]
+            smallest = min(margins)
+            assert f"smallest margin {smallest:.3e} at {family}(" in line
+            # the reported time tuple is one whose margin is the smallest
+            times = line.rsplit(f"{family}(", 1)[1].rstrip(")")
+            assert any(
+                row.startswith(f'{family},"{times}",') and float(row.rsplit(",", 2)[1]) == smallest
+                for row in rows
+            )
+
+    def test_stderr_summary_leaves_outputs_unchanged(self, tmp_path, capsys):
+        args = ["check", "--scenario", "damped-qubit", "--horizon", "2"]
+        assert run_cli(args + ["--out", tmp_path / "a"]) == 0
+        first = capsys.readouterr().err
+        assert run_cli(args + ["--out", tmp_path / "b"]) == 0
+        assert capsys.readouterr().err.replace(str(tmp_path / "b"), "") == first.replace(
+            str(tmp_path / "a"), ""
+        )
+        for name in ("report.json", "bounds.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestRun:

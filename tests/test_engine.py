@@ -7,7 +7,8 @@ import pytest
 
 from contmeas.engine import (
     BLOCK_NODES,
-    _EMPTY_RECORD,
+    ConsistencyAccumulator,
+    TrajectoryRecord,
     _path_name,
     _Walk,
     compute_a_priori,
@@ -16,7 +17,7 @@ from contmeas.engine import (
     format_outcomes,
     sample_trajectories,
 )
-from contmeas.errors import BudgetExceeded, NotPositiveSemidefinite, NumericRangeError
+from contmeas.errors import BudgetExceeded, GridMiss, NotPositiveSemidefinite, NumericRangeError
 from contmeas.model import Ensemble, MeasurementModel, TimeGrid, builtin_scenario, random_model
 from contmeas.quantum import DensityOperator
 
@@ -26,6 +27,15 @@ KET1 = np.array([[0.0, 0.0], [0.0, 1.0]])
 
 def full_grid(model):
     return TimeGrid.make(model.horizon)
+
+
+def with_entry(rec, field, key, value):
+    """A copy of ``rec``, as a one-row block, whose ``field`` holds ``value``
+    at ``key`` (a time or an (s, t) pair)."""
+    block = rec.block.take([rec.row])
+    labels = block.pairs if isinstance(key, tuple) else block.times
+    getattr(block, field)[0, labels.index(key)] = value
+    return TrajectoryRecord(rec.letter, rec.outcomes, block, 0)
 
 
 class TestAPriori:
@@ -57,6 +67,27 @@ class TestAPriori:
                 for step in range(s + 1, t + 1):
                     pushed = model.instrument_at(step).apply_total(pushed)
                 assert np.linalg.norm(pushed - track[t].matrix) <= 1e-10
+
+
+class TestAPrioriArgument:
+    """Only the track that compute_a_priori returns carries the spectra the
+    walk reuses; anything else is refused at entry."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda model, grid, eta: list(enumerate_trajectories(model, grid, apriori=eta)),
+            lambda model, grid, eta: list(sample_trajectories(model, grid, 5, 1, apriori=eta)),
+            lambda model, grid, eta: consistency_checks(model, grid, apriori=eta),
+        ],
+        ids=["enumerate", "sample", "consistency"],
+    )
+    def test_plain_dict_raises_type_error(self, run):
+        model = builtin_scenario("qubit-weak", horizon=2)
+        grid = full_grid(model)
+        plain = dict(compute_a_priori(model, grid))
+        with pytest.raises(TypeError, match="compute_a_priori"):
+            run(model, grid, plain)
 
 
 class TestEnumerate:
@@ -258,13 +289,13 @@ class TestBlocks:
         for node, member, kind in faults:
             stacks[node, member] = self.BAD[kind]
         paths = [(label,) for label in model.instrument_at(1).outcomes]
-        records = [_EMPTY_RECORD] * 4
+        block = walk.root(1).take([0] * 4)
         with pytest.raises(error) as info:
-            walk.visit(1, paths, 1, stacks, records)
+            walk.visit(paths, 1, stacks, block)
         assert str(info.value).startswith(_path_name(1, paths[first], 1) + ": ")
         # the same type and message as that node alone
         with pytest.raises(error) as alone:
-            walk.visit(1, paths[first : first + 1], 1, stacks[first : first + 1], records[:1])
+            walk.visit(paths[first : first + 1], 1, stacks[first : first + 1], block.take([first]))
         assert str(info.value) == str(alone.value)
 
 
@@ -419,9 +450,45 @@ class TestConsistency:
         else:
             value = value + scale
         corrupted = list(records)
-        corrupted[index] = dataclasses.replace(rec, **{field: {**entries, key: value}})
+        corrupted[index] = with_entry(rec, field, key, value)
         report = consistency_checks(model, grid, records=corrupted)
         assert check in {c.name for c in report.failures()}
+
+
+class TestConsistencyTables:
+    def test_tables_hold_copies_not_records(self):
+        # each held entry is a copy of one record's probability and matrix,
+        # never a reference to a record's state or block
+        model = random_model(2, dim=3, n_outcomes=3, horizon=4)
+        grid = full_grid(model)
+        acc = ConsistencyAccumulator(model, grid, compute_a_priori(model, grid))
+        records = list(enumerate_trajectories(model, grid))
+        for rec in records:
+            acc.add(rec)
+        assert acc.finalize().passed
+        assert acc._block is None and acc._rows == []
+        for table in (acc.prefix, acc.incr):
+            n = len(table.index)
+            assert n > 2 * BLOCK_NODES and table.matrices.base is None
+            assert table.probs.shape[0] >= n and table.matrices.shape[1:] == (3, 3)
+        # the first entry of the last leaf's full prefix is that leaf's own state
+        last = records[-1]
+        row = acc.prefix.column(len(grid.record_times) - 1)[2][-1]
+        assert np.array_equal(acc.prefix.matrices[row], last.aposteriori[4].matrix)
+        assert acc.prefix.matrices[row] is not last.aposteriori[4].matrix
+
+    def test_records_of_another_grid_refused(self):
+        model = random_model(5, dim=2, n_outcomes=3, horizon=3)
+        records = enumerate_trajectories(model, TimeGrid.make(3, (0, 2, 3), (0,)))
+        with pytest.raises(GridMiss):
+            consistency_checks(model, full_grid(model), records=records)
+
+    def test_keys_must_fit_int64(self):
+        # 2 x 2**63 leaves: enumeration refuses them, and so do the tables
+        model = builtin_scenario("qubit-projective", horizon=63)
+        grid = TimeGrid.make(63, (0, 63))
+        with pytest.raises(BudgetExceeded):
+            ConsistencyAccumulator(model, grid, compute_a_priori(model, grid))
 
 
 class TestDump:

@@ -1,11 +1,10 @@
-import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
 
-from contmeas.engine import enumerate_trajectories, sample_trajectories
+from contmeas.engine import TrajectoryRecord, enumerate_trajectories, sample_trajectories
 from contmeas.entropics import (
     EntropyReport,
     EntropyReportBuilder,
@@ -261,9 +260,11 @@ class TestColumnBuilder:
         model = builtin_scenario("damped-qubit", horizon=3)
         grid = full_grid(model)
         records = list(sample_trajectories(model, grid, 300, seed=3))
-        # one record carries an infinite relative entropy
+        # one record, as a one-row block, carries an infinite relative entropy
         rec = records[7]
-        records[7] = dataclasses.replace(rec, chi_term={**rec.chi_term, (0, 2): math.inf})
+        block = rec.block.take([rec.row])
+        block.chi_term[0, block.pairs.index((0, 2))] = math.inf
+        records[7] = TrajectoryRecord(rec.letter, rec.outcomes, block, 0)
         return grid, records
 
     def test_sample_with_inf_bit_for_bit(self, sampled_with_inf):

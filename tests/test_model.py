@@ -7,6 +7,8 @@ import pytest
 from contmeas.errors import InvalidParameters, ModelSyntaxError, ShapeError, UnknownScenario
 from contmeas.model import (
     SCENARIO_NAMES,
+    Check,
+    CheckReport,
     Ensemble,
     MeasurementModel,
     TimeGrid,
@@ -144,6 +146,23 @@ class TestValidate:
         report = validate_model(model)
         bad = [c for c in report.failures() if c.name == "prior:sum"]
         assert bad and abs(-bad[0].margin - 0.1) <= 1e-12
+
+
+class TestCheckReport:
+    @pytest.mark.parametrize("margins", [[math.nan, 0.1, 0.2], [0.1, 0.2, math.nan]])
+    def test_nan_margin_is_smallest_wherever_it_sits(self, margins):
+        report = CheckReport(tuple(Check("B1", m, 1e-9, (i,)) for i, m in enumerate(margins)))
+        assert math.isnan(report.min_margin("B1"))
+        assert math.isnan(report.max_residual())
+        assert report.worst().times == (margins.index(next(m for m in margins if m != m)),)
+
+    def test_smallest_margin_first_of_equals(self):
+        report = CheckReport(
+            (Check("B1", 0.0, 1e-9, (0,)), Check("B1", -0.0, 1e-9, (1,)), Check("B2", -1.0, 1e-9))
+        )
+        assert report.min_margin("B1") == 0.0 and report.worst("B1").times == (0,)
+        assert report.min_margin() == -1.0 and report.min_margin("B3") == math.inf
+        assert report.worst("B3") is None
 
 
 class TestScenarios:
