@@ -37,6 +37,9 @@ PRUNE_REL_TOL = 1e-14
 BLOCK_NODES = 32
 # Default cap on letters x outcome strings for exhaustive enumeration.
 DEFAULT_LEAF_BUDGET = 10**7
+# The consistency checks form their (m, d, d) temporaries at most this many
+# rows at a time, so that finalize's peak memory stays near the walk's.
+_SLICE_ROWS = 256
 
 
 _TIME_COLUMNS = ("prob_at", "aposteriori", "entropy", "chi_at_term")
@@ -401,8 +404,10 @@ def _worst(residuals, worst=0.0) -> float:
 
 def _norms(stack) -> np.ndarray:
     """Frobenius norm of each matrix of a (m, d, d) stack, a slice at a time."""
-    parts = [np.linalg.norm(stack[i : i + 256], axis=(1, 2)) for i in range(0, len(stack), 256)]
-    return np.concatenate([np.zeros(0)] + parts)
+    out = np.empty(len(stack))
+    for i in range(0, len(stack), _SLICE_ROWS):
+        out[i : i + _SLICE_ROWS] = np.linalg.norm(stack[i : i + _SLICE_ROWS], axis=(1, 2))
+    return out
 
 
 class _Table:
@@ -436,10 +441,11 @@ class _Table:
         rows = np.array([self.index.setdefault(key, len(self.index)) for key in keys.tolist()])
         # a new row first shows above every row before it
         new = rows > np.maximum.accumulate(np.append(size - 1, rows[:-1]))
-        n = self._grow(len(self.index))
-        self.keys[size:n], self.probs[size:n] = keys[new], probs[new]
-        matrices = [state.matrix for state in states[new]]
-        self.matrices[size:n] = np.array(matrices).reshape((n - size,) + self.matrices.shape[1:])
+        n = len(self.index)
+        if n > size:
+            self._grow(n)
+            self.keys[size:n], self.probs[size:n] = keys[new], probs[new]
+            self.matrices[size:n] = [state.matrix for state in states[new]]
         later = np.flatnonzero(~new)
         if len(later):
             held = rows[later]
@@ -447,7 +453,7 @@ class _Table:
             diffs = self.matrices[held] - np.array([state.matrix for state in states[later]])
             self.deviation = _worst(_norms(diffs), self.deviation)
 
-    def _grow(self, size) -> int:
+    def _grow(self, size) -> None:
         """Room for ``size`` entries: the arrays double when they are full."""
         if size > len(self.keys):
             capacity = max(size, 2 * len(self.keys))
@@ -456,7 +462,6 @@ class _Table:
                 new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
                 new[: len(old)] = old
                 setattr(self, name, new)
-        return size
 
     def column(self, col):
         """Keys (string numbers), probabilities and rows of one column's
@@ -475,8 +480,8 @@ def _group_sums(groups, count, probs, matrices, rows) -> np.ndarray:
     """Sum of probs[i] * matrices[rows[i]] per group index ``groups[i]``,
     each group added up in order, a slice at a time."""
     out = np.zeros((count,) + matrices.shape[1:], dtype=complex)
-    for i in range(0, len(probs), 256):
-        part = slice(i, i + 256)
+    for i in range(0, len(probs), _SLICE_ROWS):
+        part = slice(i, i + _SLICE_ROWS)
         np.add.at(out, groups[part], probs[part, None, None] * matrices[rows[part]])
     return out
 
@@ -542,7 +547,7 @@ class ConsistencyAccumulator:
         (strings ending at t), times their probabilities when ``weighted``,
         each pushed through the outcome maps of steps s+1..t along the
         digits of its key: one Kraus application per (step, outcome) group
-        of up to 256 rows."""
+        of up to _SLICE_ROWS rows."""
         parent_keys, parent_probs, parent_rows = parent
         at = _find(parent_keys, keys // self._span(s, t))
         stack = table.matrices[parent_rows[at]]
@@ -552,8 +557,8 @@ class ConsistencyAccumulator:
             labels = keys // self._span(step, t) % self._radix[step]
             for v, kraus in enumerate(self.model.instrument_at(step).maps):
                 group = np.flatnonzero(labels == v)
-                for i in range(0, len(group), 256):
-                    rows = group[i : i + 256]
+                for i in range(0, len(group), _SLICE_ROWS):
+                    rows = group[i : i + _SLICE_ROWS]
                     stack[rows] = kraus.apply(stack[rows])
         return stack
 
