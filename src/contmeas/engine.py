@@ -172,18 +172,21 @@ def _node_states(live):
     k = _first_false(masses >= sys.float_info.min)
     batch = DensityOperator.from_stack(flat[:k] / masses[:k, np.newaxis, np.newaxis])
     if k < len(masses):
-        raise NumericRangeError(f"path mass {float(masses[k])!r} is below the smallest normal float")
+        raise NumericRangeError(
+            f"path mass {float(masses[k])!r} is below the smallest normal float"
+        )
     return masses, batch
 
 
-def _record_time_data(stacks, block, col, track_cols, fresh, eta_t, eta_spectrum):
+def _record_time_data(stacks, block, col, track_cols, seeded, eta_t, eta_spectrum):
     """Write one record time into the rows of ``block``: time column
     ``col``, and the pair columns ``track_cols`` of the tracks in seeding
     order. One validated batch of states, one relative-entropy pass against
     ``eta_t`` (spectrum ``eta_spectrum``) and the tracks. A track seeded at
-    this time (``fresh``) is exactly the a-priori state: no batch member."""
+    this time (pair column ``seeded``, None when there is none) is exactly
+    the a-priori state: no batch member."""
     n, size, d = stacks.shape[:3]
-    live = size - fresh
+    live = size - (seeded is not None)
     masses, batch = _node_states(stacks[:, :live])
     lam = batch.eigenvalues.reshape(n, live, d)
     vec = batch.eigenvectors.reshape(n, live, d, d)
@@ -196,12 +199,12 @@ def _record_time_data(stacks, block, col, track_cols, fresh, eta_t, eta_spectrum
     states[:] = batch.states
     entropies = np.array([state.entropy for state in batch.states])
     columns = [a.reshape(n, live) for a in (masses, states, entropies)] + [chis]
-    if fresh:
-        seeded = (1.0, eta_t, eta_t.entropy, chis[:, 0])
-        columns = [np.column_stack([c, np.full(n, v, dtype=c.dtype)]) for c, v in zip(columns, seeded)]
     for time_name, pair_name, values in zip(_TIME_COLUMNS, _PAIR_COLUMNS, columns):
         getattr(block, time_name)[:, col] = values[:, 0]
         getattr(block, pair_name)[:, track_cols] = values[:, 1:]
+    if seeded is not None:
+        for name, value in zip(_PAIR_COLUMNS, (1.0, eta_t, eta_t.entropy, chis[:, 0])):
+            getattr(block, name)[:, seeded] = value
 
 
 class _Walk:
@@ -222,10 +225,16 @@ class _Walk:
         }
         self.times = grid.record_times
         self.pairs = tuple(grid.pairs())
+        pair_col = {pair: col for col, pair in enumerate(self.pairs)}
         # per record time: the _record_time_data arguments after the block
         self.columns = {
-            t: (col, [self.pairs.index((s, t)) for s in grid.reference_times if s <= t],
-                t in self.seeds, self.eta[t], self.eta.spectra[t])
+            t: (
+                col,
+                np.array([pair_col[(s, t)] for s in grid.reference_times if s < t], dtype=int),
+                pair_col[(t, t)] if t in self.seeds else None,
+                self.eta[t],
+                self.eta.spectra[t],
+            )
             for col, t in enumerate(self.times)
         }
 

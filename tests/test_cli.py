@@ -185,7 +185,8 @@ class TestCheck:
 
 class TestStderrSummary:
     def test_consistency_names_its_worst_check(self, tmp_path, capsys):
-        assert run_cli(["check", "--scenario", "qubit-weak", "--horizon", "2", "--out", tmp_path]) == 0
+        args = ["check", "--scenario", "qubit-weak", "--horizon", "2", "--out", tmp_path]
+        assert run_cli(args) == 0
         err = capsys.readouterr().err.splitlines()
         lines = [line for line in err if line.startswith("consistency: ")]
         model = builtin_scenario("qubit-weak", horizon=2)
@@ -198,7 +199,8 @@ class TestStderrSummary:
 
     def test_one_line_per_bound_family(self, tmp_path, capsys):
         out = tmp_path / "o"
-        assert run_cli(["check", "--scenario", "qubit-projective", "--horizon", "2", "--out", out]) == 0
+        args = ["check", "--scenario", "qubit-projective", "--horizon", "2", "--out", out]
+        assert run_cli(args) == 0
         lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("bound ")]
         rows = (out / "bounds.csv").read_text().splitlines()[1:]
         families = list(dict.fromkeys(row.split(",")[0] for row in rows))

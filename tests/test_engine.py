@@ -374,7 +374,60 @@ class TestSample:
             assert abs(rec.prob - exact[(rec.letter, rec.outcomes)]) <= 1e-10
 
 
+def reference_sums(grid, records, eta):
+    """Martingale, measurability and a-priori-mean residuals by per-entry
+    dict loops over the first record of each prefix: the reference for the
+    grouped array sums of ConsistencyAccumulator.finalize."""
+    prefix = {t: {} for t in grid.record_times}
+    incr = {pair: {} for pair in grid.pairs()}
+    for rec in records:
+        for t in grid.record_times:
+            entry = (rec.prob_at[t], rec.aposteriori[t].matrix)
+            prefix[t].setdefault((rec.letter, rec.outcomes[:t]), entry)
+        for (s, t) in grid.pairs():
+            entry = (rec.incr_prob[(s, t)], rec.conditioned[(s, t)].matrix)
+            incr[(s, t)].setdefault(rec.outcomes[s:t], entry)
+    out = {}
+    times = grid.record_times
+    for i, s in enumerate(times):
+        for t in times[i + 1 :]:
+            grouped = {}
+            for (letter, xs), (prob, _) in prefix[t].items():
+                grouped[(letter, xs[:s])] = grouped.get((letter, xs[:s]), 0.0) + prob
+            out[("martingale", (s, t))] = max(
+                abs(total - prefix[s][key][0]) for key, total in grouped.items()
+            )
+    for (s, t) in grid.pairs():
+        sums = {}
+        for (letter, xs), (prob, rho) in prefix[t].items():
+            mass, acc = sums.get(xs[s:t], (0.0, 0.0))
+            sums[xs[s:t]] = (mass + prob, acc + prob * rho)
+        devs = [0.0]
+        for z, (mass, acc) in sums.items():
+            weight, conditioned = incr[(s, t)][z]
+            devs += [abs(mass - weight), np.linalg.norm(acc / mass - conditioned)]
+        out[("measurability", (s, t))] = max(devs)
+    for t in times:
+        acc = np.zeros_like(eta[t].matrix)
+        for prob, rho in prefix[t].values():
+            acc += prob * rho
+        out[("apriori-mean", (t,))] = np.linalg.norm(acc - eta[t].matrix)
+    return out
+
+
 class TestConsistency:
+    @pytest.mark.parametrize("seed, times", [(2, None), (5, ([0, 2, 3, 4], [0, 3]))])
+    def test_grouped_sums_equal_entry_loops(self, seed, times):
+        # each group is added up in first-seen order, as the loops do
+        model = random_model(seed, dim=3, n_outcomes=3, horizon=4)
+        grid = full_grid(model) if times is None else TimeGrid.make(4, *times)
+        eta = compute_a_priori(model, grid)
+        records = list(enumerate_trajectories(model, grid, apriori=eta))
+        expected = reference_sums(grid, records, eta)
+        report = consistency_checks(model, grid, records=records, apriori=eta)
+        for (name, times), residual in expected.items():
+            assert report.find(name, times).margin == -residual, (name, times)
+
     def test_identity_scenario(self):
         model = builtin_scenario("identity", horizon=3)
         report = consistency_checks(model, full_grid(model))
