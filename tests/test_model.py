@@ -149,12 +149,14 @@ class TestValidate:
 
 
 class TestCheckReport:
-    @pytest.mark.parametrize("margins", [[math.nan, 0.1, 0.2], [0.1, 0.2, math.nan]])
-    def test_nan_margin_is_smallest_wherever_it_sits(self, margins):
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_nan_margin_is_smallest_wherever_it_sits(self, position):
+        # the builtin min keeps a NaN in front and drops one behind
+        margins = [0.1, 0.2, 0.3]
+        margins[position] = math.nan
         report = CheckReport(tuple(Check("B1", m, 1e-9, (i,)) for i, m in enumerate(margins)))
-        assert math.isnan(report.min_margin("B1"))
-        assert math.isnan(report.max_residual())
-        assert report.worst().times == (margins.index(next(m for m in margins if m != m)),)
+        assert math.isnan(report.min_margin("B1")) and math.isnan(report.max_residual())
+        assert report.worst().times == (position,)
 
     def test_smallest_margin_first_of_equals(self):
         report = CheckReport(
