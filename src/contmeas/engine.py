@@ -58,7 +58,7 @@ class RecordBlock:
     against it. ``codes`` holds each node's outcome index at each step. A
     column not reached yet holds NaN (None for states)."""
 
-    __slots__ = ("letter", "times", "pairs", "codes") + _TIME_COLUMNS + _PAIR_COLUMNS
+    __slots__ = ("letter", "times", "pairs", "codes", "__weakref__") + _TIME_COLUMNS + _PAIR_COLUMNS
 
     def __init__(self, letter, times, pairs, horizon):
         """The one-row block of a letter's root."""

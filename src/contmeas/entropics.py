@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -114,9 +115,9 @@ class EntropyReportBuilder:
         self.mean = np.zeros(n)
         self.m2 = np.zeros(n)
         self.infinite = np.zeros(n, dtype=bool)
-        # the block of the last record added, and the values of its rows
-        self._block = None
-        self._block_values = None
+        # the value matrix of each block still in use: a sampled path drawn
+        # again is served as the same record, and so the same block
+        self._values_of = weakref.WeakKeyDictionary()
 
     def _values(self, block) -> np.ndarray:
         """Every entry's contribution of each row of a block of records,
@@ -142,10 +143,10 @@ class EntropyReportBuilder:
         if weight <= 0.0:
             return
         self.weighted += 1
-        if rec.block is not self._block:
-            self._block = rec.block
-            self._block_values = self._values(rec.block)
-        values = self._block_values[rec.row]
+        values = self._values_of.get(rec.block)
+        if values is None:
+            values = self._values_of[rec.block] = self._values(rec.block)
+        values = values[rec.row]
         infinite = np.isinf(values)
         cols = slice(None)
         if infinite.any():
