@@ -58,7 +58,7 @@ class RecordBlock:
     against it. ``codes`` holds each node's outcome index at each step. A
     column not reached yet holds NaN (None for states)."""
 
-    __slots__ = ("letter", "times", "pairs", "codes", "__weakref__") + _TIME_COLUMNS + _PAIR_COLUMNS
+    __slots__ = ("letter", "times", "pairs", "codes") + _TIME_COLUMNS + _PAIR_COLUMNS
 
     def __init__(self, letter, times, pairs, horizon):
         """The one-row block of a letter's root."""
@@ -87,8 +87,10 @@ class TrajectoryRecord:
     """One enumerated or sampled trajectory: row ``row`` of a block of
     leaves. Each column of the block reads as a dict of this row, keyed by
     time or by (s, t) pair: ``rec.prob_at[t]``, ``rec.conditioned[(s, t)]``
-    (see RecordBlock). The entropic terms are cached so that report
-    building never re-decomposes a matrix."""
+    (see RecordBlock). Each read of a field builds that dict from the whole
+    row, so a caller that reads several keys binds the field once. The
+    entropic terms are cached so that report building never re-decomposes
+    a matrix."""
 
     letter: int
     outcomes: tuple
@@ -473,16 +475,16 @@ class _Table:
                 setattr(self, name, new)
 
     def column(self, col):
-        """Keys (string numbers), probabilities and rows of one column's
-        entries, in first-seen order."""
+        """String numbers and rows of one column's entries, in first-seen
+        order."""
         rows = np.flatnonzero(self.keys[: len(self.index)] % self.width == col)
-        return self.keys[rows] // self.width, self.probs[rows], rows
+        return self.keys[rows] // self.width, rows
 
-
-def _find(keys, wanted) -> np.ndarray:
-    """Positions in ``keys`` of the ``wanted`` keys, all of which occur."""
-    order = np.argsort(keys, kind="stable")
-    return order[np.searchsorted(keys[order], wanted)]
+    def rows(self, strings, col) -> np.ndarray:
+        """Rows of the entries of ``strings`` in column ``col``, all of
+        which are held."""
+        keys = (strings * self.width + col).tolist()
+        return np.array([self.index[key] for key in keys], dtype=np.int64)
 
 
 def _group_sums(groups, count, probs, matrices, rows) -> np.ndarray:
@@ -551,17 +553,16 @@ class ConsistencyAccumulator:
         increments = strings[:, t] - strings[:, s] * self._span(s, t)
         self.incr.hold(increments, block.incr_prob[rows], block.conditioned[rows])
 
-    def _pushed(self, table, parent, keys, s, t, weighted):
-        """The ``parent`` entries (a column of ``table`` at s) of the keys
-        (strings ending at t), times their probabilities when ``weighted``,
-        each pushed through the outcome maps of steps s+1..t along the
-        digits of its key: one Kraus application per (step, outcome) group
-        of up to _SLICE_ROWS rows."""
-        parent_keys, parent_probs, parent_rows = parent
-        at = _find(parent_keys, keys // self._span(s, t))
-        stack = table.matrices[parent_rows[at]]
+    def _pushed(self, table, col, keys, s, t, weighted):
+        """The entries in column ``col`` of ``table`` (strings ending at s)
+        that are the parents of the keys (strings ending at t), times their
+        probabilities when ``weighted``, each pushed through the outcome
+        maps of steps s+1..t along the digits of its key: one Kraus
+        application per (step, outcome) group of up to _SLICE_ROWS rows."""
+        parents = table.rows(keys // self._span(s, t), col)
+        stack = table.matrices[parents]
         if weighted:
-            stack *= parent_probs[at, None, None]
+            stack *= table.probs[parents, None, None]
         for step in range(s + 1, t + 1):
             labels = keys // self._span(step, t) % self._radix[step]
             for v, kraus in enumerate(self.model.instrument_at(step).maps):
@@ -571,27 +572,28 @@ class ConsistencyAccumulator:
                     stack[rows] = kraus.apply(stack[rows])
         return stack
 
-    def _composition_residuals(self, incr):
+    def _composition_residuals(self):
         """Conditioning r -> s, rescaling, then s -> t must match r -> t:
         one residual per increment-table entry that has a parent."""
+        col = {pair: i for i, pair in enumerate(self._pairs)}
         residuals = [np.zeros(0)]
         for r in self.grid.reference_times:
             laters = [t for t in self.grid.record_times if t >= r]
             for s, t in zip(laters, laters[1:]):
-                keys, weights, rows = incr[(r, t)]
-                via = self._pushed(self.incr, incr[(r, s)], keys, s, t, weighted=True)
-                via -= weights[:, None, None] * self.incr.matrices[rows]
+                keys, rows = self.incr.column(col[(r, t)])
+                via = self._pushed(self.incr, col[(r, s)], keys, s, t, weighted=True)
+                via -= self.incr.probs[rows, None, None] * self.incr.matrices[rows]
                 residuals.append(_norms(via))
         return np.concatenate(residuals)
 
-    def _recursion_residuals(self, prefix):
+    def _recursion_residuals(self):
         """The state at s pushed to t and normalized must be the state at t,
         per prefix-table entry; a pushed trace <= 0 gives residual 1."""
         times = self.grid.record_times
         residuals = [np.zeros(0)]
-        for s, t in zip(times, times[1:]):
-            keys, _, rows = prefix[t]
-            pushed = self._pushed(self.prefix, prefix[s], keys, s, t, weighted=False)
+        for i, (s, t) in enumerate(zip(times, times[1:])):
+            keys, rows = self.prefix.column(i + 1)
+            pushed = self._pushed(self.prefix, i, keys, s, t, weighted=False)
             trace = np.trace(pushed, axis1=1, axis2=2).real
             positive = ~(trace <= 0.0)
             pushed /= np.where(positive, trace, 1.0)[:, None, None]
@@ -603,41 +605,40 @@ class ConsistencyAccumulator:
         """One check per identity; each margin is minus its residual."""
         self._flush()
         times = self.grid.record_times
-        prefix = {t: self.prefix.column(i) for i, t in enumerate(times)}
-        incr = {pair: self.incr.column(i) for i, pair in enumerate(self._pairs)}
+        prefix, incr = self.prefix, self.incr
         checks = [Check("total-probability", -abs(self.total_prob - 1.0), self.tol)]
+        columns = [prefix.column(i) for i in range(len(times))]
         for i, s in enumerate(times):
-            keys_s, probs_s, _ = prefix[s]
-            for t in times[i + 1 :]:
-                keys_t, probs_t, _ = prefix[t]
+            for j, t in enumerate(times[i + 1 :], start=i + 1):
+                keys_t, rows_t = columns[j]
                 groups, inverse = np.unique(keys_t // self._span(s, t), return_inverse=True)
-                totals = np.bincount(inverse, probs_t, len(groups))
-                residual = _worst(np.abs(totals - probs_s[_find(keys_s, groups)]))
+                totals = np.bincount(inverse, prefix.probs[rows_t], len(groups))
+                residual = _worst(np.abs(totals - prefix.probs[prefix.rows(groups, i)]))
                 checks.append(Check("martingale", -residual, self.tol, (s, t)))
-        for (s, t) in self._pairs:
-            keys_z, weights, rows_z = incr[(s, t)]
-            total = sum(weights.tolist())
+        for col, (s, t) in enumerate(self._pairs):
+            total = sum(incr.probs[incr.column(col)[1]].tolist())
             checks.append(Check("increment-total", -abs(total - 1.0), self.tol, (s, t)))
-            keys_t, probs_t, rows_t = prefix[t]
+            keys_t, rows_t = columns[times.index(t)]
+            probs_t = prefix.probs[rows_t]
             groups, inverse = np.unique(keys_t % self._span(s, t), return_inverse=True)
             mass = np.bincount(inverse, probs_t, len(groups))
-            mean = _group_sums(inverse, len(groups), probs_t, self.prefix.matrices, rows_t)
-            at = _find(keys_z, groups)
+            mean = _group_sums(inverse, len(groups), probs_t, prefix.matrices, rows_t)
+            rows_z = incr.rows(groups, col)
             positive = mass > 0.0
             mean /= np.where(positive, mass, 1.0)[:, None, None]
-            mean -= self.incr.matrices[rows_z[at]]
-            residual = _worst(_norms(mean)[positive], _worst(np.abs(mass - weights[at])))
+            mean -= incr.matrices[rows_z]
+            residual = _worst(_norms(mean)[positive], _worst(np.abs(mass - incr.probs[rows_z])))
             checks.append(Check("measurability", -residual, self.tol, (s, t)))
-        for t in times:
-            _, probs_t, rows_t = prefix[t]
+        for t, (_, rows_t) in zip(times, columns):
+            probs_t = prefix.probs[rows_t]
             groups = np.zeros(len(probs_t), dtype=int)
-            acc = _group_sums(groups, 1, probs_t, self.prefix.matrices, rows_t)
+            acc = _group_sums(groups, 1, probs_t, prefix.matrices, rows_t)
             residual = _worst(_norms(acc - self.eta[t].matrix))
             checks.append(Check("apriori-mean", -residual, self.tol, (t,)))
-        checks.append(Check("prefix-dependence", -self.prefix.deviation, 1e-12))
-        checks.append(Check("increment-dependence", -self.incr.deviation, 1e-12))
-        checks.append(Check("composition", -_worst(self._composition_residuals(incr)), 1e-12))
-        checks.append(Check("state-recursion", -_worst(self._recursion_residuals(prefix)), 1e-10))
+        checks.append(Check("prefix-dependence", -prefix.deviation, 1e-12))
+        checks.append(Check("increment-dependence", -incr.deviation, 1e-12))
+        checks.append(Check("composition", -_worst(self._composition_residuals()), 1e-12))
+        checks.append(Check("state-recursion", -_worst(self._recursion_residuals()), 1e-10))
         return CheckReport(checks=tuple(checks))
 
 

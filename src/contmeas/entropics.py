@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -115,9 +114,7 @@ class EntropyReportBuilder:
         self.mean = np.zeros(n)
         self.m2 = np.zeros(n)
         self.infinite = np.zeros(n, dtype=bool)
-        # the value matrix of each block still in use: a sampled path drawn
-        # again is served as the same record, and so the same block
-        self._values_of = weakref.WeakKeyDictionary()
+        self._block, self._block_values = None, None  # the last block seen
 
     def _values(self, block) -> np.ndarray:
         """Every entry's contribution of each row of a block of records,
@@ -143,10 +140,9 @@ class EntropyReportBuilder:
         if weight <= 0.0:
             return
         self.weighted += 1
-        values = self._values_of.get(rec.block)
-        if values is None:
-            values = self._values_of[rec.block] = self._values(rec.block)
-        values = values[rec.row]
+        if rec.block is not self._block:
+            self._block, self._block_values = rec.block, self._values(rec.block)
+        values = self._block_values[rec.row]
         infinite = np.isinf(values)
         cols = slice(None)
         if infinite.any():
@@ -214,11 +210,12 @@ def mutual_entropy_hybrid(records, r: int, s: int) -> HybridRelativeEntropy:
     dim = None
     try:
         for rec in records:
-            dim = rec.aposteriori[s].dim
+            prob_at, state = rec.prob_at, rec.aposteriori[s]
+            dim = state.dim
             joint_key = (rec.letter, rec.outcomes[:s])
             if joint_key not in joint:
-                joint[joint_key] = rec.prob_at[s] * rec.aposteriori[s].matrix
-            marginal[(rec.letter, rec.outcomes[:r])] = rec.prob_at[r]
+                joint[joint_key] = prob_at[s] * state.matrix
+            marginal[(rec.letter, rec.outcomes[:r])] = prob_at[r]
             increments[rec.outcomes[r:s]] = (
                 rec.incr_prob[(r, s)],
                 rec.conditioned[(r, s)].matrix,

@@ -526,7 +526,7 @@ class TestConsistencyTables:
             assert table.probs.shape[0] >= n and table.matrices.shape[1:] == (3, 3)
         # the first entry of the last leaf's full prefix is that leaf's own state
         last = records[-1]
-        row = acc.prefix.column(len(grid.record_times) - 1)[2][-1]
+        row = acc.prefix.column(len(grid.record_times) - 1)[1][-1]
         assert np.array_equal(acc.prefix.matrices[row], last.aposteriori[4].matrix)
         assert acc.prefix.matrices[row] is not last.aposteriori[4].matrix
 
