@@ -22,6 +22,7 @@ import csv
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -181,11 +182,12 @@ def run_pipeline(cfg: RunConfig, with_bounds: bool = True) -> int:
         dump_stream = None
         dump_writer = None
         count = 0
+        stats = Counter()
         try:
             consistency = None
             if cfg.mode == "enumerate":
                 consistency = ConsistencyAccumulator(model, grid, apriori, tol=cfg.tol)
-                records = enumerate_trajectories(model, grid, apriori=apriori)
+                records = enumerate_trajectories(model, grid, apriori=apriori, stats=stats)
             else:
                 records = sample_trajectories(
                     model, grid, cfg.samples, seed=cfg.seed, apriori=apriori
@@ -214,7 +216,8 @@ def run_pipeline(cfg: RunConfig, with_bounds: bool = True) -> int:
         finally:
             if dump_stream is not None:
                 dump_stream.close()
-        _say(f"{cfg.mode}: {count} trajectories")
+        decomposed = "".join(f", {n} {name}" for name, n in stats.items())
+        _say(f"{cfg.mode}: {count} trajectories{decomposed}")
         if dump_writer is not None:
             _say(f"wrote trajectories.csv ({count} rows)")
 

@@ -2,11 +2,14 @@
 Monte-Carlo sampling.
 
 A trajectory is one (letter, outcome string) path. Along each path the
-engine carries the unnormalized conditional state of the system, plus one
-parallel unnormalized state per reference time s, seeded with the a-priori
-state when the walk passes depth s and pushed through the same outcome maps
-afterwards. The parallel state at time t depends only on the outcomes
-observed after s, which is what the outcome-only conditioning requires.
+engine carries the unnormalized conditional state of the system. The
+outcome-only conditioned state of a reference time s is the a-priori state
+at s pushed through the outcome maps of the later steps; it depends only on
+the increments s+1..t, which is what the outcome-only conditioning requires.
+Enumeration therefore keeps these states once per (s, increment string), in
+an increment trie shared by all letters and prefixes, while a replayed path
+(and so the sampler) carries them as parallel states of its own, seeded
+with the a-priori state when the walk passes depth s.
 
 All probabilities are plain probabilities under the physical law; the
 uniform reference-measure densities differ from them by constant factors
@@ -20,7 +23,10 @@ normalized.
 from __future__ import annotations
 
 import copy
+import math
 import sys
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -28,15 +34,17 @@ import numpy as np
 
 from .errors import BudgetExceeded, GridMiss, NotPositiveSemidefinite, NumericRangeError
 from .model import Check, CheckReport, MeasurementModel, TimeGrid
-from .quantum import DensityOperator, _first_false, relative_entropies
+from .quantum import DensityOperator, StateBatch, _first_false, relative_entropies
 
 # A branch is pruned when its trace drops below this fraction of its parent.
 PRUNE_REL_TOL = 1e-14
 # Nodes stepped together: the walk holds the nodes of one depth in blocks of
-# at most this many, in emission order, each one (n, 1 + k, d, d) array.
+# at most this many, in emission order, each one (n, L, d, d) array.
 BLOCK_NODES = 32
 # Default cap on letters x outcome strings for exhaustive enumeration.
 DEFAULT_LEAF_BUDGET = 10**7
+# At most this many increment-trie rows are allocated before the walk.
+_TRIE_ROWS = 4096
 # The consistency checks form their (m, d, d) temporaries at most this many
 # rows at a time, so that finalize's peak memory stays near the walk's.
 _SLICE_ROWS = 256
@@ -46,6 +54,91 @@ _TIME_COLUMNS = ("prob_at", "aposteriori", "entropy", "chi_at_term")
 _PAIR_COLUMNS = ("incr_prob", "conditioned", "cond_entropy", "chi_term")
 
 
+def _grow(owner, names, size) -> None:
+    """Room for ``size`` rows in the arrays ``names`` of ``owner``: they
+    double when they are full; new rows are not initialized."""
+    if size > len(getattr(owner, names[0])):
+        capacity = max(size, 2 * len(getattr(owner, names[0])))
+        for name in names:
+            old = getattr(owner, name)
+            new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
+            new[: len(old)] = old
+            setattr(owner, name, new)
+
+
+class ConditionedStates:
+    """Outcome-only conditioned states, a row each, kept as arrays: the mass
+    of the increment string, the normalized matrix and its entropy. Row
+    i < R is the a-priori state of the i-th reference time (mass 1). A
+    replayed path keeps its own tracks here, one row per pair; enumeration
+    shares one IncrementTrie."""
+
+    ARRAYS = ("mass", "matrix", "entropy")
+
+    def __init__(self, roots, capacity=0):
+        """``roots``: mass, matrix, entropy, eigenvalues and eigenvectors of
+        the reference times' rows."""
+        self.size = len(roots[0])
+        for name, values in zip(self.ARRAYS, roots):
+            setattr(self, name, values.copy())
+        _grow(self, self.ARRAYS, capacity)
+
+    def reserve(self, count) -> np.ndarray:
+        """``count`` new rows, not written yet."""
+        rows = np.arange(self.size, self.size + count)
+        _grow(self, self.ARRAYS, self.size + count)
+        self.size += count
+        return rows
+
+    def write(self, rows, masses, batch: StateBatch, start: int) -> None:
+        """Rows ``rows`` hold the states batch[start:] of masses ``masses``."""
+        self.mass[rows] = masses
+        for name, values in zip(self.ARRAYS[1:], batch):
+            getattr(self, name)[rows] = values[start:]
+
+    def state(self, row) -> DensityOperator:
+        """The state of one row, owning a copy of its matrix."""
+        return DensityOperator(self.matrix[row].copy(), self.entropy.item(row))
+
+
+class IncrementTrie(ConditionedStates):
+    """The outcome-only conditioned states of an enumeration, with their
+    spectra: one trie per reference time s, rooted at eta_s, stored
+    together. A row is an increment string (outcomes s+1..t) that a kept
+    node reaches; it keeps its pushed (unnormalized) matrix and its child
+    row per outcome, and is validated and decomposed when a record time
+    first needs it."""
+
+    ARRAYS = ConditionedStates.ARRAYS + ("eigenvalues", "eigenvectors")
+    ARRAYS += ("pushed", "children", "done")
+
+    def __init__(self, roots, width, capacity=0):
+        self.pushed = roots[1].copy()
+        self.children = np.full((len(roots[0]), width), -1)
+        self.done = np.ones(len(roots[0]), dtype=bool)
+        super().__init__(roots, capacity)
+
+    def step(self, rows, codes, maps) -> np.ndarray:
+        """Rows of the children of ``rows`` (n, k) by the outcomes ``codes``
+        (n,); a missing child is made by pushing its parent through the map
+        of its outcome, one Kraus application per outcome."""
+        codes = np.broadcast_to(codes[:, np.newaxis], rows.shape)
+        found = self.children[rows, codes]
+        missing = found < 0
+        if missing.any():
+            width = self.children.shape[1]
+            pairs, inverse = np.unique(rows[missing] * width + codes[missing], return_inverse=True)
+            parents, labels = np.divmod(pairs, width)
+            new = self.reserve(len(pairs))
+            self.children[new], self.done[new] = -1, False
+            for v in np.unique(labels).tolist():
+                group = labels == v
+                self.pushed[new[group]] = maps[v].apply(self.pushed[parents[group]])
+            self.children[parents, labels] = new
+            found[missing] = new[inverse]
+        return found
+
+
 class RecordBlock:
     """The record columns of a block of nodes of one letter, a row per node
     in emission order. By record time t, (n, len(times)): prob_at, the mass
@@ -53,25 +146,28 @@ class RecordBlock:
     DensityOperator, shared by the rows of a subtree); its entropy; and
     chi_at_term, its relative entropy against the a-priori state. By pair
     (s, t), (n, len(pairs)): incr_prob, the mass of the outcomes s+1..t
-    alone from the a-priori state at s; conditioned, the state given them;
-    its cond_entropy; and chi_term, the relative entropy of aposteriori[t]
-    against it. ``codes`` holds each node's outcome index at each step. A
-    column not reached yet holds NaN (None for states)."""
+    alone from the a-priori state at s; conditioned, the row in ``states``
+    of the state given them; its cond_entropy; and chi_term, the relative
+    entropy of aposteriori[t] against it. ``codes`` holds each node's
+    outcome index at each step. A column not reached yet holds NaN (None
+    for states, -1 for rows)."""
 
-    __slots__ = ("letter", "times", "pairs", "codes") + _TIME_COLUMNS + _PAIR_COLUMNS
+    __slots__ = ("letter", "times", "pairs", "index", "states", "codes")
+    __slots__ += _TIME_COLUMNS + _PAIR_COLUMNS
 
-    def __init__(self, letter, times, pairs, horizon):
+    def __init__(self, letter, times, pairs, states, horizon):
         """The one-row block of a letter's root."""
-        self.letter, self.times, self.pairs = letter, times, pairs
+        self.letter, self.times, self.pairs, self.states = letter, times, pairs, states
+        self.index = tuple({key: i for i, key in enumerate(keys)} for keys in (times, pairs))
         self.codes = np.zeros((1, horizon), dtype=np.int64)
+        fills = {"aposteriori": (None, object), "conditioned": (-1, np.int64)}
         for name in _TIME_COLUMNS + _PAIR_COLUMNS:
             width = len(times) if name in _TIME_COLUMNS else len(pairs)
-            states = name in ("aposteriori", "conditioned")
-            fill, dtype = (None, object) if states else (np.nan, float)
+            fill, dtype = fills.get(name, (np.nan, float))
             setattr(self, name, np.full((1, width), fill, dtype=dtype))
 
     def take(self, rows) -> "RecordBlock":
-        """A new block of copies of the given rows."""
+        """A new block of copies of the given rows, on the same states."""
         block = copy.copy(self)
         for name in ("codes",) + _TIME_COLUMNS + _PAIR_COLUMNS:
             setattr(block, name, getattr(self, name)[rows])
@@ -82,13 +178,34 @@ class RecordBlock:
             raise GridMiss("the records were made on another time grid")
 
 
+class RecordRow(Mapping):
+    """One record's entries of one column, keyed by time or by (s, t) pair;
+    a lookup reads one element. A ``conditioned`` entry is the state of its
+    row in the block's states."""
+
+    __slots__ = ("_block", "_row", "_name", "_index")
+
+    def __init__(self, block: RecordBlock, row: int, name: str):
+        self._block, self._row, self._name = block, row, name
+        self._index = block.index[name in _PAIR_COLUMNS]
+
+    def __getitem__(self, key):
+        value = getattr(self._block, self._name).item(self._row, self._index[key])
+        return self._block.states.state(value) if self._name == "conditioned" else value
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
     """One enumerated or sampled trajectory: row ``row`` of a block of
-    leaves. Each column of the block reads as a dict of this row, keyed by
-    time or by (s, t) pair: ``rec.prob_at[t]``, ``rec.conditioned[(s, t)]``
-    (see RecordBlock). Each read of a field builds that dict from the whole
-    row, so a caller that reads several keys binds the field once. The
+    leaves. Each column of the block reads as a read-only mapping of this
+    row, keyed by time or by (s, t) pair: ``rec.prob_at[t]``,
+    ``rec.conditioned[(s, t)]`` (see RecordBlock and RecordRow). The
     entropic terms are cached so that report building never re-decomposes
     a matrix."""
 
@@ -100,9 +217,7 @@ class TrajectoryRecord:
     def __getattr__(self, name):
         if name not in _TIME_COLUMNS + _PAIR_COLUMNS:
             raise AttributeError(name)
-        block = self.block
-        keys = block.times if name in _TIME_COLUMNS else block.pairs
-        return dict(zip(keys, getattr(block, name)[self.row].tolist()))
+        return RecordRow(self.block, self.row, name)
 
     @property
     def prob(self) -> float:
@@ -164,12 +279,11 @@ def _track(model: MeasurementModel, grid: TimeGrid, apriori) -> APrioriTrack:
     return compute_a_priori(model, grid) if apriori is None else apriori
 
 
-def _node_states(live):
-    """Masses and validated normalized states of a block's live stacks
-    (n, L, d, d), both flat in node-major order. Checked in emission order,
-    node by node and member by member (the main state, then the tracks):
-    each member's mass, then its state."""
-    flat = live.reshape((-1,) + live.shape[2:])
+def _node_states(stack):
+    """Masses and validated normalized states of a (..., d, d) stack of
+    unnormalized states, both flat in stack order. Checked in that order,
+    each member's mass before its state."""
+    flat = stack.reshape((-1,) + stack.shape[-2:])
     masses = np.trace(flat, axis1=1, axis2=2).real
     k = _first_false(masses >= sys.float_info.min)
     batch = DensityOperator.from_stack(flat[:k] / masses[:k, np.newaxis, np.newaxis])
@@ -180,97 +294,145 @@ def _node_states(live):
     return masses, batch
 
 
-def _record_time_data(stacks, block, col, track_cols, seeded, eta_t, eta_spectrum):
-    """Write one record time into the rows of ``block``: time column
-    ``col``, and the pair columns ``track_cols`` of the tracks in seeding
-    order. One validated batch of states, one relative-entropy pass against
-    ``eta_t`` (spectrum ``eta_spectrum``) and the tracks. A track seeded at
-    this time (pair column ``seeded``, None when there is none) is exactly
-    the a-priori state: no batch member."""
-    n, size, d = stacks.shape[:3]
-    live = size - (seeded is not None)
-    masses, batch = _node_states(stacks[:, :live])
-    lam = batch.eigenvalues.reshape(n, live, d)
-    vec = batch.eigenvectors.reshape(n, live, d, d)
-    # each main state against eta_t first, then against its own tracks
-    lam2 = lam.copy()
-    vec2 = vec.copy()
-    lam2[:, 0], vec2[:, 0] = eta_spectrum
-    chis = relative_entropies(lam[:, 0], vec[:, 0], lam2, vec2)
-    states = np.empty(n * live, dtype=object)
-    states[:] = batch.states
-    entropies = np.array([state.entropy for state in batch.states])
-    columns = [a.reshape(n, live) for a in (masses, states, entropies)] + [chis]
-    for time_name, pair_name, values in zip(_TIME_COLUMNS, _PAIR_COLUMNS, columns):
-        getattr(block, time_name)[:, col] = values[:, 0]
-        getattr(block, pair_name)[:, track_cols] = values[:, 1:]
-    if seeded is not None:
-        for name, value in zip(_PAIR_COLUMNS, (1.0, eta_t, eta_t.entropy, chis[:, 0])):
-            getattr(block, name)[:, seeded] = value
-
-
 class _Walk:
     """What enumeration and sampling share: the letter roots, and the step
     taken at every node of a path. Nodes are stepped in blocks of siblings
-    at one depth, held as one (n, 1 + k, d, d) array: per node the main
-    state, then one track per reference time passed so far, in seeding
-    order. Replay steps a one-node block."""
+    at one depth, held as one (n, L, d, d) array, and the per-node step
+    ``visit`` writes each record time. A node's outcome-only conditioned
+    states (its tracks, one per reference time passed so far, in seeding
+    order) come from one of two sources: in enumeration they are rows of
+    the increment trie (L = 1); in a replay they ride in the node's stack
+    after its main state (L = 1 + k)."""
 
-    def __init__(self, model: MeasurementModel, grid: TimeGrid, apriori: Optional[APrioriTrack]):
+    def __init__(
+        self, model: MeasurementModel, grid: TimeGrid, apriori: Optional[APrioriTrack], stats=None
+    ):
         self.model = model
         self.eta = _track(model, grid, apriori)
         self.roots = _letter_roots(model)
-        # the a-priori state of each reference time, as a block's new tracks
-        self.seeds = {
-            s: np.broadcast_to(self.eta[s].matrix, (BLOCK_NODES, 1) + self.eta[s].matrix.shape)
-            for s in grid.reference_times
-        }
+        # states decomposed: "path states" (main states), "increment states"
+        self.stats = Counter() if stats is None else stats
+        refs = grid.reference_times
+        d = model.dim
+        spectra = [self.eta.spectra[s] for s in refs]
+        # the rows of the reference times in every table of conditioned states
+        self.root_row = {s: i for i, s in enumerate(refs)}
+        self.root_states = (
+            np.ones(len(refs)),
+            np.array([self.eta[s].matrix for s in refs], dtype=complex).reshape(-1, d, d),
+            np.array([self.eta[s].entropy for s in refs], dtype=float),
+            np.array([lam for lam, _ in spectra], dtype=float).reshape(-1, d),
+            np.array([vec for _, vec in spectra], dtype=complex).reshape(-1, d, d),
+        )
         self.times = grid.record_times
         self.pairs = tuple(grid.pairs())
         pair_col = {pair: col for col, pair in enumerate(self.pairs)}
-        # per record time: the _record_time_data arguments after the block
+        # per record time: its column, the pair columns of the tracks seeded
+        # before it and the pair column of the track seeded at it (or None)
         self.columns = {
             t: (
                 col,
-                np.array([pair_col[(s, t)] for s in grid.reference_times if s < t], dtype=int),
-                pair_col[(t, t)] if t in self.seeds else None,
-                self.eta[t],
-                self.eta.spectra[t],
+                np.array([pair_col[(s, t)] for s in refs if s < t], dtype=int),
+                pair_col[(t, t)] if t in self.root_row else None,
             )
             for col, t in enumerate(self.times)
         }
 
-    def root(self, letter) -> RecordBlock:
-        return RecordBlock(letter, self.times, self.pairs, self.model.horizon)
+    def root(self, letter, states=None) -> RecordBlock:
+        """The root block of a letter; its tracks go to ``states``, by
+        default a table of their own."""
+        if states is None:
+            states = ConditionedStates(self.root_states, len(self.pairs))
+        return RecordBlock(letter, self.times, self.pairs, states, self.model.horizon)
 
-    def visit(self, paths, t, stacks, block):
+    def visit(self, paths, t, stacks, block, rows=None):
         """Seed the reference track of time t in every node of a block and
         write its record-time columns into ``block``; ``paths`` holds the
-        nodes' outcome strings in emission order. An error names the
-        trajectory of the first failing node. Returns the stacks."""
-        if t in self.seeds:
-            stacks = np.concatenate([stacks, self.seeds[t][: len(stacks)]], axis=1)
-        if t in self.columns:
-            args = self.columns[t]
-            try:
-                _record_time_data(stacks, block, *args)
-            except (NotPositiveSemidefinite, NumericRangeError):
-                # the first failing node raises the same error on its own
-                for i, path in enumerate(paths):
-                    try:
-                        _record_time_data(stacks[i : i + 1], block.take([i]), *args)
-                    except (NotPositiveSemidefinite, NumericRangeError) as exc:
-                        name = _path_name(block.letter, path, t)
-                        raise type(exc)(f"{name}: {exc}") from exc
-                raise
-        return stacks
+        nodes' outcome strings in emission order. ``rows`` (n, k) holds the
+        nodes' tracks as rows of ``block.states`` (enumeration), or is None
+        when they ride in ``stacks`` (replay). One validated batch holds the
+        main states and the tracks not decomposed before; an error names the
+        trajectory of the first failing node. Returns the stacks and rows."""
+        n, root = len(stacks), self.root_row.get(t)
+        if root is not None and rows is None:
+            seeds = np.broadcast_to(self.root_states[1][root], (n, 1) + stacks.shape[2:])
+            stacks = np.concatenate([stacks, seeds], axis=1)
+        elif root is not None:
+            rows = np.concatenate([rows, np.full((n, 1), root)], axis=1)
+        if t not in self.columns:
+            return stacks, rows
+        states = block.states
+        k = len(self.columns[t][1])
+        if rows is None:
+            tracks = stacks[:, 1 : 1 + k]
+            new = states.reserve(n * k)
+            pushed, own = tracks.reshape((-1,) + tracks.shape[2:]), new.reshape(n, k)
+        else:
+            own = rows[:, :k]
+            new = np.unique(own[~states.done[own]])
+            pushed = states.pushed[new]
+        try:
+            masses, batch = _node_states(np.concatenate([stacks[:, 0], pushed]))
+        except (NotPositiveSemidefinite, NumericRangeError):
+            # the first failing node raises the same error on its own
+            for i, path in enumerate(paths):
+                mine = stacks[i, 1 : 1 + k] if rows is None else states.pushed[own[i]]
+                try:
+                    _node_states(np.concatenate([stacks[i, :1], mine]))
+                except (NotPositiveSemidefinite, NumericRangeError) as exc:
+                    name = _path_name(block.letter, path, t)
+                    raise type(exc)(f"{name}: {exc}") from exc
+            raise
+        states.write(new, masses[n:], batch, n)
+        self.stats["path states"] += n
+        self.stats["increment states"] += len(new)
+        if rows is None:
+            # the tracks are this batch's: (mass, entropy, eigenvalues, eigenvectors)
+            data = (masses, batch.entropies, batch.eigenvalues, batch.eigenvectors)
+            tracks = [a[n:].reshape((n, k) + a.shape[1:]) for a in data]
+        else:
+            states.done[new] = True
+            names = ("mass", "entropy", "eigenvalues", "eigenvectors")
+            tracks = [getattr(states, name)[own] for name in names]
+        self._write(block, t, own, masses[:n], batch, tracks)
+        return stacks, rows
+
+    def _write(self, block, t, rows, masses, batch, tracks) -> None:
+        """Write record time t into the rows of ``block``: the main states
+        (the first n of ``batch``) and their masses, and the tracks at rows
+        ``rows`` (n, k) of ``block.states``, whose mass, entropy and spectra
+        are ``tracks``; one relative-entropy pass of each main state against
+        eta_t and its tracks. A track seeded at t is eta_t itself: its root
+        row."""
+        col, track_cols, seeded = self.columns[t]
+        states = block.states
+        n, k = rows.shape
+        lam, vec = batch.eigenvalues[:n], batch.eigenvectors[:n]
+        lam2 = np.empty((n, 1 + k) + lam.shape[1:])
+        vec2 = np.empty((n, 1 + k) + vec.shape[1:], dtype=complex)
+        lam2[:, 0], vec2[:, 0] = self.eta.spectra[t]
+        lam2[:, 1:], vec2[:, 1:] = tracks[2:]
+        chis = relative_entropies(lam, vec, lam2, vec2)
+        objects = np.empty(n, dtype=object)
+        objects[:] = StateBatch(*(a[:n] for a in batch)).states
+        values = (masses, objects, batch.entropies[:n], chis[:, 0])
+        for name, value in zip(_TIME_COLUMNS, values):
+            getattr(block, name)[:, col] = value
+        values = (tracks[0], rows, tracks[1], chis[:, 1:])
+        for name, value in zip(_PAIR_COLUMNS, values):
+            getattr(block, name)[:, track_cols] = value
+        if seeded is not None:
+            root = self.root_row[t]
+            values = (states.mass[root], root, states.entropy[root], chis[:, 0])
+            for name, value in zip(_PAIR_COLUMNS, values):
+                getattr(block, name)[:, seeded] = value
 
     def replay(self, letter, outcomes) -> TrajectoryRecord:
         """Rebuild the full record for a known path (no randomness involved)."""
         stacks = self.roots[letter][np.newaxis, np.newaxis]
         block = self.root(letter)
         for t in range(self.model.horizon + 1):
-            stacks = self.visit((outcomes,), t, stacks, block)
+            stacks, _ = self.visit((outcomes,), t, stacks, block)
             if t == self.model.horizon:
                 break
             instrument = self.model.instrument_at(t + 1)
@@ -284,30 +446,42 @@ def enumerate_trajectories(
     grid: TimeGrid,
     apriori: Optional[APrioriTrack] = None,
     budget: int = DEFAULT_LEAF_BUDGET,
+    stats: Optional[Counter] = None,
 ) -> Iterator[TrajectoryRecord]:
     """Depth-first walk over all (letter, outcome string) paths, in blocks
-    of at most BLOCK_NODES nodes at one depth.
+    of at most BLOCK_NODES nodes at one depth. The nodes carry their main
+    states; the outcome-only conditioned states come from one increment
+    trie per reference time, grown only for the strings a kept node reaches.
 
     Yields one record per positive-probability leaf, a block of leaves row
     by row; the emitted probabilities sum to 1 up to the pruning tolerance.
     ``apriori`` is compute_a_priori's track (computed when omitted; anything
-    else raises TypeError). Raises BudgetExceeded before doing any work when
-    the leaf count is too large.
+    else raises TypeError). ``stats``, when given, counts the states
+    decomposed: "path states" (one per node at a record time) and
+    "increment states" (one per trie row). Raises BudgetExceeded before
+    doing any work when the leaf count is too large.
     """
     leaves = model.leaf_count()
     if leaves > budget:
         raise BudgetExceeded(f"{leaves} leaves exceed the budget of {budget}")
-    walk = _Walk(model, grid, apriori)
+    walk = _Walk(model, grid, apriori, stats)
     horizon = model.horizon
+    radix = [model.instrument_at(k).n_outcomes for k in range(1, horizon + 1)]
+    # the rows of the unpruned trie, allocated at once when they are few
+    refs = grid.reference_times
+    rows = sum(math.prod(radix[s:t]) for s in refs for t in range(s, horizon + 1))
+    trie = IncrementTrie(walk.root_states, max(radix, default=1), min(rows, _TRIE_ROWS))
 
     for letter, (p, root) in enumerate(zip(model.ensemble.prior, walk.roots)):
         if p <= 0.0:
             continue
-        # pending blocks: (depth, (n, 1 + k, d, d) stacks, record block, outcome strings)
-        pending = [(0, root[np.newaxis, np.newaxis], walk.root(letter), [()])]
+        # pending blocks: (depth, (n, 1, d, d) main states, (n, k) trie rows,
+        # record block, outcome strings)
+        no_rows = np.zeros((1, 0), dtype=np.int64)
+        pending = [(0, root[np.newaxis, np.newaxis], no_rows, walk.root(letter, trie), [()])]
         while pending:
-            t, stacks, block, paths = pending.pop()
-            stacks = walk.visit(paths, t, stacks, block)
+            t, stacks, rows, block, paths = pending.pop()
+            stacks, rows = walk.visit(paths, t, stacks, block, rows)
             if t == horizon:
                 for row, outcomes in enumerate(paths):
                     yield TrajectoryRecord(letter, outcomes, block, row)
@@ -323,13 +497,14 @@ def enumerate_trajectories(
             # node-major, outcome-minor: emission order
             children = children.reshape((-1,) + stacks.shape[1:])[kept]
             parents, codes = np.divmod(kept, n_out)
+            child_rows = trie.step(rows[parents], codes, instrument.maps)
             labels = instrument.outcomes
             paths = [paths[i] + (labels[v],) for i, v in zip(parents.tolist(), codes.tolist())]
             for j in reversed(range(0, len(kept), BLOCK_NODES)):
-                rows = slice(j, j + BLOCK_NODES)
-                child = block.take(parents[rows])
-                child.codes[:, t] = codes[rows]
-                pending.append((t + 1, children[rows], child, paths[rows]))
+                part = slice(j, j + BLOCK_NODES)
+                child = block.take(parents[part])
+                child.codes[:, t] = codes[part]
+                pending.append((t + 1, children[part], child_rows[part], child, paths[part]))
 
 
 def sample_trajectories(
@@ -425,7 +600,10 @@ class _Table:
     """The first (prob, matrix) entry of each key of one family, prefixes or
     increment strings, over all its columns (record times or pairs): a key
     is the string's number times ``width`` plus the column. Entries are
-    kept in first-seen order, in arrays that grow by doubling."""
+    kept in first-seen order, in arrays that grow by doubling; ``origins``
+    holds the row of states an entry was copied from (-1 when none)."""
+
+    ARRAYS = ("keys", "probs", "matrices", "origins")
 
     def __init__(self, width, dim):
         self.width = width
@@ -433,46 +611,44 @@ class _Table:
         self.keys = np.zeros(0, dtype=np.int64)
         self.probs = np.zeros(0)
         self.matrices = np.zeros((0, dim, dim), dtype=complex)
+        self.origins = np.zeros(0, dtype=np.int64)
         self.deviation = 0.0  # of later entries from the held ones
 
-    def hold(self, strings, probs, states) -> None:
+    def hold(self, strings, probs, sources, matrix_of, shared=False) -> None:
         """Hold the first entry of each key and fold the deviation of every
         other one; (n, width) arrays, a row per record in the order the
-        records came."""
+        records came. ``sources`` identify the entries' matrices, which
+        ``matrix_of`` returns. When ``shared``, the sources are rows of the
+        one table of states of the run: an entry from the row its held entry
+        came from has its matrix, and only its probability is compared."""
         n = len(strings)
         # down a column, a run of rows with one key and one entry (records
         # of one subtree share their states) takes one lookup and comparison
         start = np.ones(strings.shape, dtype=bool)
-        start[1:] = (strings[1:] != strings[:-1]) | (states[1:] != states[:-1])
+        start[1:] = (strings[1:] != strings[:-1]) | (sources[1:] != sources[:-1])
         start[1:] |= probs[1:] != probs[:-1]
         firsts = np.flatnonzero(start.T)
         keys = strings.T.ravel()[firsts] * self.width + firsts // n
-        probs, states = probs.T.ravel()[firsts], states.T.ravel()[firsts]
+        probs, sources = probs.T.ravel()[firsts], sources.T.ravel()[firsts]
         size = len(self.index)
         rows = np.array([self.index.setdefault(key, len(self.index)) for key in keys.tolist()])
         # a new row first shows above every row before it
         new = rows > np.maximum.accumulate(np.append(size - 1, rows[:-1]))
         n = len(self.index)
         if n > size:
-            self._grow(n)
+            _grow(self, self.ARRAYS, n)
             self.keys[size:n], self.probs[size:n] = keys[new], probs[new]
-            self.matrices[size:n] = [state.matrix for state in states[new]]
+            self.matrices[size:n] = matrix_of(sources[new])
+            self.origins[size:n] = sources[new] if shared else -1
         later = np.flatnonzero(~new)
         if len(later):
             held = rows[later]
             self.deviation = _worst(np.abs(self.probs[held] - probs[later]), self.deviation)
-            diffs = self.matrices[held] - np.array([state.matrix for state in states[later]])
+            if shared:
+                other = self.origins[held] != sources[later]
+                held, later = held[other], later[other]
+            diffs = self.matrices[held] - matrix_of(sources[later])
             self.deviation = _worst(_norms(diffs), self.deviation)
-
-    def _grow(self, size) -> None:
-        """Room for ``size`` entries: the arrays double when they are full."""
-        if size > len(self.keys):
-            capacity = max(size, 2 * len(self.keys))
-            for name in ("keys", "probs", "matrices"):
-                old = getattr(self, name)
-                new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
-                new[: len(old)] = old
-                setattr(self, name, new)
 
     def column(self, col):
         """String numbers and rows of one column's entries, in first-seen
@@ -497,6 +673,10 @@ def _group_sums(groups, count, probs, matrices, rows) -> np.ndarray:
     return out
 
 
+def _matrices_of(states) -> np.ndarray:
+    return np.array([state.matrix for state in states])
+
+
 class ConsistencyAccumulator:
     """Streaming verifier of the structural identities of the enumerated
     table: probability conservation, martingale marginals, measurability of
@@ -507,7 +687,11 @@ class ConsistencyAccumulator:
     ``add`` queues a record; the queued rows of one block are checked
     together when a record of another block comes, or at ``finalize``. A
     prefix (letter, outcomes up to t) or an increment string (outcomes
-    s+1..t) is numbered in mixed radix, outcome indices as digits."""
+    s+1..t) is numbered in mixed radix, outcome indices as digits.
+    Enumeration's records of one increment string share one trie row, so
+    the first record of each letter is also replayed with its tracks pushed
+    along its own outcomes, and its conditioned states and increment masses
+    compared with the rows it points at (``increment-dependence``)."""
 
     def __init__(self, model, grid, apriori, tol: float = 1e-9):
         self._pairs = tuple(grid.pairs())
@@ -521,6 +705,9 @@ class ConsistencyAccumulator:
         self.prefix = _Table(len(grid.record_times), model.dim)
         self.incr = _Table(len(self._pairs), model.dim)
         self._block, self._rows = None, []
+        self._states = None  # the states of the first block: the run's trie
+        self._rechecked = set()  # letters whose first record was replayed
+        self._walk = None  # replays them
 
     def _span(self, s, t):
         """The number of outcome strings of steps s+1..t."""
@@ -531,6 +718,23 @@ class ConsistencyAccumulator:
             self._flush()
             self._block = rec.block
         self._rows.append(rec.row)
+        if rec.letter not in self._rechecked:
+            self._rechecked.add(rec.letter)
+            self._recheck(rec)
+
+    def _recheck(self, rec: TrajectoryRecord) -> None:
+        """Fold into ``increment-dependence`` the deviation of a record's
+        conditioned states and increment masses from its replay, whose
+        tracks are pushed along the record's own outcomes."""
+        block, row = rec.block, rec.row
+        block.check_grid(self.grid.record_times, self._pairs)
+        if self._walk is None:
+            self._walk = _Walk(self.model, self.grid, self.eta)
+        one = self._walk.replay(rec.letter, rec.outcomes)
+        mine = block.states.matrix[block.conditioned[row]]
+        theirs = one.block.states.matrix[one.block.conditioned[0]]
+        gaps = np.abs(block.incr_prob[row] - one.block.incr_prob[0])
+        self.incr.deviation = _worst(_norms(mine - theirs), _worst(gaps, self.incr.deviation))
 
     def _flush(self) -> None:
         """Check the queued rows of one block, in the order they came."""
@@ -549,9 +753,17 @@ class ConsistencyAccumulator:
         times = np.array(self.grid.record_times)
         s, t = np.array(self._pairs).reshape(-1, 2).T
         prefixes = block.letter * self._count[times] + strings[:, times]
-        self.prefix.hold(prefixes, prob_at, block.aposteriori[rows])
+        self.prefix.hold(prefixes, prob_at, block.aposteriori[rows], _matrices_of)
         increments = strings[:, t] - strings[:, s] * self._span(s, t)
-        self.incr.hold(increments, block.incr_prob[rows], block.conditioned[rows])
+        if self._states is None:
+            self._states = block.states
+        self.incr.hold(
+            increments,
+            block.incr_prob[rows],
+            block.conditioned[rows],
+            lambda rows: block.states.matrix[rows],
+            shared=block.states is self._states,
+        )
 
     def _pushed(self, table, col, keys, s, t, weighted):
         """The entries in column ``col`` of ``table`` (strings ending at s)

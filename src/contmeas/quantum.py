@@ -67,12 +67,19 @@ def _clip_nonnegative(lam: np.ndarray) -> np.ndarray:
 
 
 class StateBatch(NamedTuple):
-    """Validated states of one stack with their spectra, which the states
-    themselves do not keep."""
+    """Validated states of one stack as arrays, with their spectra."""
 
-    states: list  # DensityOperator per member, in stack order
+    matrices: np.ndarray  # (k, d, d), the Hermitian parts
+    entropies: np.ndarray  # (k,)
     eigenvalues: np.ndarray  # (k, d), ascending, clipped at zero
     eigenvectors: np.ndarray  # (k, d, d), orthonormal columns
+
+    @property
+    def states(self) -> list:
+        """A DensityOperator per member, in stack order, each owning a copy
+        of its matrix."""
+        entropies = self.entropies.tolist()
+        return [DensityOperator(m.copy(), s) for m, s in zip(self.matrices, entropies)]
 
 
 def _first_false(ok: np.ndarray) -> int:
@@ -95,8 +102,8 @@ class DensityOperator:
         Frobenius), eigenvalues >= EIGENVALUE_FLOOR, trace 1 within
         TRACE_TOL. Each test is written so that a NaN fails it. Members are
         checked in order; the first failing member raises the error that
-        from_matrix raises for it alone. Each state owns a copy of its
-        matrix."""
+        from_matrix raises for it alone. The batch keeps the states as
+        arrays; ``.states`` wraps them one by one."""
         a = np.asarray(matrices, dtype=complex)
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise DimensionMismatch(f"state stack must be (k, d, d), got {a.shape}")
@@ -117,8 +124,7 @@ class DensityOperator:
             raise NonHermitianInput(f"state Hermiticity residual {residual[n]:.3e}")
         # clip rounding-scale negatives to zero
         lam = _clip_nonnegative(eigenvalues)
-        states = [cls(m.copy(), s) for m, s in zip(herm, _entropies(lam).tolist())]
-        return StateBatch(states, lam, eigenvectors)
+        return StateBatch(herm, _entropies(lam), lam, eigenvectors)
 
     @classmethod
     def from_matrix(cls, matrix) -> "DensityOperator":

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +197,16 @@ class TestStderrSummary:
             f"consistency: {len(report.checks)} checks passed "
             f"(max residual {-worst.margin:.3e} at {worst.label})"
         ]
+
+    def test_enumerate_counts_decomposed_states(self, tmp_path, capsys):
+        # random-seed2-h5: 2 letters, 3 outcomes, horizon 5, nothing pruned
+        model = Path(__file__).parent / "golden" / "models" / "random-seed2-h5.json"
+        assert run_cli(["check", "--model", model, "--out", tmp_path]) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines() if "trajectories" in line]
+        nodes = 2 * sum(3**t for t in range(6))
+        strings = sum(3 ** (t - s) for s in range(6) for t in range(s + 1, 6))
+        assert (nodes, strings) == (728, 537)
+        assert lines == ["enumerate: 486 trajectories, 728 path states, 537 increment states"]
 
     def test_one_line_per_bound_family(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -1,11 +1,15 @@
 import dataclasses
 import math
 import weakref
+from collections import Counter
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
 from contmeas.engine import (
+    _PAIR_COLUMNS,
+    _TIME_COLUMNS,
     BLOCK_NODES,
     ConsistencyAccumulator,
     TrajectoryRecord,
@@ -31,9 +35,18 @@ def full_grid(model):
 
 def with_entry(rec, field, key, value):
     """A copy of ``rec``, as a one-row block, whose ``field`` holds ``value``
-    at ``key`` (a time or an (s, t) pair)."""
+    at ``key`` (a time or an (s, t) pair). A conditioned state goes into a
+    new row of the record's table of states, with the spectrum of the row
+    it replaces; every other row stays as it was."""
     block = rec.block.take([rec.row])
     labels = block.pairs if isinstance(key, tuple) else block.times
+    if field == "conditioned":
+        states, old = block.states, block.conditioned[0, labels.index(key)]
+        row = states.reserve(1)[0]
+        for name in ("mass", "eigenvalues", "eigenvectors"):
+            getattr(states, name)[row] = getattr(states, name)[old]
+        states.matrix[row], states.entropy[row] = value.matrix, value.entropy
+        value = row
     getattr(block, field)[0, labels.index(key)] = value
     return TrajectoryRecord(rec.letter, rec.outcomes, block, 0)
 
@@ -150,7 +163,10 @@ class TestEnumerate:
         track = compute_a_priori(model, grid)
         for rec in enumerate_trajectories(model, grid, apriori=track):
             for s in grid.reference_times:
-                assert rec.conditioned[(s, s)] is track[s]
+                # the root row of the trie of s holds eta_s, bit for bit
+                state = rec.conditioned[(s, s)]
+                assert np.array_equal(state.matrix, track[s].matrix)
+                assert state.entropy == track[s].entropy
                 assert rec.incr_prob[(s, s)] == 1.0
 
     def test_aposteriori_mean_is_a_priori(self):
@@ -297,6 +313,80 @@ class TestBlocks:
         with pytest.raises(error) as alone:
             walk.visit(paths[first : first + 1], 1, stacks[first : first + 1], block.take([first]))
         assert str(info.value) == str(alone.value)
+
+
+class TestIncrementTrie:
+    """Enumeration decomposes each outcome-only conditioned state once per
+    (s, increment string), on a trie grown only for reached strings."""
+
+    def test_each_state_decomposed_once(self, monkeypatch):
+        model = random_model(2, dim=3, n_outcomes=3, horizon=4)
+        grid = full_grid(model)
+        counted = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            counted.append(math.prod(a.shape[:-2]))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        stats = Counter()
+        records = list(enumerate_trajectories(model, grid, stats=stats))
+        # nothing is pruned: every node and every increment string is reached
+        assert len(records) == model.leaf_count()
+        nodes = model.ensemble.n_letters * sum(3**t for t in range(5))
+        strings = sum(3 ** (t - s) for s in range(5) for t in range(s + 1, 5))
+        assert stats == {"path states": nodes, "increment states": strings}
+        assert sum(counted) == nodes + strings + len(grid.record_times)
+        # the consistency checks decompose the a-priori states once more and
+        # replay the first leaf of each letter: at time t, its main state and
+        # the t tracks seeded before t
+        counted.clear()
+        assert consistency_checks(model, grid, records=records).passed
+        replay = sum(1 + t for t in grid.record_times)
+        assert sum(counted) == len(grid.record_times) + model.ensemble.n_letters * replay
+
+    def test_pruned_strings_get_no_row(self):
+        # a flipped outcome has zero mass: its string is never decomposed
+        model = builtin_scenario("qubit-projective", horizon=3)
+        grid = full_grid(model)
+        stats = Counter()
+        records = list(enumerate_trajectories(model, grid, stats=stats))
+        leaves = [(rec.letter, "".join(rec.outcomes)) for rec in records]
+        assert leaves == [(0, "000"), (1, "000"), (1, "111")]
+        # "0" and "1" repeated, for every length after every s
+        assert stats["increment states"] == 2 * sum(3 - s for s in range(4))
+        states = records[0].block.states
+        assert states.size == len(grid.reference_times) + stats["increment states"]
+        assert consistency_checks(model, grid, records=records).passed
+
+
+class TestRecordRow:
+    def test_fields_are_row_mappings(self):
+        model = random_model(8, dim=2, n_outcomes=2, horizon=3)
+        grid = full_grid(model)
+        rec = list(enumerate_trajectories(model, grid))[5]
+        block, row = rec.block, rec.row
+        for name in _TIME_COLUMNS + _PAIR_COLUMNS:
+            field = getattr(rec, name)
+            keys = block.pairs if name in _PAIR_COLUMNS else block.times
+            assert isinstance(field, Mapping) and not hasattr(field, "__setitem__")
+            assert list(field) == list(keys) == list(field.keys()) and len(field) == len(keys)
+            if name not in ("aposteriori", "conditioned"):
+                assert field == dict(zip(keys, getattr(block, name)[row].tolist()))
+                assert all(type(value) is float for value in field.values())
+        with pytest.raises(KeyError):
+            rec.prob_at[(0, 1)]
+        # a lookup reads the block's element when it is made
+        prob_at = rec.prob_at
+        block.prob_at[row, 1] = 0.25
+        assert prob_at[1] == 0.25
+        # a conditioned entry is the state of the row it points at
+        col = block.pairs.index((1, 3))
+        state = rec.conditioned[(1, 3)]
+        assert np.array_equal(state.matrix, block.states.matrix[block.conditioned[row, col]])
+        assert state.entropy == rec.cond_entropy[(1, 3)] and state.matrix.base is None
+        assert [key for key, _ in rec.conditioned.items()] == list(block.pairs)
 
 
 class TestSample:
@@ -470,6 +560,36 @@ class TestConsistency:
         # record 1 shares its letter and its first two outcomes with record 0
         assert (records[1].letter, records[1].outcomes[:2]) == (0, records[0].outcomes[:2])
         return model, grid, records
+
+    def test_wrong_trie_row_fails(self, table):
+        # a later record points its (0, 3) entry at the row of record 0's
+        # increment string, which differs from its own in the last outcome
+        model, grid, records = table
+        rec, other = records[1], records[0]
+        col = other.block.pairs.index((0, 3))
+        assert rec.outcomes != other.outcomes
+        block = rec.block.take([rec.row])
+        block.conditioned[0, col] = other.block.conditioned[other.row, col]
+        corrupted = list(records)
+        corrupted[1] = TrajectoryRecord(rec.letter, rec.outcomes, block, 0)
+        report = consistency_checks(model, grid, records=corrupted)
+        assert "increment-dependence" in {c.name for c in report.failures()}
+
+    def test_swapped_trie_entries_fail(self):
+        # every record agrees with the trie, but record 0's row holds another
+        # string's state: only its replay along its own outcomes shows it
+        model = random_model(3, dim=2, n_outcomes=2, horizon=3)
+        grid = full_grid(model)
+        records = list(enumerate_trajectories(model, grid))
+        assert consistency_checks(model, grid, records=records).passed
+        col = grid.pairs().index((0, 3))
+        rows = [rec.block.conditioned[rec.row, col] for rec in records[:2]]
+        states = records[0].block.states
+        for name in ("mass", "matrix", "entropy", "eigenvalues", "eigenvectors"):
+            values = getattr(states, name)
+            values[rows] = values[rows[::-1]]
+        report = consistency_checks(model, grid, records=records)
+        assert "increment-dependence" in {c.name for c in report.failures()}
 
     @pytest.mark.parametrize(
         "field, key, index, scale, check",

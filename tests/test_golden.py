@@ -11,6 +11,8 @@ import csv
 import json
 import math
 import os
+import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,18 +120,55 @@ def test_golden_case(case, tmp_path, monkeypatch):
     assert not problems, "\n".join(problems[:20])
 
 
-def regenerate() -> None:
-    """Rewrite every golden file from the code on the import path."""
-    (GOLDEN / "models").mkdir(parents=True, exist_ok=True)
+def regenerate(cases=(), golden: Path = GOLDEN) -> list:
+    """Rewrite the files of the named cases (by default, of every case that
+    has no files yet) from the code on the import path, and only their
+    entries of exit_codes.json; a model document is written only when it
+    is missing. Returns the cases written."""
+    unknown = sorted(set(cases) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown golden cases: {', '.join(unknown)}")
+    if not cases:
+        cases = [case for case in CASES if not (golden / case / "report.json").exists()]
+    (golden / "models").mkdir(parents=True, exist_ok=True)
     for name, kwargs in MODELS.items():
-        model = random_model(**kwargs)
-        (ROOT / _model_path(name)).write_text(serialize_model(model), encoding="utf-8")
-    codes = {}
-    for case, args in sorted(CASES.items()):
-        codes[case] = _run_case(args, GOLDEN / case)
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n", encoding="utf-8")
+        path = golden / "models" / f"{name}.json"
+        if not path.exists():
+            path.write_text(serialize_model(random_model(**kwargs)), encoding="utf-8")
+    codes_path = golden / "exit_codes.json"
+    codes = json.loads(codes_path.read_text()) if codes_path.exists() else {}
+    for case in cases:
+        codes[case] = _run_case(CASES[case], golden / case)
+    codes = dict(sorted(codes.items()))
+    codes_path.write_text(json.dumps(codes, indent=2) + "\n", encoding="utf-8")
+    return sorted(cases)
+
+
+def test_regenerate_writes_only_the_named_cases(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN, golden)
+    before = {p: p.read_bytes() for p in golden.rglob("*") if p.is_file()}
+    named = golden / "scenario-identity" / "report.json"
+    named.write_text("{}")
+    assert regenerate(["scenario-identity"], golden) == ["scenario-identity"]
+    assert json.loads(named.read_text())["config"]["source"] == "identity"
+    after = {p: p.read_bytes() for p in golden.rglob("*") if p.is_file()}
+    assert after.keys() == before.keys()
+    changed = [p for p in after if after[p] != before[p] and p.parent.name != "scenario-identity"]
+    assert changed == []
+    # with no names, only the cases without files are written
+    shutil.rmtree(golden / "scenario-damped-qubit")
+    stale = golden / "random-seed1" / "bounds.csv"
+    stale.write_text("stale\n")
+    assert regenerate(golden=golden) == ["scenario-damped-qubit"]
+    assert (golden / "scenario-damped-qubit" / "bounds.csv").exists()
+    assert stale.read_text() == "stale\n"
+    assert json.loads((golden / "exit_codes.json").read_text()) == json.loads(
+        before[golden / "exit_codes.json"]
+    )
 
 
 if __name__ == "__main__":
     os.chdir(ROOT)
-    regenerate()
+    print("wrote:", " ".join(regenerate(sys.argv[1:])) or "nothing")
