@@ -34,7 +34,13 @@ import numpy as np
 
 from .errors import BudgetExceeded, GridMiss, NotPositiveSemidefinite, NumericRangeError
 from .model import Check, CheckReport, MeasurementModel, TimeGrid
-from .quantum import DensityOperator, StateBatch, _first_false, relative_entropies
+from .quantum import (
+    DensityOperator,
+    StateBatch,
+    _first_false,
+    _hermitian_part,
+    relative_entropies,
+)
 
 # A branch is pruned when its trace drops below this fraction of its parent.
 PRUNE_REL_TOL = 1e-14
@@ -67,17 +73,19 @@ def _grow(owner, names, size) -> None:
 
 
 class ConditionedStates:
-    """Outcome-only conditioned states, a row each, kept as arrays: the mass
-    of the increment string, the normalized matrix and its entropy. Row
-    i < R is the a-priori state of the i-th reference time (mass 1). A
-    replayed path keeps its own tracks here, one row per pair; enumeration
-    shares one IncrementTrie."""
+    """Outcome-only conditioned states, a row each, kept as arrays: the
+    pushed (unnormalized) matrix, its mass, and the entropy of the state.
+    The normalized matrix is worked out from the first two by the steps
+    DensityOperator.from_stack takes, so it has the same bits. Row i < R is
+    the a-priori state of the i-th reference time (mass 1). A replayed path
+    keeps its own tracks here, one row per pair; enumeration shares one
+    IncrementTrie."""
 
-    ARRAYS = ("mass", "matrix", "entropy")
+    ARRAYS = ("mass", "pushed", "entropy")
 
     def __init__(self, roots, capacity=0):
         """``roots``: mass, matrix, entropy, eigenvalues and eigenvectors of
-        the reference times' rows."""
+        the reference times' rows (their matrices are normalized)."""
         self.size = len(roots[0])
         for name, values in zip(self.ARRAYS, roots):
             setattr(self, name, values.copy())
@@ -92,31 +100,35 @@ class ConditionedStates:
 
     def write(self, rows, masses, batch: StateBatch, start: int) -> None:
         """Rows ``rows`` hold the states batch[start:] of masses ``masses``."""
-        self.mass[rows] = masses
-        for name, values in zip(self.ARRAYS[1:], batch):
-            getattr(self, name)[rows] = values[start:]
+        self.mass[rows], self.entropy[rows] = masses, batch.entropies[start:]
+
+    def matrices(self, rows) -> np.ndarray:
+        """The normalized matrices of ``rows``."""
+        return _hermitian_part(self.pushed[rows] / self.mass[rows, ..., None, None])
 
     def state(self, row) -> DensityOperator:
-        """The state of one row, owning a copy of its matrix."""
-        return DensityOperator(self.matrix[row].copy(), self.entropy.item(row))
+        return DensityOperator(self.matrices(row), self.entropy.item(row))
 
 
 class IncrementTrie(ConditionedStates):
     """The outcome-only conditioned states of an enumeration, with their
     spectra: one trie per reference time s, rooted at eta_s, stored
     together. A row is an increment string (outcomes s+1..t) that a kept
-    node reaches; it keeps its pushed (unnormalized) matrix and its child
-    row per outcome, and is validated and decomposed when a record time
-    first needs it."""
+    node reaches; it keeps its child row per outcome, and is validated and
+    decomposed when a record time first needs it."""
 
-    ARRAYS = ConditionedStates.ARRAYS + ("eigenvalues", "eigenvectors")
-    ARRAYS += ("pushed", "children", "done")
+    ARRAYS = ConditionedStates.ARRAYS + ("eigenvalues", "eigenvectors", "children", "done")
 
     def __init__(self, roots, width, capacity=0):
-        self.pushed = roots[1].copy()
         self.children = np.full((len(roots[0]), width), -1)
         self.done = np.ones(len(roots[0]), dtype=bool)
         super().__init__(roots, capacity)
+
+    def write(self, rows, masses, batch: StateBatch, start: int) -> None:
+        super().write(rows, masses, batch, start)
+        self.eigenvalues[rows] = batch.eigenvalues[start:]
+        self.eigenvectors[rows] = batch.eigenvectors[start:]
+        self.done[rows] = True
 
     def step(self, rows, codes, maps) -> np.ndarray:
         """Rows of the children of ``rows`` (n, k) by the outcomes ``codes``
@@ -387,11 +399,11 @@ class _Walk:
         self.stats["path states"] += n
         self.stats["increment states"] += len(new)
         if rows is None:
+            states.pushed[new] = pushed
             # the tracks are this batch's: (mass, entropy, eigenvalues, eigenvectors)
             data = (masses, batch.entropies, batch.eigenvalues, batch.eigenvectors)
             tracks = [a[n:].reshape((n, k) + a.shape[1:]) for a in data]
         else:
-            states.done[new] = True
             names = ("mass", "entropy", "eigenvalues", "eigenvectors")
             tracks = [getattr(states, name)[own] for name in names]
         self._write(block, t, own, masses[:n], batch, tracks)
@@ -469,8 +481,8 @@ def enumerate_trajectories(
     radix = [model.instrument_at(k).n_outcomes for k in range(1, horizon + 1)]
     # the rows of the unpruned trie, allocated at once when they are few
     refs = grid.reference_times
-    rows = sum(math.prod(radix[s:t]) for s in refs for t in range(s, horizon + 1))
-    trie = IncrementTrie(walk.root_states, max(radix, default=1), min(rows, _TRIE_ROWS))
+    size = sum(math.prod(radix[s:t]) for s in refs for t in range(s, horizon + 1))
+    trie = IncrementTrie(walk.root_states, max(radix, default=1), min(size, _TRIE_ROWS))
 
     for letter, (p, root) in enumerate(zip(model.ensemble.prior, walk.roots)):
         if p <= 0.0:
@@ -731,8 +743,8 @@ class ConsistencyAccumulator:
         if self._walk is None:
             self._walk = _Walk(self.model, self.grid, self.eta)
         one = self._walk.replay(rec.letter, rec.outcomes)
-        mine = block.states.matrix[block.conditioned[row]]
-        theirs = one.block.states.matrix[one.block.conditioned[0]]
+        mine = block.states.matrices(block.conditioned[row])
+        theirs = one.block.states.matrices(one.block.conditioned[0])
         gaps = np.abs(block.incr_prob[row] - one.block.incr_prob[0])
         self.incr.deviation = _worst(_norms(mine - theirs), _worst(gaps, self.incr.deviation))
 
@@ -761,7 +773,7 @@ class ConsistencyAccumulator:
             increments,
             block.incr_prob[rows],
             block.conditioned[rows],
-            lambda rows: block.states.matrix[rows],
+            block.states.matrices,
             shared=block.states is self._states,
         )
 

@@ -36,16 +36,17 @@ def full_grid(model):
 def with_entry(rec, field, key, value):
     """A copy of ``rec``, as a one-row block, whose ``field`` holds ``value``
     at ``key`` (a time or an (s, t) pair). A conditioned state goes into a
-    new row of the record's table of states, with the spectrum of the row
-    it replaces; every other row stays as it was."""
+    new row of the record's table of states (mass 1), with the spectrum of
+    the row it replaces; every other row stays as it was."""
     block = rec.block.take([rec.row])
     labels = block.pairs if isinstance(key, tuple) else block.times
     if field == "conditioned":
         states, old = block.states, block.conditioned[0, labels.index(key)]
         row = states.reserve(1)[0]
-        for name in ("mass", "eigenvalues", "eigenvectors"):
+        for name in ("eigenvalues", "eigenvectors"):
             getattr(states, name)[row] = getattr(states, name)[old]
-        states.matrix[row], states.entropy[row] = value.matrix, value.entropy
+        states.pushed[row], states.mass[row] = value.matrix, 1.0
+        states.entropy[row] = value.entropy
         value = row
     getattr(block, field)[0, labels.index(key)] = value
     return TrajectoryRecord(rec.letter, rec.outcomes, block, 0)
@@ -384,7 +385,7 @@ class TestRecordRow:
         # a conditioned entry is the state of the row it points at
         col = block.pairs.index((1, 3))
         state = rec.conditioned[(1, 3)]
-        assert np.array_equal(state.matrix, block.states.matrix[block.conditioned[row, col]])
+        assert np.array_equal(state.matrix, block.states.matrices(block.conditioned[row, col]))
         assert state.entropy == rec.cond_entropy[(1, 3)] and state.matrix.base is None
         assert [key for key, _ in rec.conditioned.items()] == list(block.pairs)
 
@@ -585,7 +586,7 @@ class TestConsistency:
         col = grid.pairs().index((0, 3))
         rows = [rec.block.conditioned[rec.row, col] for rec in records[:2]]
         states = records[0].block.states
-        for name in ("mass", "matrix", "entropy", "eigenvalues", "eigenvectors"):
+        for name in ("mass", "pushed", "entropy", "eigenvalues", "eigenvectors"):
             values = getattr(states, name)
             values[rows] = values[rows[::-1]]
         report = consistency_checks(model, grid, records=records)
