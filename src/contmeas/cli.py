@@ -209,6 +209,8 @@ def run_pipeline(cfg: RunConfig, with_bounds: bool = True) -> int:
                         + [repr(entropy[t]) for t in grid.record_times]
                     )
                 count += 1
+            # the last record holds its block, and so the increment trie
+            rec = None
         except BudgetExceeded as exc:
             raise _Failure(EXIT_IO, f"enumeration refused: {exc}") from exc
         except NumericRangeError as exc:
@@ -221,6 +223,7 @@ def run_pipeline(cfg: RunConfig, with_bounds: bool = True) -> int:
         if dump_writer is not None:
             _say(f"wrote trajectories.csv ({count} rows)")
 
+        report = builder.finalize()
         violations = []
         if consistency is not None:
             consistency_report = consistency.finalize()
@@ -235,7 +238,6 @@ def run_pipeline(cfg: RunConfig, with_bounds: bool = True) -> int:
                     f"(max residual {-worst.margin:.3e} at {worst.label})"
                 )
 
-        report = builder.finalize()
         doc = {
             "config": {
                 "source": cfg.scenario if cfg.scenario else cfg.model_path,

@@ -828,6 +828,7 @@ class ConsistencyAccumulator:
     def finalize(self) -> CheckReport:
         """One check per identity; each margin is minus its residual."""
         self._flush()
+        self._states = None
         times = self.grid.record_times
         prefix, incr = self.prefix, self.incr
         checks = [Check("total-probability", -abs(self.total_prob - 1.0), self.tol)]

@@ -158,6 +158,7 @@ class EntropyReportBuilder:
         self.total_weight[cols] = total
 
     def finalize(self) -> EntropyReport:
+        self._block, self._block_values = None, None
         means = np.where(self.infinite, math.inf, self.mean).tolist()
         errors = np.zeros(len(self.keys))
         if self.mode == "sample" and self.weighted >= 2:
