@@ -167,10 +167,11 @@ class RecordBlock:
     __slots__ = ("letter", "times", "pairs", "index", "states", "codes")
     __slots__ += _TIME_COLUMNS + _PAIR_COLUMNS
 
-    def __init__(self, letter, times, pairs, states, horizon):
-        """The one-row block of a letter's root."""
+    def __init__(self, letter, times, pairs, index, states, horizon):
+        """The one-row block of a letter's root; ``index`` maps each time and
+        each pair to its column."""
         self.letter, self.times, self.pairs, self.states = letter, times, pairs, states
-        self.index = tuple({key: i for i, key in enumerate(keys)} for keys in (times, pairs))
+        self.index = index
         self.codes = np.zeros((1, horizon), dtype=np.int64)
         fills = {"aposteriori": (None, object), "conditioned": (-1, np.int64)}
         for name in _TIME_COLUMNS + _PAIR_COLUMNS:
@@ -326,6 +327,8 @@ class _Walk:
         self.stats = Counter() if stats is None else stats
         refs = grid.reference_times
         d = model.dim
+        # the a-priori state of each reference time, as a replayed block's new track
+        self.seeds = {s: np.broadcast_to(self.eta[s].matrix, (BLOCK_NODES, 1, d, d)) for s in refs}
         spectra = [self.eta.spectra[s] for s in refs]
         # the rows of the reference times in every table of conditioned states
         self.root_row = {s: i for i, s in enumerate(refs)}
@@ -339,6 +342,7 @@ class _Walk:
         self.times = grid.record_times
         self.pairs = tuple(grid.pairs())
         pair_col = {pair: col for col, pair in enumerate(self.pairs)}
+        self.index = ({t: col for col, t in enumerate(self.times)}, pair_col)
         # per record time: its column, the pair columns of the tracks seeded
         # before it and the pair column of the track seeded at it (or None)
         self.columns = {
@@ -355,7 +359,7 @@ class _Walk:
         default a table of their own."""
         if states is None:
             states = ConditionedStates(self.root_states, len(self.pairs))
-        return RecordBlock(letter, self.times, self.pairs, states, self.model.horizon)
+        return RecordBlock(letter, self.times, self.pairs, self.index, states, self.model.horizon)
 
     def visit(self, paths, t, stacks, block, rows=None):
         """Seed the reference track of time t in every node of a block and
@@ -367,8 +371,7 @@ class _Walk:
         trajectory of the first failing node. Returns the stacks and rows."""
         n, root = len(stacks), self.root_row.get(t)
         if root is not None and rows is None:
-            seeds = np.broadcast_to(self.root_states[1][root], (n, 1) + stacks.shape[2:])
-            stacks = np.concatenate([stacks, seeds], axis=1)
+            stacks = np.concatenate([stacks, self.seeds[t][:n]], axis=1)
         elif root is not None:
             rows = np.concatenate([rows, np.full((n, 1), root)], axis=1)
         if t not in self.columns:
