@@ -12,6 +12,7 @@ from contmeas.engine import (
     _TIME_COLUMNS,
     BLOCK_NODES,
     ConsistencyAccumulator,
+    IncrementTrie,
     TrajectoryRecord,
     _path_name,
     _Walk,
@@ -314,6 +315,14 @@ class TestBlocks:
         with pytest.raises(error) as alone:
             walk.visit(paths[first : first + 1], 1, stacks[first : first + 1], block.take([first]))
         assert str(info.value) == str(alone.value)
+        # the same error when the tracks are trie rows not decomposed yet
+        trie = IncrementTrie(walk.root_states, 4)
+        rows = trie.reserve(4)
+        trie.pushed[rows], trie.done[rows] = stacks[:, 1], False
+        block = walk.root(1, trie).take([0] * 4)
+        with pytest.raises(error) as from_trie:
+            walk.visit(paths, 1, stacks[:, :1], block, rows[:, np.newaxis])
+        assert str(from_trie.value) == str(info.value)
 
 
 class TestIncrementTrie:
