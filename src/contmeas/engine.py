@@ -6,10 +6,13 @@ engine carries the unnormalized conditional state of the system. The
 outcome-only conditioned state of a reference time s is the a-priori state
 at s pushed through the outcome maps of the later steps; it depends only on
 the increments s+1..t, which is what the outcome-only conditioning requires.
-Enumeration therefore keeps these states once per (s, increment string), in
-an increment trie shared by all letters and prefixes, while a replayed path
-(and so the sampler) carries them as parallel states of its own, seeded
-with the a-priori state when the walk passes depth s.
+The walk reads these states (a node's tracks) from one route only, the rows
+of a table of states: enumeration keeps them once per (s, increment
+string), in an increment trie shared by all letters and prefixes; a
+replayed path (and so the sampler) pushes them with its own state, seeded
+with the a-priori state when it passes depth s, and copies them into rows
+of a table of its own at each record time. The sampler draws its paths in
+arrays and replays each distinct path once.
 
 All probabilities are plain probabilities under the physical law; the
 uniform reference-measure densities differ from them by constant factors
@@ -54,6 +57,8 @@ _TRIE_ROWS = 4096
 # The consistency checks form their (m, d, d) temporaries at most this many
 # rows at a time, so that finalize's peak memory stays near the walk's.
 _SLICE_ROWS = 256
+# The sampler draws at most this many paths as one set of arrays.
+_DRAW_ROWS = 1024
 
 
 _TIME_COLUMNS = ("prob_at", "aposteriori", "entropy", "chi_at_term")
@@ -72,35 +77,41 @@ def _grow(owner, names, size) -> None:
             setattr(owner, name, new)
 
 
-class ConditionedStates:
-    """Outcome-only conditioned states, a row each, kept as arrays: the
-    pushed (unnormalized) matrix, its mass, and the entropy of the state.
+class IncrementTrie:
+    """Outcome-only conditioned states, a row per increment string (outcomes
+    s+1..t), kept as arrays: the pushed (unnormalized) matrix, its mass, the
+    entropy and spectrum of the state, and the child row of each outcome.
     The normalized matrix is worked out from the first two by the steps
     DensityOperator.from_stack takes, so it has the same bits. Row i < R is
-    the a-priori state of the i-th reference time (mass 1). A replayed path
-    keeps its own tracks here, one row per pair; enumeration shares one
-    IncrementTrie."""
+    eta_s of the i-th reference time s (mass 1), given as ``roots``. A row
+    is validated and decomposed when a record time first needs it (done).
+    Enumeration grows one table per run by ``step``, a trie per s rooted at
+    eta_s; a replay copies the tracks it pushes into a table of its own."""
 
-    ARRAYS = ("mass", "pushed", "entropy")
+    ARRAYS = ("mass", "pushed", "entropy", "eigenvalues", "eigenvectors", "children", "done")
 
-    def __init__(self, roots, capacity=0):
-        """``roots``: mass, matrix, entropy, eigenvalues and eigenvectors of
-        the reference times' rows (their matrices are normalized)."""
+    def __init__(self, roots, width=1, capacity=0):
         self.size = len(roots[0])
         for name, values in zip(self.ARRAYS, roots):
             setattr(self, name, values.copy())
+        self.children = np.full((self.size, width), -1)
+        self.done = np.ones(self.size, dtype=bool)
         _grow(self, self.ARRAYS, capacity)
 
     def reserve(self, count) -> np.ndarray:
-        """``count`` new rows, not written yet."""
+        """``count`` new rows with no children, not written or decomposed."""
         rows = np.arange(self.size, self.size + count)
         _grow(self, self.ARRAYS, self.size + count)
         self.size += count
+        self.children[rows], self.done[rows] = -1, False
         return rows
 
     def write(self, rows, masses, batch: StateBatch, start: int) -> None:
         """Rows ``rows`` hold the states batch[start:] of masses ``masses``."""
         self.mass[rows], self.entropy[rows] = masses, batch.entropies[start:]
+        self.eigenvalues[rows] = batch.eigenvalues[start:]
+        self.eigenvectors[rows] = batch.eigenvectors[start:]
+        self.done[rows] = True
 
     def matrices(self, rows) -> np.ndarray:
         """The normalized matrices of ``rows``."""
@@ -108,27 +119,6 @@ class ConditionedStates:
 
     def state(self, row) -> DensityOperator:
         return DensityOperator(self.matrices(row), self.entropy.item(row))
-
-
-class IncrementTrie(ConditionedStates):
-    """The outcome-only conditioned states of an enumeration, with their
-    spectra: one trie per reference time s, rooted at eta_s, stored
-    together. A row is an increment string (outcomes s+1..t) that a kept
-    node reaches; it keeps its child row per outcome, and is validated and
-    decomposed when a record time first needs it."""
-
-    ARRAYS = ConditionedStates.ARRAYS + ("eigenvalues", "eigenvectors", "children", "done")
-
-    def __init__(self, roots, width, capacity=0):
-        self.children = np.full((len(roots[0]), width), -1)
-        self.done = np.ones(len(roots[0]), dtype=bool)
-        super().__init__(roots, capacity)
-
-    def write(self, rows, masses, batch: StateBatch, start: int) -> None:
-        super().write(rows, masses, batch, start)
-        self.eigenvalues[rows] = batch.eigenvalues[start:]
-        self.eigenvectors[rows] = batch.eigenvectors[start:]
-        self.done[rows] = True
 
     def step(self, rows, codes, maps) -> np.ndarray:
         """Rows of the children of ``rows`` (n, k) by the outcomes ``codes``
@@ -142,7 +132,6 @@ class IncrementTrie(ConditionedStates):
             pairs, inverse = np.unique(rows[missing] * width + codes[missing], return_inverse=True)
             parents, labels = np.divmod(pairs, width)
             new = self.reserve(len(pairs))
-            self.children[new], self.done[new] = -1, False
             for v in np.unique(labels).tolist():
                 group = labels == v
                 self.pushed[new[group]] = maps[v].apply(self.pushed[parents[group]])
@@ -313,9 +302,8 @@ class _Walk:
     at one depth, held as one (n, L, d, d) array, and the per-node step
     ``visit`` writes each record time. A node's outcome-only conditioned
     states (its tracks, one per reference time passed so far, in seeding
-    order) come from one of two sources: in enumeration they are rows of
-    the increment trie (L = 1); in a replay they ride in the node's stack
-    after its main state (L = 1 + k)."""
+    order) are rows of its block's table of states: of the increment trie
+    in enumeration, of the record's own table in a replay."""
 
     def __init__(
         self, model: MeasurementModel, grid: TimeGrid, apriori: Optional[APrioriTrack], stats=None
@@ -327,8 +315,6 @@ class _Walk:
         self.stats = Counter() if stats is None else stats
         refs = grid.reference_times
         d = model.dim
-        # the a-priori state of each reference time, as a replayed block's new track
-        self.seeds = {s: np.broadcast_to(self.eta[s].matrix, (BLOCK_NODES, 1, d, d)) for s in refs}
         spectra = [self.eta.spectra[s] for s in refs]
         # the rows of the reference times in every table of conditioned states
         self.root_row = {s: i for i, s in enumerate(refs)}
@@ -358,42 +344,32 @@ class _Walk:
         """The root block of a letter; its tracks go to ``states``, by
         default a table of their own."""
         if states is None:
-            states = ConditionedStates(self.root_states, len(self.pairs))
+            states = IncrementTrie(self.root_states, capacity=len(self.pairs))
         return RecordBlock(letter, self.times, self.pairs, self.index, states, self.model.horizon)
 
-    def visit(self, paths, t, stacks, block, rows=None):
+    def visit(self, paths, t, stacks, block, rows):
         """Seed the reference track of time t in every node of a block and
         write its record-time columns into ``block``; ``paths`` holds the
-        nodes' outcome strings in emission order. ``rows`` (n, k) holds the
-        nodes' tracks as rows of ``block.states`` (enumeration), or is None
-        when they ride in ``stacks`` (replay). One validated batch holds the
-        main states and the tracks not decomposed before; an error names the
-        trajectory of the first failing node. Returns the stacks and rows."""
+        nodes' outcome strings in emission order, ``stacks`` (n, L, d, d)
+        their main states first and ``rows`` (n, k) their tracks as rows of
+        ``block.states``. One validated batch holds the main states and the
+        rows not decomposed before; an error names the trajectory of the
+        first failing node. Returns the rows with the track seeded at t."""
         n, root = len(stacks), self.root_row.get(t)
-        if root is not None and rows is None:
-            stacks = np.concatenate([stacks, self.seeds[t][:n]], axis=1)
-        elif root is not None:
+        if root is not None:
             rows = np.concatenate([rows, np.full((n, 1), root)], axis=1)
         if t not in self.columns:
-            return stacks, rows
+            return rows
         states = block.states
-        k = len(self.columns[t][1])
-        if rows is None:
-            tracks = stacks[:, 1 : 1 + k]
-            new = states.reserve(n * k)
-            pushed, own = tracks.reshape((-1,) + tracks.shape[2:]), new.reshape(n, k)
-        else:
-            own = rows[:, :k]
-            new = np.unique(own[~states.done[own]])
-            pushed = states.pushed[new]
+        own = rows[:, : len(self.columns[t][1])]
+        new = np.unique(own[~states.done[own]])
         try:
-            masses, batch = _node_states(np.concatenate([stacks[:, 0], pushed]))
+            masses, batch = _node_states(np.concatenate([stacks[:, 0], states.pushed[new]]))
         except (NotPositiveSemidefinite, NumericRangeError):
             # the first failing node raises the same error on its own
             for i, path in enumerate(paths):
-                mine = stacks[i, 1 : 1 + k] if rows is None else states.pushed[own[i]]
                 try:
-                    _node_states(np.concatenate([stacks[i, :1], mine]))
+                    _node_states(np.concatenate([stacks[i, :1], states.pushed[own[i]]]))
                 except (NotPositiveSemidefinite, NumericRangeError) as exc:
                     name = _path_name(block.letter, path, t)
                     raise type(exc)(f"{name}: {exc}") from exc
@@ -401,24 +377,15 @@ class _Walk:
         states.write(new, masses[n:], batch, n)
         self.stats["path states"] += n
         self.stats["increment states"] += len(new)
-        if rows is None:
-            states.pushed[new] = pushed
-            # the tracks are this batch's: (mass, entropy, eigenvalues, eigenvectors)
-            data = (masses, batch.entropies, batch.eigenvalues, batch.eigenvectors)
-            tracks = [a[n:].reshape((n, k) + a.shape[1:]) for a in data]
-        else:
-            names = ("mass", "entropy", "eigenvalues", "eigenvectors")
-            tracks = [getattr(states, name)[own] for name in names]
-        self._write(block, t, own, masses[:n], batch, tracks)
-        return stacks, rows
+        self._write(block, t, own, masses[:n], batch)
+        return rows
 
-    def _write(self, block, t, rows, masses, batch, tracks) -> None:
+    def _write(self, block, t, rows, masses, batch) -> None:
         """Write record time t into the rows of ``block``: the main states
         (the first n of ``batch``) and their masses, and the tracks at rows
-        ``rows`` (n, k) of ``block.states``, whose mass, entropy and spectra
-        are ``tracks``; one relative-entropy pass of each main state against
-        eta_t and its tracks. A track seeded at t is eta_t itself: its root
-        row."""
+        ``rows`` (n, k) of ``block.states``; one relative-entropy pass of
+        each main state against eta_t and its tracks. A track seeded at t is
+        eta_t itself: its root row."""
         col, track_cols, seeded = self.columns[t]
         states = block.states
         n, k = rows.shape
@@ -426,14 +393,14 @@ class _Walk:
         lam2 = np.empty((n, 1 + k) + lam.shape[1:])
         vec2 = np.empty((n, 1 + k) + vec.shape[1:], dtype=complex)
         lam2[:, 0], vec2[:, 0] = self.eta.spectra[t]
-        lam2[:, 1:], vec2[:, 1:] = tracks[2:]
+        lam2[:, 1:], vec2[:, 1:] = states.eigenvalues[rows], states.eigenvectors[rows]
         chis = relative_entropies(lam, vec, lam2, vec2)
         objects = np.empty(n, dtype=object)
         objects[:] = StateBatch(*(a[:n] for a in batch)).states
         values = (masses, objects, batch.entropies[:n], chis[:, 0])
         for name, value in zip(_TIME_COLUMNS, values):
             getattr(block, name)[:, col] = value
-        values = (tracks[0], rows, tracks[1], chis[:, 1:])
+        values = (states.mass[rows], rows, states.entropy[rows], chis[:, 1:])
         for name, value in zip(_PAIR_COLUMNS, values):
             getattr(block, name)[:, track_cols] = value
         if seeded is not None:
@@ -443,11 +410,22 @@ class _Walk:
                 getattr(block, name)[:, seeded] = value
 
     def replay(self, letter, outcomes) -> TrajectoryRecord:
-        """Rebuild the full record for a known path (no randomness involved)."""
+        """Rebuild the full record for a known path (no randomness involved)
+        as a one-node walk: its stack carries the tracks after the main
+        state, seeded with eta_s at depth s and pushed with it, and each
+        record time copies them into new rows of the record's own table."""
         stacks = self.roots[letter][np.newaxis, np.newaxis]
         block = self.root(letter)
+        states = block.states
+        free = states.reserve(len(self.pairs) - len(self.root_row))
         for t in range(self.model.horizon + 1):
-            stacks, _ = self.visit((outcomes,), t, stacks, block)
+            k = stacks.shape[1] - 1 if t in self.columns else 0
+            rows, free = free[np.newaxis, :k], free[k:]
+            states.pushed[rows[0]] = stacks[0, 1 : 1 + k]
+            self.visit((outcomes,), t, stacks, block, rows)
+            if t in self.root_row:
+                seed = self.eta[t].matrix[np.newaxis, np.newaxis]
+                stacks = np.concatenate([stacks, seed], axis=1)
             if t == self.model.horizon:
                 break
             instrument = self.model.instrument_at(t + 1)
@@ -496,7 +474,7 @@ def enumerate_trajectories(
         pending = [(0, root[np.newaxis, np.newaxis], no_rows, walk.root(letter, trie), [()])]
         while pending:
             t, stacks, rows, block, paths = pending.pop()
-            stacks, rows = walk.visit(paths, t, stacks, block, rows)
+            rows = walk.visit(paths, t, stacks, block, rows)
             if t == horizon:
                 for row, outcomes in enumerate(paths):
                     yield TrajectoryRecord(letter, outcomes, block, row)
@@ -522,6 +500,57 @@ def enumerate_trajectories(
                 pending.append((t + 1, children[part], child_rows[part], child, paths[part]))
 
 
+def _draw_paths(model: MeasurementModel, n_samples: int, seed: int) -> list:
+    """The (letter, outcomes) paths of ``n_samples`` draws, in draw order:
+    the letter from the prior, then each outcome with probability equal to
+    the trace its Kraus map leaves on the current state. Drawn in arrays of
+    _DRAW_ROWS paths, with the bits of one draw at a time: the uniforms as
+    one block of the same stream, the weights clipped at 0 and summed in
+    outcome order. Raises NumericRangeError for the first draw whose weights
+    at a step sum below the smallest normal float."""
+    rng = np.random.default_rng(seed)
+    prior = model.ensemble.prior
+    prior_cum = np.cumsum(prior / prior.sum())
+    roots = np.array(_letter_roots(model))
+    steps = [model.instrument_at(t) for t in range(1, model.horizon + 1)]
+    effects = [[km.normalization() for km in instrument.maps] for instrument in steps]
+    labels = [np.array(instrument.outcomes, dtype=object) for instrument in steps]
+    paths = []
+    for start in range(0, n_samples, _DRAW_ROWS):
+        draws = rng.random((min(_DRAW_ROWS, n_samples - start), 1 + model.horizon))
+        letters = np.minimum(np.searchsorted(prior_cum, draws[:, 0], side="right"), len(prior) - 1)
+        mains = roots[letters]
+        codes = np.zeros((len(draws), model.horizon), dtype=np.int64)
+        live = np.arange(len(draws))
+        failed = {}  # draw -> (step, weight total) where its weights fell short
+        for t, instrument in enumerate(steps):
+            weights = np.empty((len(live), instrument.n_outcomes))
+            for v, e in enumerate(effects[t]):
+                weights[:, v] = np.trace(mains @ e, axis1=1, axis2=2).real
+            weights[~(weights > 0.0)] = 0.0  # max(0.0, w): a NaN weight counts 0
+            cum = np.cumsum(weights, axis=1)
+            total = cum[:, -1]
+            short = ~(total >= sys.float_info.min)
+            failed.update((i, (t, w)) for i, w in zip(live[short].tolist(), total[short].tolist()))
+            live, mains, cum, total = live[~short], mains[~short], cum[~short], total[~short]
+            hits = (draws[live, 1 + t] * total)[:, np.newaxis] <= cum
+            picks = np.where(hits.any(axis=1), hits.argmax(axis=1), instrument.n_outcomes - 1)
+            codes[live, t] = picks
+            for v in np.unique(picks).tolist():
+                group = picks == v
+                mains[group] = instrument.maps[v].apply(mains[group])
+        outcomes = zip(*(labels[t][codes[:, t]] for t in range(model.horizon)))
+        paths.extend(zip(letters.tolist(), outcomes))
+        if failed:
+            t, total = failed[min(failed)]
+            letter, outcomes = paths[start + min(failed)]
+            raise NumericRangeError(
+                f"{_path_name(letter, outcomes[:t], t)}: outcome weights sum to {total!r}, "
+                "below the smallest normal float"
+            )
+    return paths
+
+
 def sample_trajectories(
     model: MeasurementModel,
     grid: TimeGrid,
@@ -531,56 +560,20 @@ def sample_trajectories(
 ) -> Iterator[TrajectoryRecord]:
     """Draw trajectories under the physical law; deterministic in the seed.
 
-    The letter is drawn from the prior, then each outcome with probability
-    equal to the trace its Kraus map leaves on the current state. Records
-    carry the same attached states as enumeration, with prob_at holding the
-    true path probability (not the 1/N estimator weight). A record is a
-    pure function of its path, so all paths are drawn first and each
-    distinct path is replayed once: the memo keeps a record only until the
-    last draw of its path, so memory holds just the records a later draw
-    still needs. The random stream never depends on the memo. Raises
-    NumericRangeError when a path's mass falls below the smallest normal
-    float.
+    Records carry the same attached states as enumeration, with prob_at
+    holding the true path probability (not the 1/N estimator weight). A
+    record is a pure function of its path, so all paths are drawn first
+    (``_draw_paths``) and each distinct path is replayed once: the memo
+    keeps a record only until the last draw of its path, so memory holds
+    just the records a later draw still needs. The random stream never
+    depends on the memo. Raises NumericRangeError when the outcome weights
+    or a path's mass fall below the smallest normal float.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     walk = _Walk(model, grid, apriori)
-    rng = np.random.default_rng(seed)
-    prior = model.ensemble.prior
-    prior_cum = np.cumsum(prior / prior.sum())
-    effects = [
-        [km.normalization() for km in model.instrument_at(step).maps]
-        for step in range(1, model.horizon + 1)
-    ]
-    paths = []
-    last = {}  # path -> index of its last draw
-    for i in range(n_samples):
-        letter = int(np.searchsorted(prior_cum, rng.random(), side="right"))
-        letter = min(letter, len(prior) - 1)
-        main = walk.roots[letter]
-        outcomes = ()
-        for t in range(model.horizon):
-            instrument = model.instrument_at(t + 1)
-            weights = [max(0.0, float(np.trace(main @ e).real)) for e in effects[t]]
-            total = sum(weights)
-            if not total >= sys.float_info.min:
-                raise NumericRangeError(
-                    f"{_path_name(letter, outcomes, t)}: outcome weights sum to {total!r}, "
-                    "below the smallest normal float"
-                )
-            u = rng.random() * total
-            cum = 0.0
-            pick = len(weights) - 1
-            for v, w in enumerate(weights):
-                cum += w
-                if u <= cum:
-                    pick = v
-                    break
-            main = instrument.maps[pick].apply(main)
-            outcomes = outcomes + (instrument.outcomes[pick],)
-        path = (letter, outcomes)
-        paths.append(path)
-        last[path] = i
+    paths = _draw_paths(model, n_samples, seed)
+    last = {path: i for i, path in enumerate(paths)}  # path -> index of its last draw
     memo = {}
     for i, path in enumerate(paths):
         record = memo.pop(path, None)
@@ -703,10 +696,8 @@ class ConsistencyAccumulator:
     together when a record of another block comes, or at ``finalize``. A
     prefix (letter, outcomes up to t) or an increment string (outcomes
     s+1..t) is numbered in mixed radix, outcome indices as digits.
-    Enumeration's records of one increment string share one trie row, so
-    the first record of each letter is also replayed with its tracks pushed
-    along its own outcomes, and its conditioned states and increment masses
-    compared with the rows it points at (``increment-dependence``)."""
+    Records of one increment string share one trie row, so ``_recheck``
+    compares the first record of each letter with an independent route."""
 
     def __init__(self, model, grid, apriori, tol: float = 1e-9):
         self._pairs = tuple(grid.pairs())
@@ -721,8 +712,7 @@ class ConsistencyAccumulator:
         self.incr = _Table(len(self._pairs), model.dim)
         self._block, self._rows = None, []
         self._states = None  # the states of the first block: the run's trie
-        self._rechecked = set()  # letters whose first record was replayed
-        self._walk = None  # replays them
+        self._rechecked = set()  # letters whose first record was re-checked
 
     def _span(self, s, t):
         """The number of outcome strings of steps s+1..t."""
@@ -739,16 +729,24 @@ class ConsistencyAccumulator:
 
     def _recheck(self, rec: TrajectoryRecord) -> None:
         """Fold into ``increment-dependence`` the deviation of a record's
-        conditioned states and increment masses from its replay, whose
-        tracks are pushed along the record's own outcomes."""
+        increment masses and conditioned states from each eta_s pushed along
+        the record's own outcomes, one Kraus application per step."""
         block, row = rec.block, rec.row
         block.check_grid(self.grid.record_times, self._pairs)
-        if self._walk is None:
-            self._walk = _Walk(self.model, self.grid, self.eta)
-        one = self._walk.replay(rec.letter, rec.outcomes)
+        codes, records = block.codes[row].tolist(), set(self.grid.record_times)
+        pushed = []  # in pair order
+        for s in self.grid.reference_times:
+            matrix = self.eta[s].matrix
+            for t in range(s, self.model.horizon + 1):
+                if t > s:
+                    matrix = self.model.instrument_at(t).maps[codes[t - 1]].apply(matrix)
+                if t in records:
+                    pushed.append(matrix)
+        pushed = np.array(pushed).reshape(-1, self.model.dim, self.model.dim)
+        masses = np.trace(pushed, axis1=1, axis2=2).real
+        theirs = _hermitian_part(pushed / masses[:, np.newaxis, np.newaxis])
         mine = block.states.matrices(block.conditioned[row])
-        theirs = one.block.states.matrices(one.block.conditioned[0])
-        gaps = np.abs(block.incr_prob[row] - one.block.incr_prob[0])
+        gaps = np.abs(block.incr_prob[row] - masses)
         self.incr.deviation = _worst(_norms(mine - theirs), _worst(gaps, self.incr.deviation))
 
     def _flush(self) -> None:
@@ -766,7 +764,7 @@ class ConsistencyAccumulator:
         for k in range(1, len(self._radix)):
             strings[:, k] = strings[:, k - 1] * self._radix[k] + codes[:, k - 1]
         times = np.array(self.grid.record_times)
-        s, t = np.array(self._pairs).reshape(-1, 2).T
+        s, t = np.array(self._pairs, dtype=np.int64).reshape(-1, 2).T
         prefixes = block.letter * self._count[times] + strings[:, times]
         self.prefix.hold(prefixes, prob_at, block.aposteriori[rows], _matrices_of)
         increments = strings[:, t] - strings[:, s] * self._span(s, t)

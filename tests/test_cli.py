@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from contmeas.cli import main
+from contmeas.cli import _parse_times, main
 from contmeas.engine import consistency_checks
 from contmeas.model import TimeGrid, builtin_scenario, random_model, serialize_model
 
@@ -184,6 +190,26 @@ class TestCheck:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("mode", ["enumerate", "sample"])
+    def test_empty_reference_times(self, tmp_path, capsys, mode):
+        # no reference time: no pair tables, only the B6 rows of bounds.csv
+        out = tmp_path / "o"
+        args = ["check", "--scenario", "qubit-weak", "--horizon", "2", "--refs", "", "--mode", mode]
+        assert run_cli(args + ["--samples", "50", "--out", out]) == 0
+        report = read_report(out)
+        assert report["config"]["reference_times"] == []
+        assert report["Ic"] == report["chi_bar"] == report["Iq_cond"] == {}
+        rows = (out / "bounds.csv").read_text().splitlines()[1:]
+        assert rows and {row.split(",")[0] for row in rows} == {"B6"}
+        lines = [line for line in capsys.readouterr().err.splitlines() if "consistency" in line]
+        if mode == "enumerate":
+            # total probability, 3 martingales, 3 a-priori means and the 4
+            # checks over all entries; no increment-total or measurability
+            assert len(lines) == 1 and lines[0].startswith("consistency: 11 checks passed")
+        else:
+            assert lines == []
+
+
 class TestStderrSummary:
     def test_consistency_names_its_worst_check(self, tmp_path, capsys):
         args = ["check", "--scenario", "qubit-weak", "--horizon", "2", "--out", tmp_path]
@@ -327,3 +353,49 @@ class TestDeterminism:
                 expected = entry["value"] / math.log(2.0)
                 got = bits[kind][key]["value"]
                 assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+class TestProperties:
+    """``main`` over small random models, grids, reference lists and both
+    modes: an exit code, never an exception; reproducible outputs; and every
+    consistency family that has a pair to check."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 50),
+        dim=st.integers(2, 3),
+        n_outcomes=st.integers(1, 3),
+        horizon=st.integers(1, 4),
+        sparse=st.booleans(),
+        refs=st.sampled_from(["0", ""]),
+        mode=st.sampled_from(["enumerate", "sample"]),
+    )
+    @example(seed=0, dim=2, n_outcomes=2, horizon=2, sparse=False, refs="", mode="enumerate")
+    @example(seed=1, dim=3, n_outcomes=1, horizon=3, sparse=True, refs="0", mode="enumerate")
+    @example(seed=2, dim=3, n_outcomes=3, horizon=4, sparse=True, refs="", mode="sample")
+    def test_main(self, seed, dim, n_outcomes, horizon, sparse, refs, mode):
+        model = random_model(seed, dim=dim, n_outcomes=n_outcomes, horizon=horizon)
+        times = sorted({0, horizon // 2, horizon} if sparse else range(horizon + 1))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            path.write_text(serialize_model(model))
+            args = ["check", "--model", path, "--grid", ",".join(map(str, times)), "--refs", refs]
+            args += ["--mode", mode, "--samples", "20", "--seed", str(seed)]
+            outputs = []
+            for tag in ("a", "b"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = run_cli(args + ["--out", Path(tmp) / tag])
+                assert code in (0, 1, 2, 3), err.getvalue()
+                if code not in (0, 2):
+                    return
+                names = ("report.json", "bounds.csv")
+                outputs.append([(Path(tmp) / tag / name).read_bytes() for name in names])
+            assert outputs[0] == outputs[1]
+        if mode == "enumerate":
+            pairs = len(TimeGrid.make(horizon, times, _parse_times(refs)).pairs())
+            # total probability, martingales, a-priori means, increment totals
+            # and measurability per pair, and the 4 checks over all entries
+            expected = 1 + len(times) * (len(times) - 1) // 2 + len(times) + 2 * pairs + 4
+            found = re.findall(r"^consistency: (\d+) checks passed", err.getvalue(), re.M)
+            assert found == [str(expected)], err.getvalue()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import weakref
 from collections import Counter
 from collections.abc import Mapping
@@ -9,11 +10,14 @@ import pytest
 
 from contmeas.engine import (
     _PAIR_COLUMNS,
+    _DRAW_ROWS,
     _TIME_COLUMNS,
     BLOCK_NODES,
     ConsistencyAccumulator,
     IncrementTrie,
     TrajectoryRecord,
+    _draw_paths,
+    _letter_roots,
     _path_name,
     _Walk,
     compute_a_priori,
@@ -307,22 +311,20 @@ class TestBlocks:
         for node, member, kind in faults:
             stacks[node, member] = self.BAD[kind]
         paths = [(label,) for label in model.instrument_at(1).outcomes]
-        block = walk.root(1).take([0] * 4)
-        with pytest.raises(error) as info:
-            walk.visit(paths, 1, stacks, block)
-        assert str(info.value).startswith(_path_name(1, paths[first], 1) + ": ")
-        # the same type and message as that node alone
-        with pytest.raises(error) as alone:
-            walk.visit(paths[first : first + 1], 1, stacks[first : first + 1], block.take([first]))
-        assert str(info.value) == str(alone.value)
-        # the same error when the tracks are trie rows not decomposed yet
+        # the tracks are trie rows not decomposed yet
         trie = IncrementTrie(walk.root_states, 4)
-        rows = trie.reserve(4)
-        trie.pushed[rows], trie.done[rows] = stacks[:, 1], False
+        rows = trie.reserve(4)[:, np.newaxis]
+        trie.pushed[rows[:, 0]] = stacks[:, 1]
         block = walk.root(1, trie).take([0] * 4)
-        with pytest.raises(error) as from_trie:
-            walk.visit(paths, 1, stacks[:, :1], block, rows[:, np.newaxis])
-        assert str(from_trie.value) == str(info.value)
+        with pytest.raises(error) as info:
+            walk.visit(paths, 1, stacks[:, :1], block, rows)
+        assert str(info.value).startswith(_path_name(1, paths[first], 1) + ": ")
+        assert not trie.done[rows].any()
+        # the same type and message as that node alone
+        one = slice(first, first + 1)
+        with pytest.raises(error) as alone:
+            walk.visit(paths[one], 1, stacks[one, :1], block.take([first]), rows[one])
+        assert str(info.value) == str(alone.value)
 
 
 class TestIncrementTrie:
@@ -348,13 +350,11 @@ class TestIncrementTrie:
         strings = sum(3 ** (t - s) for s in range(5) for t in range(s + 1, 5))
         assert stats == {"path states": nodes, "increment states": strings}
         assert sum(counted) == nodes + strings + len(grid.record_times)
-        # the consistency checks decompose the a-priori states once more and
-        # replay the first leaf of each letter: at time t, its main state and
-        # the t tracks seeded before t
+        # the consistency checks decompose only the a-priori states, once
+        # more: their re-check of the trie pushes matrices and decomposes none
         counted.clear()
         assert consistency_checks(model, grid, records=records).passed
-        replay = sum(1 + t for t in grid.record_times)
-        assert sum(counted) == len(grid.record_times) + model.ensemble.n_letters * replay
+        assert sum(counted) == len(grid.record_times)
 
     def test_pruned_strings_get_no_row(self):
         # a flipped outcome has zero mass: its string is never decomposed
@@ -472,6 +472,89 @@ class TestSample:
         }
         for rec in sample_trajectories(model, grid, 25, seed=5):
             assert abs(rec.prob - exact[(rec.letter, rec.outcomes)]) <= 1e-10
+
+
+def scalar_draws(model, n_samples, seed):
+    """The draw loop, one path and one outcome at a time, scalar weights
+    and a running sum: the reference for the array draws of _draw_paths."""
+    rng = np.random.default_rng(seed)
+    prior = model.ensemble.prior
+    prior_cum = np.cumsum(prior / prior.sum())
+    roots = _letter_roots(model)
+    effects = [
+        [km.normalization() for km in model.instrument_at(step).maps]
+        for step in range(1, model.horizon + 1)
+    ]
+    paths = []
+    for _ in range(n_samples):
+        letter = int(np.searchsorted(prior_cum, rng.random(), side="right"))
+        letter = min(letter, len(prior) - 1)
+        main = roots[letter]
+        outcomes = ()
+        for t in range(model.horizon):
+            instrument = model.instrument_at(t + 1)
+            weights = [max(0.0, float(np.trace(main @ e).real)) for e in effects[t]]
+            total = sum(weights)
+            if not total >= sys.float_info.min:
+                raise NumericRangeError(
+                    f"{_path_name(letter, outcomes, t)}: outcome weights sum to {total!r}, "
+                    "below the smallest normal float"
+                )
+            u = rng.random() * total
+            cum = 0.0
+            pick = len(weights) - 1
+            for v, w in enumerate(weights):
+                cum += w
+                if u <= cum:
+                    pick = v
+                    break
+            main = instrument.maps[pick].apply(main)
+            outcomes = outcomes + (instrument.outcomes[pick],)
+        paths.append((letter, outcomes))
+    return paths
+
+
+class TestArrayDraws:
+    """_draw_paths draws in arrays what the scalar loop draws one by one."""
+
+    CASES = {
+        **{
+            f"damped-qubit-seed{seed}": (lambda: builtin_scenario("damped-qubit", 3), 500, seed)
+            for seed in range(1, 11)
+        },
+        "qubit-weak-h20": (lambda: builtin_scenario("qubit-weak", horizon=20), 200, 101),
+        "random-dim4": (lambda: random_model(4, dim=4, n_outcomes=3, horizon=5), 300, 2),
+        # more draws than one chunk holds
+        "chunks": (lambda: random_model(6, dim=3, n_outcomes=3, horizon=2), 2 * _DRAW_ROWS + 7, 5),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_same_paths_as_scalar_loop(self, case):
+        make, n, seed = self.CASES[case]
+        model = make()
+        paths = _draw_paths(model, n, seed)
+        assert paths == scalar_draws(model, n, seed)
+        assert all(type(label) is str for _, outcomes in paths[:5] for label in outcomes)
+
+    def test_records_come_in_draw_order(self):
+        model = builtin_scenario("damped-qubit", horizon=3)
+        grid = full_grid(model)
+        paths = [(rec.letter, rec.outcomes) for rec in sample_trajectories(model, grid, 500, 1)]
+        assert paths == scalar_draws(model, 500, 1)
+
+    def test_same_underflow_error(self):
+        # the configuration of test_cli's underflow run: every draw's weights
+        # fall short, those of draws 1 and 2 at earlier steps than draw 0's;
+        # draw 0 raises, with the weight total of the step at which it fell
+        # short
+        base = random_model(3, dim=2, n_outcomes=4)
+        model = dataclasses.replace(base, horizon=600, steps=(base.steps[0],) * 600)
+        with pytest.raises(NumericRangeError) as scalar:
+            scalar_draws(model, 3, 1)
+        with pytest.raises(NumericRangeError) as arrays:
+            _draw_paths(model, 3, 1)
+        assert str(arrays.value) == str(scalar.value)
+        assert "letter " in str(arrays.value) and "e-30" in str(arrays.value)
 
 
 def reference_sums(grid, records, eta):
