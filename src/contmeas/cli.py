@@ -18,12 +18,12 @@ only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -70,24 +70,6 @@ _SCENARIO_BLURBS = {
     "pure-preserving-random": "seeded random single-Kraus instrument on pure states",
     "damped-qubit": "amplitude-damping channel with a mixed-state ensemble",
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one pipeline execution depends on."""
-
-    model_path: Optional[str]
-    scenario: Optional[str]
-    horizon: Optional[int]
-    grid: Optional[tuple]
-    refs: Optional[tuple]
-    mode: str  # "enumerate" | "sample"
-    samples: int
-    seed: int
-    tol: float
-    units: str  # "nats" | "bits"
-    out_dir: str
-    dump_trajectories: bool
 
 
 class _Failure(Exception):
@@ -153,75 +135,84 @@ def _validate_or_fail(model: MeasurementModel) -> None:
     _say(f"validation: {len(report.checks)} checks passed")
 
 
-def _make_grid(cfg: RunConfig, model: MeasurementModel) -> TimeGrid:
+@contextlib.contextmanager
+def _output(path: Path):
+    """``path`` open for writing; an OSError while opening or writing it is
+    an I/O failure."""
     try:
-        return TimeGrid.make(model.horizon, record_times=cfg.grid, reference_times=cfg.refs)
-    except ValueError as exc:
-        raise _Failure(EXIT_IO, f"bad grid: {exc}") from exc
+        with path.open("w", encoding="utf-8") as stream:
+            yield stream
+    except OSError as exc:
+        raise _Failure(EXIT_IO, f"cannot write {path}: {exc}") from exc
 
 
-def run_pipeline(cfg: RunConfig, with_bounds: bool = True) -> int:
-    """validate -> a-priori track -> engine -> consistency -> reports.
+def run_pipeline(args: argparse.Namespace) -> int:
+    """validate -> a-priori track -> engine -> consistency -> reports, for
+    the parsed command line of ``run`` or ``check``.
 
-    Writes report.json (always), bounds.csv (when ``with_bounds``) and
+    Writes report.json (always), bounds.csv (for ``check``) and
     trajectories.csv (when requested) into the output directory. Returns
     the process exit code.
     """
     try:
-        model = _load_model(cfg.model_path, cfg.scenario, cfg.horizon, cfg.seed)
+        if args.samples < 1:
+            raise _Failure(EXIT_IO, f"--samples must be at least 1, got {args.samples}")
+        # a negative --tol is allowed: it demands positive margins
+        if not math.isfinite(args.tol):
+            raise _Failure(EXIT_IO, f"--tol must be finite, got {args.tol!r}")
+        times, refs = _parse_times(args.grid), _parse_times(args.refs)
+        model = _load_model(args.model, args.scenario, args.horizon, args.seed)
         _validate_or_fail(model)
-        grid = _make_grid(cfg, model)
-        out_dir = Path(cfg.out_dir)
+        try:
+            grid = TimeGrid.make(model.horizon, record_times=times, reference_times=refs)
+        except ValueError as exc:
+            raise _Failure(EXIT_IO, f"bad grid: {exc}") from exc
+        out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise _Failure(EXIT_IO, f"cannot create {out_dir}: {exc}") from exc
 
         apriori = compute_a_priori(model, grid)
-        builder = EntropyReportBuilder(grid, mode=cfg.mode)
-        dump_stream = None
-        dump_writer = None
-        count = 0
+        builder = EntropyReportBuilder(grid, mode=args.mode)
         stats = Counter()
+        consistency = None
+        if args.mode == "enumerate":
+            consistency = ConsistencyAccumulator(model, grid, apriori, tol=args.tol)
+            records = enumerate_trajectories(model, grid, apriori=apriori, stats=stats)
+        else:
+            records = sample_trajectories(
+                model, grid, args.samples, seed=args.seed, apriori=apriori, stats=stats
+            )
+        dump = contextlib.nullcontext()
+        if args.dump_trajectories:
+            dump = _output(out_dir / "trajectories.csv")
         try:
-            consistency = None
-            if cfg.mode == "enumerate":
-                consistency = ConsistencyAccumulator(model, grid, apriori, tol=cfg.tol)
-                records = enumerate_trajectories(model, grid, apriori=apriori, stats=stats)
-            else:
-                records = sample_trajectories(
-                    model, grid, cfg.samples, seed=cfg.seed, apriori=apriori
-                )
-            if cfg.dump_trajectories:
-                dump_stream = (out_dir / "trajectories.csv").open("w", encoding="utf-8")
-                dump_writer = csv.writer(dump_stream, lineterminator="\n")
-                dump_writer.writerow(
-                    ["letter", "outcomes", "prob"] + [f"S_{t}" for t in grid.record_times]
-                )
-            for rec in records:
-                builder.add(rec)
-                if consistency is not None:
-                    consistency.add(rec)
-                if dump_writer is not None:
-                    entropy = rec.entropy
-                    dump_writer.writerow(
-                        [rec.letter, format_outcomes(rec.outcomes), repr(rec.prob)]
-                        + [repr(entropy[t]) for t in grid.record_times]
-                    )
-                count += 1
-            # the last record holds its block, and so the increment trie
-            rec = None
+            with dump as stream:
+                writer = csv.writer(stream, lineterminator="\n") if stream else None
+                if writer:
+                    names = [f"S_{t}" for t in grid.record_times]
+                    writer.writerow(["letter", "outcomes", "prob"] + names)
+                for rec in records:
+                    builder.add(rec)
+                    if consistency is not None:
+                        consistency.add(rec)
+                    if writer:
+                        # one row per draw, so a sampled path's rows are adjacent
+                        row = [rec.letter, format_outcomes(rec.outcomes), repr(rec.prob)]
+                        row += [repr(entropy) for entropy in rec.entropy.values()]
+                        writer.writerows([row] * rec.count)
+                # the last record holds its block, and so the increment trie
+                rec = None
         except BudgetExceeded as exc:
             raise _Failure(EXIT_IO, f"enumeration refused: {exc}") from exc
         except NumericRangeError as exc:
             raise _Failure(EXIT_IO, str(exc)) from exc
-        finally:
-            if dump_stream is not None:
-                dump_stream.close()
         decomposed = "".join(f", {n} {name}" for name, n in stats.items())
-        _say(f"{cfg.mode}: {count} trajectories{decomposed}")
-        if dump_writer is not None:
-            _say(f"wrote trajectories.csv ({count} rows)")
+        # builder.count counts draws in sample mode
+        _say(f"{args.mode}: {builder.count} trajectories{decomposed}")
+        if args.dump_trajectories:
+            _say(f"wrote trajectories.csv ({builder.count} rows)")
 
         report = builder.finalize()
         violations = []
@@ -240,27 +231,28 @@ def run_pipeline(cfg: RunConfig, with_bounds: bool = True) -> int:
 
         doc = {
             "config": {
-                "source": cfg.scenario if cfg.scenario else cfg.model_path,
+                "source": args.scenario if args.scenario else args.model,
                 "horizon": model.horizon,
                 "record_times": list(grid.record_times),
                 "reference_times": list(grid.reference_times),
-                "mode": cfg.mode,
-                "samples": cfg.samples if cfg.mode == "sample" else None,
-                "seed": cfg.seed,
-                "tolerance": cfg.tol,
-                "units": cfg.units,
+                "mode": args.mode,
+                "samples": args.samples if args.mode == "sample" else None,
+                "seed": args.seed,
+                "tolerance": args.tol,
+                "units": args.units,
             },
-            **report_to_json_dict(report, units=cfg.units),
+            **report_to_json_dict(report, units=args.units),
         }
         report_path = out_dir / "report.json"
-        report_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        with _output(report_path) as stream:
+            stream.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         _say(f"wrote {report_path}")
 
-        if with_bounds:
-            bounds = check_bounds(report, tol=cfg.tol, pure_preserving=is_pure_preserving(model))
+        if args.command == "check":
+            bounds = check_bounds(report, tol=args.tol, pure_preserving=is_pure_preserving(model))
             bounds_path = out_dir / "bounds.csv"
-            with bounds_path.open("w", encoding="utf-8") as stream:
-                write_bounds_csv(bounds, stream, units=cfg.units)
+            with _output(bounds_path) as stream:
+                write_bounds_csv(bounds, stream, units=args.units)
             _say(f"wrote {bounds_path} ({len(bounds.checks)} bound checks)")
             families = {}
             for check in bounds.checks:
@@ -352,44 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """RunConfig of a ``run`` or ``check`` command line; every default comes
-    from the parser. A negative --tol is allowed: it demands positive
-    margins."""
-    if args.samples < 1:
-        raise _Failure(EXIT_IO, f"--samples must be at least 1, got {args.samples}")
-    if not math.isfinite(args.tol):
-        raise _Failure(EXIT_IO, f"--tol must be finite, got {args.tol!r}")
-    return RunConfig(
-        model_path=args.model,
-        scenario=args.scenario,
-        horizon=args.horizon,
-        grid=_parse_times(args.grid),
-        refs=_parse_times(args.refs),
-        mode=args.mode,
-        samples=args.samples,
-        seed=args.seed,
-        tol=args.tol,
-        units=args.units,
-        out_dir=args.out,
-        dump_trajectories=args.dump_trajectories,
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "scenario":
         return _cmd_scenario_list()
     if args.command == "validate":
         return _cmd_validate(args)
-    try:
-        cfg = _config_from_args(args)
-    except _Failure as failure:
-        _say(f"error: {failure}")
-        return failure.code
-    if args.command == "run":
-        return run_pipeline(cfg, with_bounds=False)
-    return run_pipeline(cfg, with_bounds=True)
+    return run_pipeline(args)
 
 
 if __name__ == "__main__":

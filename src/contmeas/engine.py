@@ -12,7 +12,8 @@ string), in an increment trie shared by all letters and prefixes; a
 replayed path (and so the sampler) pushes them with its own state, seeded
 with the a-priori state when it passes depth s, and copies them into rows
 of a table of its own at each record time. The sampler draws its paths in
-arrays and replays each distinct path once.
+arrays and replays each distinct path once, into one record that carries
+its number of draws.
 
 All probabilities are plain probabilities under the physical law; the
 uniform reference-measure densities differ from them by constant factors
@@ -204,9 +205,10 @@ class RecordRow(Mapping):
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    """One enumerated or sampled trajectory: row ``row`` of a block of
-    leaves. Each column of the block reads as a read-only mapping of this
-    row, keyed by time or by (s, t) pair: ``rec.prob_at[t]``,
+    """One enumerated trajectory, or one distinct sampled path with
+    ``count``, its number of draws (1 in enumeration): row ``row`` of a
+    block of leaves. Each column of the block reads as a read-only mapping
+    of this row, keyed by time or by (s, t) pair: ``rec.prob_at[t]``,
     ``rec.conditioned[(s, t)]`` (see RecordBlock and RecordRow). The
     entropic terms are cached so that report building never re-decomposes
     a matrix."""
@@ -215,6 +217,7 @@ class TrajectoryRecord:
     outcomes: tuple
     block: RecordBlock
     row: int
+    count: int = 1
 
     def __getattr__(self, name):
         if name not in _TIME_COLUMNS + _PAIR_COLUMNS:
@@ -409,11 +412,12 @@ class _Walk:
             for name, value in zip(_PAIR_COLUMNS, values):
                 getattr(block, name)[:, seeded] = value
 
-    def replay(self, letter, outcomes) -> TrajectoryRecord:
-        """Rebuild the full record for a known path (no randomness involved)
-        as a one-node walk: its stack carries the tracks after the main
-        state, seeded with eta_s at depth s and pushed with it, and each
-        record time copies them into new rows of the record's own table."""
+    def replay(self, letter, outcomes, count=1) -> TrajectoryRecord:
+        """Rebuild the full record for a known path (no randomness involved),
+        drawn ``count`` times, as a one-node walk: its stack carries the
+        tracks after the main state, seeded with eta_s at depth s and pushed
+        with it, and each record time copies them into new rows of the
+        record's own table."""
         stacks = self.roots[letter][np.newaxis, np.newaxis]
         block = self.root(letter)
         states = block.states
@@ -431,7 +435,7 @@ class _Walk:
             instrument = self.model.instrument_at(t + 1)
             block.codes[0, t] = code = instrument.outcomes.index(outcomes[t])
             stacks = instrument.maps[code].apply(stacks)
-        return TrajectoryRecord(letter, outcomes, block, 0)
+        return TrajectoryRecord(letter, outcomes, block, 0, count)
 
 
 def enumerate_trajectories(
@@ -557,31 +561,28 @@ def sample_trajectories(
     n_samples: int,
     seed: int,
     apriori: Optional[APrioriTrack] = None,
+    stats: Optional[Counter] = None,
 ) -> Iterator[TrajectoryRecord]:
     """Draw trajectories under the physical law; deterministic in the seed.
 
     Records carry the same attached states as enumeration, with prob_at
     holding the true path probability (not the 1/N estimator weight). A
     record is a pure function of its path, so all paths are drawn first
-    (``_draw_paths``) and each distinct path is replayed once: the memo
-    keeps a record only until the last draw of its path, so memory holds
-    just the records a later draw still needs. The random stream never
-    depends on the memo. Raises NumericRangeError when the outcome weights
-    or a path's mass fall below the smallest normal float.
+    (``_draw_paths``), and each distinct path is replayed once and yielded
+    once, in first-draw order, as a record whose ``count`` is its number of
+    draws; the counts sum to ``n_samples``. The generator holds no record
+    once it yields the next. ``stats``, when given, counts the "distinct
+    paths" and the states decomposed, as in enumerate_trajectories. Raises
+    NumericRangeError when the outcome weights or a path's mass fall below
+    the smallest normal float.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    walk = _Walk(model, grid, apriori)
-    paths = _draw_paths(model, n_samples, seed)
-    last = {path: i for i, path in enumerate(paths)}  # path -> index of its last draw
-    memo = {}
-    for i, path in enumerate(paths):
-        record = memo.pop(path, None)
-        if record is None:
-            record = walk.replay(*path)
-        if last[path] > i:
-            memo[path] = record
-        yield record
+    walk = _Walk(model, grid, apriori, stats)
+    counts = Counter(_draw_paths(model, n_samples, seed))
+    walk.stats["distinct paths"] += len(counts)
+    for path, count in counts.items():
+        yield walk.replay(*path, count)
 
 
 # ---------------------------------------------------------------------------

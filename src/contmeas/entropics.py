@@ -3,7 +3,7 @@
 Every quantity is a trajectory-local expectation: each record contributes a
 log-probability difference or an entropy term, so a single pass builds the
 full report for both exhaustive enumeration (exact weights) and Monte-Carlo
-sampling (uniform weights with standard errors). Quantities:
+sampling (draw counts as weights, with standard errors). Quantities:
 
 * ``Ic(r, t)``  mutual information between (letter, outcomes up to r) and
   the outcome increments r+1..t;
@@ -70,11 +70,14 @@ class EntropyReportBuilder:
     """One-pass accumulator of every report entry over a record stream.
 
     With ``mode="enumerate"`` records are weighted by their exact
-    probability; with ``mode="sample"`` every record counts 1/N and the
+    probability; with ``mode="sample"`` a record (one distinct path) is
+    weighted by its draw count, each draw counting 1/N, and the
     accumulators also produce standard errors. Each entry is a weighted
-    streaming mean and variance (West's update) with an infinity flag for
-    diverging relative-entropy contributions; the entries are kept as
-    columns in ``keys`` order and updated together.
+    streaming mean and variance (West's update; a frequency weight k gives
+    the mean and m2 of k unit updates in exact arithmetic) with an infinity
+    flag for diverging relative-entropy contributions; the entries are kept
+    as columns in ``keys`` order and updated together. ``count`` counts
+    draws in sample mode and records in enumerate mode.
     """
 
     def __init__(self, grid: TimeGrid, mode: str = "enumerate"):
@@ -82,8 +85,7 @@ class EntropyReportBuilder:
             raise ValueError(f"unknown mode {mode!r}")
         self.grid = grid
         self.mode = mode
-        self.count = 0  # records added
-        self.weighted = 0  # records with positive weight (the se sample size)
+        self.count = 0  # draws added (the se sample size)
         times = grid.record_times
         pairs = grid.pairs()
         keys = []
@@ -135,11 +137,10 @@ class EntropyReportBuilder:
         return values
 
     def add(self, rec: TrajectoryRecord) -> None:
-        weight = rec.prob if self.mode == "enumerate" else 1.0
-        self.count += 1
+        weight = rec.prob if self.mode == "enumerate" else rec.count
+        self.count += rec.count
         if weight <= 0.0:
             return
-        self.weighted += 1
         if rec.block is not self._block:
             self._block, self._block_values = rec.block, self._values(rec.block)
         values = self._block_values[rec.row]
@@ -161,9 +162,9 @@ class EntropyReportBuilder:
         self._block, self._block_values = None, None
         means = np.where(self.infinite, math.inf, self.mean).tolist()
         errors = np.zeros(len(self.keys))
-        if self.mode == "sample" and self.weighted >= 2:
-            variance = self.m2 / (self.weighted - 1)
-            errors = np.sqrt(np.where(0.0 > variance, 0.0, variance) / self.weighted)
+        if self.mode == "sample" and self.count >= 2:
+            variance = self.m2 / (self.count - 1)
+            errors = np.sqrt(np.where(0.0 > variance, 0.0, variance) / self.count)
             errors[self.infinite] = 0.0
         tables = {kind: {} for kind in KINDS}
         se = {}

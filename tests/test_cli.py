@@ -1,9 +1,11 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contmeas.cli import _parse_times, main
-from contmeas.engine import consistency_checks
+from contmeas.engine import _draw_paths, consistency_checks, format_outcomes
 from contmeas.model import TimeGrid, builtin_scenario, random_model, serialize_model
 
 
@@ -189,6 +191,19 @@ class TestCheck:
         assert err == ["error: --horizon must be at least 1, got -2"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [("check", "report.json"), ("check", "bounds.csv"), ("run", "trajectories.csv")],
+    )
+    def test_unwritable_output_exit_3(self, tmp_path, capsys, command, name):
+        # a directory in the way of an output file (unlike a read-only
+        # directory, this also stops a process run as root)
+        (tmp_path / name).mkdir()
+        args = [command, "--scenario", "qubit-weak", "--horizon", "2", "--out", tmp_path]
+        assert run_cli(args + ["--dump-trajectories"] * (name == "trajectories.csv")) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        errors = [line for line in err if "error" in line]
+        assert errors == err[-1:] and err[-1].startswith(f"error: cannot write {tmp_path / name}: ")
 
     @pytest.mark.parametrize("mode", ["enumerate", "sample"])
     def test_empty_reference_times(self, tmp_path, capsys, mode):
@@ -233,6 +248,17 @@ class TestStderrSummary:
         strings = sum(3 ** (t - s) for s in range(6) for t in range(s + 1, 6))
         assert (nodes, strings) == (728, 537)
         assert lines == ["enumerate: 486 trajectories, 728 path states, 537 increment states"]
+
+    def test_sample_counts_draws_and_distinct_paths(self, tmp_path, capsys):
+        # qubit-weak, horizon 3, 50 draws at seed 1: 8 distinct paths, each
+        # replayed once; a replay decomposes its main state at the 4 record
+        # times, and at time t the t tracks seeded before it (0+1+2+3 = 6)
+        args = ["run", "--scenario", "qubit-weak", "--horizon", "3", "--mode", "sample"]
+        assert run_cli(args + ["--samples", "50", "--seed", "1", "--out", tmp_path]) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines() if "trajectories" in line]
+        model = builtin_scenario("qubit-weak", horizon=3)
+        assert len(set(_draw_paths(model, 50, 1))) == 8
+        assert lines == ["sample: 50 trajectories, 8 distinct paths, 32 path states, 48 increment states"]
 
     def test_one_line_per_bound_family(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -290,6 +316,21 @@ class TestRun:
         lines = (out / "trajectories.csv").read_text().strip().splitlines()
         assert lines[0] == "letter,outcomes,prob,S_0,S_1,S_2"
         assert len(lines) == 4
+
+    def test_dump_trajectories_sample_mode(self, tmp_path, capsys):
+        # the same header; one row per draw, and the rows of a path adjacent,
+        # the paths in first-draw order
+        out = tmp_path / "out"
+        args = ["run", "--scenario", "qubit-weak", "--horizon", "3", "--mode", "sample"]
+        args += ["--samples", "50", "--seed", "1", "--dump-trajectories", "--out", out]
+        assert run_cli(args) == 0
+        assert "wrote trajectories.csv (50 rows)" in capsys.readouterr().err
+        lines = (out / "trajectories.csv").read_text().splitlines()
+        assert lines[0] == "letter,outcomes,prob,S_0,S_1,S_2,S_3"
+        runs = [(row, len(list(group))) for row, group in itertools.groupby(lines[1:])]
+        draws = Counter(_draw_paths(builtin_scenario("qubit-weak", horizon=3), 50, 1))
+        expected = [((str(letter), format_outcomes(xs)), n) for (letter, xs), n in draws.items()]
+        assert [(tuple(row.split(",")[:2]), n) for row, n in runs] == expected
 
     def test_long_horizon_underflow_exit_3(self, tmp_path, capsys):
         # a sampled path loses about a factor 4 of mass per step, so its mass

@@ -411,7 +411,7 @@ class TestSample:
         model = builtin_scenario("qubit-projective", horizon=1)
         n = 4000
         hits = sum(
-            rec.letter == 1
+            rec.count * (rec.letter == 1)
             for rec in sample_trajectories(model, full_grid(model), n, seed=42)
         )
         assert abs(hits / n - 0.5) <= 3.0 * math.sqrt(0.25 / n)
@@ -419,29 +419,21 @@ class TestSample:
     def test_deterministic_in_seed(self):
         model = builtin_scenario("damped-qubit", horizon=2)
         grid = full_grid(model)
-        a = [(r.letter, r.outcomes, r.prob) for r in sample_trajectories(model, grid, 50, seed=3)]
-        b = [(r.letter, r.outcomes, r.prob) for r in sample_trajectories(model, grid, 50, seed=3)]
+        runs = [list(sample_trajectories(model, grid, 50, seed=3)) for _ in range(2)]
+        a, b = ([(r.letter, r.outcomes, r.prob, r.count) for r in run] for run in runs)
         assert a == b
 
-    def test_memo_keeps_only_records_a_later_draw_needs(self):
-        # a repeated path is served as one record; once a path has no later
-        # draw, the sampler holds no reference to its record
+    def test_holds_no_earlier_record(self):
+        # once the sampler yields a record, it holds neither an earlier
+        # record nor the table of states of one
         model = builtin_scenario("qubit-weak", horizon=6)
-        paths, refs, alive = [], [], []
+        refs, draws = [], 0
         for rec in sample_trajectories(model, full_grid(model), 60, seed=5):
-            path = (rec.letter, rec.outcomes)
-            if path in paths:
-                assert refs[paths.index(path)]() is rec
-            paths.append(path)
-            refs.append(weakref.ref(rec))
+            assert all(ref() is None for pair in refs for ref in pair)
+            refs.append((weakref.ref(rec), weakref.ref(rec.block.states)))
+            draws += rec.count
             del rec
-            alive.append([ref() is not None for ref in refs])
-        assert 1 < len(set(paths)) < len(paths)
-        for i, now in enumerate(alive):
-            for j, is_alive in enumerate(now):
-                # the generator still holds the record it yielded last
-                needed = paths[j] == paths[i] or paths[j] in paths[i + 1 :]
-                assert is_alive == needed, (i, j)
+        assert 1 < len(refs) < draws == 60
 
     def test_event_frequencies_match_enumeration(self):
         # enumeration is the oracle for the law of (letter, outcomes)
@@ -454,7 +446,7 @@ class TestSample:
         counts = {}
         for rec in sample_trajectories(model, grid, n, seed=11):
             key = (rec.letter, rec.outcomes)
-            counts[key] = counts.get(key, 0) + 1
+            counts[key] = counts.get(key, 0) + rec.count
         rng = np.random.default_rng(0)
         keys = sorted(exact)
         for _ in range(20):
@@ -537,10 +529,13 @@ class TestArrayDraws:
         assert all(type(label) is str for _, outcomes in paths[:5] for label in outcomes)
 
     def test_records_come_in_draw_order(self):
+        # one record per distinct path, in first-draw order, with its draws
         model = builtin_scenario("damped-qubit", horizon=3)
         grid = full_grid(model)
-        paths = [(rec.letter, rec.outcomes) for rec in sample_trajectories(model, grid, 500, 1)]
-        assert paths == scalar_draws(model, 500, 1)
+        records = sample_trajectories(model, grid, 500, 1)
+        pairs = [((rec.letter, rec.outcomes), rec.count) for rec in records]
+        assert pairs == list(Counter(scalar_draws(model, 500, 1)).items())
+        assert 1 < len(pairs) < 500
 
     def test_same_underflow_error(self):
         # the configuration of test_cli's underflow run: every draw's weights

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -54,10 +55,10 @@ class MeanAccumulator:
         self.m2 = 0.0
         self.infinite = False
 
-    def add(self, value: float, weight: float = 1.0) -> None:
+    def add(self, value: float, weight: float = 1.0, draws: int = 1) -> None:
         if weight <= 0.0:
             return
-        self.count += 1
+        self.count += draws
         if math.isinf(value):
             self.infinite = True
             return
@@ -73,7 +74,8 @@ class MeanAccumulator:
         return self._mean
 
     def standard_error(self) -> float:
-        """Standard error of the mean for unit-weight (sampling) streams."""
+        """Standard error of the mean for sampling streams, whose weights
+        are draw counts."""
         if self.infinite or self.count < 2:
             return 0.0
         variance = self.m2 / (self.count - 1)
@@ -82,13 +84,14 @@ class MeanAccumulator:
 
 def reference_report(records, grid, mode="enumerate"):
     """Every report entry through its own MeanAccumulator, in the builder's
-    key order: the per-key reference for the column-wise builder."""
+    key order: the per-key reference for the column-wise builder. A sampled
+    record weighs its draw count."""
     keys = EntropyReportBuilder(grid, mode).keys
     accs = {key: MeanAccumulator() for key in keys}
     count = 0
     for rec in records:
-        count += 1
-        weight = rec.prob if mode == "enumerate" else 1.0
+        count += rec.count
+        weight = rec.prob if mode == "enumerate" else rec.count
         for key, acc in accs.items():
             kind, times = key[0], key[1:]
             if kind == "Ic":
@@ -107,7 +110,7 @@ def reference_report(records, grid, mode="enumerate"):
             else:
                 r, s, t = times
                 value = rec.cond_entropy[(r, s)] - rec.cond_entropy[(r, t)]
-            acc.add(value, weight)
+            acc.add(value, weight, rec.count)
     return count, accs
 
 
@@ -264,7 +267,7 @@ class TestColumnBuilder:
         rec = records[7]
         block = rec.block.take([rec.row])
         block.chi_term[0, block.pairs.index((0, 2))] = math.inf
-        records[7] = TrajectoryRecord(rec.letter, rec.outcomes, block, 0)
+        records[7] = TrajectoryRecord(rec.letter, rec.outcomes, block, 0, rec.count)
         return grid, records
 
     def test_sample_with_inf_bit_for_bit(self, sampled_with_inf):
@@ -272,6 +275,23 @@ class TestColumnBuilder:
         report = build_entropy_report(records, grid, mode="sample")
         assert math.isinf(report.chi_bar[(0, 2)]) and report.se[("chi_bar", 0, 2)] == 0.0
         self.assert_matches_reference(report, records, grid, "sample")
+
+    def test_counts_equal_repeated_draws(self):
+        # a record of count k folds like k records of count 1, within rounding
+        model = builtin_scenario("damped-qubit", horizon=3)
+        grid = full_grid(model)
+        records = list(sample_trajectories(model, grid, 300, seed=3))
+        assert max(rec.count for rec in records) > 1
+        draws = [dataclasses.replace(rec, count=1) for rec in records for _ in range(rec.count)]
+        folded = build_entropy_report(records, grid, mode="sample")
+        repeated = build_entropy_report(draws, grid, mode="sample")
+        assert folded.count == repeated.count == len(draws) == 300
+        for key in folded.se:
+            kind = key[0]
+            times = key[1] if kind == "chi_at" else key[1:]
+            value, other = getattr(folded, kind)[times], getattr(repeated, kind)[times]
+            assert abs(value - other) <= 1e-12, key
+            assert abs(folded.se[key] - repeated.se[key]) <= 1e-12, key
 
     def test_records_own_their_matrices(self, sampled_with_inf):
         # a view into a node's stack would keep the whole stack alive
