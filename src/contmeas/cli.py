@@ -20,16 +20,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import math
 import sys
 from collections import Counter
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
 from .engine import (
     ConsistencyAccumulator,
-    compute_a_priori,
     enumerate_trajectories,
     format_outcomes,
     sample_trajectories,
@@ -96,6 +97,8 @@ def _load_model(model_path, scenario, horizon, seed) -> MeasurementModel:
         raise _Failure(EXIT_IO, "exactly one of --model and --scenario is required")
     if horizon is not None and horizon < 1:
         raise _Failure(EXIT_IO, f"--horizon must be at least 1, got {horizon}")
+    if seed < 0:
+        raise _Failure(EXIT_IO, f"--seed must be non-negative, got {seed}")
     if scenario is not None:
         try:
             return builtin_scenario(
@@ -146,9 +149,24 @@ def _output(path: Path):
         raise _Failure(EXIT_IO, f"cannot write {path}: {exc}") from exc
 
 
+def _fold(records, consumers, writer) -> None:
+    """Add ``records`` to each of ``consumers`` a run of one block at a
+    time, and write a trajectories.csv row per draw when ``writer`` is
+    given (a sampled path's rows are adjacent). No run outlives the call."""
+    for _, run in itertools.groupby(records, key=attrgetter("block")):
+        run = list(run)
+        for consumer in consumers:
+            consumer.add(run)
+        if writer:
+            for rec in run:
+                row = [rec.letter, format_outcomes(rec.outcomes), repr(rec.prob)]
+                row += [repr(entropy) for entropy in rec.entropy.values()]
+                writer.writerows([row] * rec.count)
+
+
 def run_pipeline(args: argparse.Namespace) -> int:
-    """validate -> a-priori track -> engine -> consistency -> reports, for
-    the parsed command line of ``run`` or ``check``.
+    """validate -> engine -> consistency -> reports, for the parsed command
+    line of ``run`` or ``check``.
 
     Writes report.json (always), bounds.csv (for ``check``) and
     trajectories.csv (when requested) into the output directory. Returns
@@ -173,37 +191,25 @@ def run_pipeline(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise _Failure(EXIT_IO, f"cannot create {out_dir}: {exc}") from exc
 
-        apriori = compute_a_priori(model, grid)
         builder = EntropyReportBuilder(grid, mode=args.mode)
-        stats = Counter()
+        consumers, stats = [builder], Counter()
         consistency = None
-        if args.mode == "enumerate":
-            consistency = ConsistencyAccumulator(model, grid, apriori, tol=args.tol)
-            records = enumerate_trajectories(model, grid, apriori=apriori, stats=stats)
-        else:
-            records = sample_trajectories(
-                model, grid, args.samples, seed=args.seed, apriori=apriori, stats=stats
-            )
         dump = contextlib.nullcontext()
         if args.dump_trajectories:
             dump = _output(out_dir / "trajectories.csv")
         try:
+            if args.mode == "enumerate":
+                consistency = ConsistencyAccumulator(model, grid, tol=args.tol)
+                consumers.append(consistency)
+                records = enumerate_trajectories(model, grid, stats=stats)
+            else:
+                records = sample_trajectories(model, grid, args.samples, args.seed, stats)
             with dump as stream:
                 writer = csv.writer(stream, lineterminator="\n") if stream else None
                 if writer:
                     names = [f"S_{t}" for t in grid.record_times]
                     writer.writerow(["letter", "outcomes", "prob"] + names)
-                for rec in records:
-                    builder.add(rec)
-                    if consistency is not None:
-                        consistency.add(rec)
-                    if writer:
-                        # one row per draw, so a sampled path's rows are adjacent
-                        row = [rec.letter, format_outcomes(rec.outcomes), repr(rec.prob)]
-                        row += [repr(entropy) for entropy in rec.entropy.values()]
-                        writer.writerows([row] * rec.count)
-                # the last record holds its block, and so the increment trie
-                rec = None
+                _fold(records, consumers, writer)
         except BudgetExceeded as exc:
             raise _Failure(EXIT_IO, f"enumeration refused: {exc}") from exc
         except NumericRangeError as exc:

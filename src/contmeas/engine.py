@@ -27,11 +27,13 @@ normalized.
 from __future__ import annotations
 
 import copy
-import math
+import itertools
 import sys
+import weakref
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -49,12 +51,10 @@ from .quantum import (
 # A branch is pruned when its trace drops below this fraction of its parent.
 PRUNE_REL_TOL = 1e-14
 # Nodes stepped together: the walk holds the nodes of one depth in blocks of
-# at most this many, in emission order, each one (n, L, d, d) array.
+# at most this many, in emission order, each one (n, d, d) array.
 BLOCK_NODES = 32
-# Default cap on letters x outcome strings for exhaustive enumeration.
+# Cap on letters x outcome strings for exhaustive enumeration.
 DEFAULT_LEAF_BUDGET = 10**7
-# At most this many increment-trie rows are allocated before the walk.
-_TRIE_ROWS = 4096
 # The consistency checks form their (m, d, d) temporaries at most this many
 # rows at a time, so that finalize's peak memory stays near the walk's.
 _SLICE_ROWS = 256
@@ -91,13 +91,12 @@ class IncrementTrie:
 
     ARRAYS = ("mass", "pushed", "entropy", "eigenvalues", "eigenvectors", "children", "done")
 
-    def __init__(self, roots, width=1, capacity=0):
+    def __init__(self, roots, width=1):
         self.size = len(roots[0])
         for name, values in zip(self.ARRAYS, roots):
             setattr(self, name, values.copy())
         self.children = np.full((self.size, width), -1)
         self.done = np.ones(self.size, dtype=bool)
-        _grow(self, self.ARRAYS, capacity)
 
     def reserve(self, count) -> np.ndarray:
         """``count`` new rows with no children, not written or decomposed."""
@@ -275,15 +274,6 @@ def compute_a_priori(model: MeasurementModel, grid: TimeGrid) -> APrioriTrack:
     return track
 
 
-def _track(model: MeasurementModel, grid: TimeGrid, apriori) -> APrioriTrack:
-    """``apriori``, computed when None; only compute_a_priori's track
-    carries the spectra the walk reuses."""
-    if apriori is not None and not isinstance(apriori, APrioriTrack):
-        name = type(apriori).__name__
-        raise TypeError(f"apriori must be the track that compute_a_priori returns, not {name}")
-    return compute_a_priori(model, grid) if apriori is None else apriori
-
-
 def _node_states(stack):
     """Masses and validated normalized states of a (..., d, d) stack of
     unnormalized states, both flat in stack order. Checked in that order,
@@ -300,19 +290,18 @@ def _node_states(stack):
 
 
 class _Walk:
-    """What enumeration and sampling share: the letter roots, and the step
-    taken at every node of a path. Nodes are stepped in blocks of siblings
-    at one depth, held as one (n, L, d, d) array, and the per-node step
-    ``visit`` writes each record time. A node's outcome-only conditioned
-    states (its tracks, one per reference time passed so far, in seeding
-    order) are rows of its block's table of states: of the increment trie
-    in enumeration, of the record's own table in a replay."""
+    """What enumeration and sampling share: the a-priori track of the grid,
+    the letter roots, and the step taken at every node of a path. Nodes are
+    stepped in blocks of siblings at one depth, their main states held as
+    one (n, d, d) array, and the per-node step ``visit`` writes each record
+    time. A node's outcome-only conditioned states (its tracks, one per
+    reference time passed so far, in seeding order) are rows of its block's
+    table of states: of the increment trie in enumeration, of the record's
+    own table in a replay."""
 
-    def __init__(
-        self, model: MeasurementModel, grid: TimeGrid, apriori: Optional[APrioriTrack], stats=None
-    ):
+    def __init__(self, model: MeasurementModel, grid: TimeGrid, stats=None):
         self.model = model
-        self.eta = _track(model, grid, apriori)
+        self.eta = compute_a_priori(model, grid)
         self.roots = _letter_roots(model)
         # states decomposed: "path states" (main states), "increment states"
         self.stats = Counter() if stats is None else stats
@@ -347,14 +336,14 @@ class _Walk:
         """The root block of a letter; its tracks go to ``states``, by
         default a table of their own."""
         if states is None:
-            states = IncrementTrie(self.root_states, capacity=len(self.pairs))
+            states = IncrementTrie(self.root_states)
         return RecordBlock(letter, self.times, self.pairs, self.index, states, self.model.horizon)
 
     def visit(self, paths, t, stacks, block, rows):
         """Seed the reference track of time t in every node of a block and
         write its record-time columns into ``block``; ``paths`` holds the
-        nodes' outcome strings in emission order, ``stacks`` (n, L, d, d)
-        their main states first and ``rows`` (n, k) their tracks as rows of
+        nodes' outcome strings in emission order, ``stacks`` (n, d, d)
+        their main states and ``rows`` (n, k) their tracks as rows of
         ``block.states``. One validated batch holds the main states and the
         rows not decomposed before; an error names the trajectory of the
         first failing node. Returns the rows with the track seeded at t."""
@@ -367,12 +356,12 @@ class _Walk:
         own = rows[:, : len(self.columns[t][1])]
         new = np.unique(own[~states.done[own]])
         try:
-            masses, batch = _node_states(np.concatenate([stacks[:, 0], states.pushed[new]]))
+            masses, batch = _node_states(np.concatenate([stacks, states.pushed[new]]))
         except (NotPositiveSemidefinite, NumericRangeError):
             # the first failing node raises the same error on its own
             for i, path in enumerate(paths):
                 try:
-                    _node_states(np.concatenate([stacks[i, :1], states.pushed[own[i]]]))
+                    _node_states(np.concatenate([stacks[i : i + 1], states.pushed[own[i]]]))
                 except (NotPositiveSemidefinite, NumericRangeError) as exc:
                     name = _path_name(block.letter, path, t)
                     raise type(exc)(f"{name}: {exc}") from exc
@@ -426,7 +415,7 @@ class _Walk:
             k = stacks.shape[1] - 1 if t in self.columns else 0
             rows, free = free[np.newaxis, :k], free[k:]
             states.pushed[rows[0]] = stacks[0, 1 : 1 + k]
-            self.visit((outcomes,), t, stacks, block, rows)
+            self.visit((outcomes,), t, stacks[:, 0], block, rows)
             if t in self.root_row:
                 seed = self.eta[t].matrix[np.newaxis, np.newaxis]
                 stacks = np.concatenate([stacks, seed], axis=1)
@@ -439,11 +428,7 @@ class _Walk:
 
 
 def enumerate_trajectories(
-    model: MeasurementModel,
-    grid: TimeGrid,
-    apriori: Optional[APrioriTrack] = None,
-    budget: int = DEFAULT_LEAF_BUDGET,
-    stats: Optional[Counter] = None,
+    model: MeasurementModel, grid: TimeGrid, stats: Optional[Counter] = None
 ) -> Iterator[TrajectoryRecord]:
     """Depth-first walk over all (letter, outcome string) paths, in blocks
     of at most BLOCK_NODES nodes at one depth. The nodes carry their main
@@ -452,30 +437,26 @@ def enumerate_trajectories(
 
     Yields one record per positive-probability leaf, a block of leaves row
     by row; the emitted probabilities sum to 1 up to the pruning tolerance.
-    ``apriori`` is compute_a_priori's track (computed when omitted; anything
-    else raises TypeError). ``stats``, when given, counts the states
-    decomposed: "path states" (one per node at a record time) and
-    "increment states" (one per trie row). Raises BudgetExceeded before
-    doing any work when the leaf count is too large.
+    ``stats``, when given, counts the states decomposed: "path states" (one
+    per node at a record time) and "increment states" (one per trie row).
+    Raises BudgetExceeded before doing any work when the leaf count exceeds
+    DEFAULT_LEAF_BUDGET.
     """
     leaves = model.leaf_count()
-    if leaves > budget:
-        raise BudgetExceeded(f"{leaves} leaves exceed the budget of {budget}")
-    walk = _Walk(model, grid, apriori, stats)
+    if leaves > DEFAULT_LEAF_BUDGET:
+        raise BudgetExceeded(f"{leaves} leaves exceed the budget of {DEFAULT_LEAF_BUDGET}")
+    walk = _Walk(model, grid, stats)
     horizon = model.horizon
-    radix = [model.instrument_at(k).n_outcomes for k in range(1, horizon + 1)]
-    # the rows of the unpruned trie, allocated at once when they are few
-    refs = grid.reference_times
-    size = sum(math.prod(radix[s:t]) for s in refs for t in range(s, horizon + 1))
-    trie = IncrementTrie(walk.root_states, max(radix, default=1), min(size, _TRIE_ROWS))
+    width = max((model.instrument_at(k).n_outcomes for k in range(1, horizon + 1)), default=1)
+    trie = IncrementTrie(walk.root_states, width)
 
     for letter, (p, root) in enumerate(zip(model.ensemble.prior, walk.roots)):
         if p <= 0.0:
             continue
-        # pending blocks: (depth, (n, 1, d, d) main states, (n, k) trie rows,
+        # pending blocks: (depth, (n, d, d) main states, (n, k) trie rows,
         # record block, outcome strings)
         no_rows = np.zeros((1, 0), dtype=np.int64)
-        pending = [(0, root[np.newaxis, np.newaxis], no_rows, walk.root(letter, trie), [()])]
+        pending = [(0, root[np.newaxis], no_rows, walk.root(letter, trie), [()])]
         while pending:
             t, stacks, rows, block, paths = pending.pop()
             rows = walk.visit(paths, t, stacks, block, rows)
@@ -488,8 +469,8 @@ def enumerate_trajectories(
             children = np.empty((len(stacks), n_out) + stacks.shape[1:], dtype=complex)
             for v, kraus in enumerate(instrument.maps):
                 children[:, v] = kraus.apply(stacks)
-            parent_trace = np.trace(stacks[:, 0], axis1=1, axis2=2).real[:, np.newaxis]
-            child_trace = np.trace(children[:, :, 0], axis1=2, axis2=3).real
+            parent_trace = np.trace(stacks, axis1=1, axis2=2).real[:, np.newaxis]
+            child_trace = np.trace(children, axis1=2, axis2=3).real
             kept = np.flatnonzero(~(child_trace < PRUNE_REL_TOL * parent_trace))
             # node-major, outcome-minor: emission order
             children = children.reshape((-1,) + stacks.shape[1:])[kept]
@@ -560,7 +541,6 @@ def sample_trajectories(
     grid: TimeGrid,
     n_samples: int,
     seed: int,
-    apriori: Optional[APrioriTrack] = None,
     stats: Optional[Counter] = None,
 ) -> Iterator[TrajectoryRecord]:
     """Draw trajectories under the physical law; deterministic in the seed.
@@ -578,7 +558,7 @@ def sample_trajectories(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    walk = _Walk(model, grid, apriori, stats)
+    walk = _Walk(model, grid, stats)
     counts = Counter(_draw_paths(model, n_samples, seed))
     walk.stats["distinct paths"] += len(counts)
     for path, count in counts.items():
@@ -693,47 +673,71 @@ class ConsistencyAccumulator:
     normalized-state recursion and the agreement of records that share a
     prefix or an increment string.
 
-    ``add`` queues a record; the queued rows of one block are checked
-    together when a record of another block comes, or at ``finalize``. A
+    ``add`` checks the rows of a run of records of one block together. A
     prefix (letter, outcomes up to t) or an increment string (outcomes
     s+1..t) is numbered in mixed radix, outcome indices as digits.
     Records of one increment string share one trie row, so ``_recheck``
-    compares the first record of each letter with an independent route."""
+    compares the first record of each letter with an independent route,
+    eta_s pushed along its outcomes from the accumulator's own a-priori
+    track."""
 
-    def __init__(self, model, grid, apriori, tol: float = 1e-9):
+    def __init__(self, model, grid, tol: float = 1e-9):
         self._pairs = tuple(grid.pairs())
         width = max(len(grid.record_times), len(self._pairs))
         if model.leaf_count() * width > np.iinfo(np.int64).max:
             raise BudgetExceeded(f"{model.leaf_count()} leaves are too many to key the tables")
-        self.model, self.grid, self.eta, self.tol = model, grid, apriori, tol
+        self.model, self.grid, self.tol = model, grid, tol
+        self.eta = compute_a_priori(model, grid)
         self.total_prob = 0.0
         self._radix = [1] + [model.instrument_at(k).n_outcomes for k in range(1, model.horizon + 1)]
         self._count = np.cumprod(self._radix)  # outcome strings up to each time
         self.prefix = _Table(len(grid.record_times), model.dim)
         self.incr = _Table(len(self._pairs), model.dim)
-        self._block, self._rows = None, []
-        self._states = None  # the states of the first block: the run's trie
+        self._states = None  # a weak reference to the first block's states: the run's trie
         self._rechecked = set()  # letters whose first record was re-checked
 
     def _span(self, s, t):
         """The number of outcome strings of steps s+1..t."""
         return self._count[t] // self._count[s]
 
-    def add(self, rec: TrajectoryRecord) -> None:
-        if rec.block is not self._block:
-            self._flush()
-            self._block = rec.block
-        self._rows.append(rec.row)
-        if rec.letter not in self._rechecked:
-            self._rechecked.add(rec.letter)
-            self._recheck(rec)
+    def add(self, records: Iterable[TrajectoryRecord]) -> None:
+        """Check ``records`` in order, the rows of a run of records of one
+        block together; holds none of them once it returns."""
+        for block, run in itertools.groupby(records, key=attrgetter("block")):
+            block.check_grid(self.grid.record_times, self._pairs)
+            rows = []
+            for rec in run:
+                rows.append(rec.row)
+                if rec.letter not in self._rechecked:
+                    self._rechecked.add(rec.letter)
+                    self._recheck(rec)
+            prob_at = block.prob_at[rows]
+            # added one by one, as the records came
+            self.total_prob = float(np.cumsum(np.append(self.total_prob, prob_at[:, -1]))[-1])
+            codes = block.codes[rows]
+            strings = np.zeros((len(rows), len(self._radix)), dtype=np.int64)
+            for k in range(1, len(self._radix)):
+                strings[:, k] = strings[:, k - 1] * self._radix[k] + codes[:, k - 1]
+            times = np.array(self.grid.record_times)
+            s, t = np.array(self._pairs, dtype=np.int64).reshape(-1, 2).T
+            prefixes = block.letter * self._count[times] + strings[:, times]
+            self.prefix.hold(prefixes, prob_at, block.aposteriori[rows], _matrices_of)
+            increments = strings[:, t] - strings[:, s] * self._span(s, t)
+            if self._states is None:
+                self._states = weakref.ref(block.states)
+            self.incr.hold(
+                increments,
+                block.incr_prob[rows],
+                block.conditioned[rows],
+                block.states.matrices,
+                shared=block.states is self._states(),
+            )
 
     def _recheck(self, rec: TrajectoryRecord) -> None:
         """Fold into ``increment-dependence`` the deviation of a record's
         increment masses and conditioned states from each eta_s pushed along
         the record's own outcomes, one Kraus application per step."""
         block, row = rec.block, rec.row
-        block.check_grid(self.grid.record_times, self._pairs)
         codes, records = block.codes[row].tolist(), set(self.grid.record_times)
         pushed = []  # in pair order
         for s in self.grid.reference_times:
@@ -749,35 +753,6 @@ class ConsistencyAccumulator:
         mine = block.states.matrices(block.conditioned[row])
         gaps = np.abs(block.incr_prob[row] - masses)
         self.incr.deviation = _worst(_norms(mine - theirs), _worst(gaps, self.incr.deviation))
-
-    def _flush(self) -> None:
-        """Check the queued rows of one block, in the order they came."""
-        block, rows = self._block, self._rows
-        self._block, self._rows = None, []
-        if not rows:
-            return
-        block.check_grid(self.grid.record_times, self._pairs)
-        prob_at = block.prob_at[rows]
-        # added one by one, as the records came
-        self.total_prob = float(np.cumsum(np.append(self.total_prob, prob_at[:, -1]))[-1])
-        codes = block.codes[rows]
-        strings = np.zeros((len(rows), len(self._radix)), dtype=np.int64)
-        for k in range(1, len(self._radix)):
-            strings[:, k] = strings[:, k - 1] * self._radix[k] + codes[:, k - 1]
-        times = np.array(self.grid.record_times)
-        s, t = np.array(self._pairs, dtype=np.int64).reshape(-1, 2).T
-        prefixes = block.letter * self._count[times] + strings[:, times]
-        self.prefix.hold(prefixes, prob_at, block.aposteriori[rows], _matrices_of)
-        increments = strings[:, t] - strings[:, s] * self._span(s, t)
-        if self._states is None:
-            self._states = block.states
-        self.incr.hold(
-            increments,
-            block.incr_prob[rows],
-            block.conditioned[rows],
-            block.states.matrices,
-            shared=block.states is self._states,
-        )
 
     def _pushed(self, table, col, keys, s, t, weighted):
         """The entries in column ``col`` of ``table`` (strings ending at s)
@@ -829,8 +804,6 @@ class ConsistencyAccumulator:
 
     def finalize(self) -> CheckReport:
         """One check per identity; each margin is minus its residual."""
-        self._flush()
-        self._states = None
         times = self.grid.record_times
         prefix, incr = self.prefix, self.incr
         checks = [Check("total-probability", -abs(self.total_prob - 1.0), self.tol)]
@@ -873,18 +846,11 @@ def consistency_checks(
     model: MeasurementModel,
     grid: TimeGrid,
     records: Optional[Iterable[TrajectoryRecord]] = None,
-    apriori: Optional[APrioriTrack] = None,
     tol: float = 1e-9,
-    budget: int = DEFAULT_LEAF_BUDGET,
 ) -> CheckReport:
-    """Run all structural checks over the enumerated table (requires
-    enumeration to be feasible within the budget). ``apriori`` is the
-    track that compute_a_priori returns (computed when omitted; anything
-    else raises TypeError)."""
-    eta = _track(model, grid, apriori)
-    if records is None:
-        records = enumerate_trajectories(model, grid, apriori=eta, budget=budget)
-    acc = ConsistencyAccumulator(model, grid, eta, tol=tol)
-    for rec in records:
-        acc.add(rec)
+    """Run all structural checks over the enumerated table, the records of
+    enumerate_trajectories when ``records`` is omitted (which requires
+    enumeration to be feasible within DEFAULT_LEAF_BUDGET)."""
+    acc = ConsistencyAccumulator(model, grid, tol=tol)
+    acc.add(enumerate_trajectories(model, grid) if records is None else records)
     return acc.finalize()

@@ -23,8 +23,10 @@ per time tuple; infinities are compared in the extended reals.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -77,7 +79,9 @@ class EntropyReportBuilder:
     the mean and m2 of k unit updates in exact arithmetic) with an infinity
     flag for diverging relative-entropy contributions; the entries are kept
     as columns in ``keys`` order and updated together. ``count`` counts
-    draws in sample mode and records in enumerate mode.
+    draws in sample mode and records in enumerate mode. ``add`` takes the
+    records of a stream in order, any number at a time, and holds none of
+    them once it returns.
     """
 
     def __init__(self, grid: TimeGrid, mode: str = "enumerate"):
@@ -116,7 +120,6 @@ class EntropyReportBuilder:
         self.mean = np.zeros(n)
         self.m2 = np.zeros(n)
         self.infinite = np.zeros(n, dtype=bool)
-        self._block, self._block_values = None, None  # the last block seen
 
     def _values(self, block) -> np.ndarray:
         """Every entry's contribution of each row of a block of records,
@@ -136,30 +139,33 @@ class EntropyReportBuilder:
         values[:, cols["Iq_cond"]] = block.cond_entropy[:, a] - block.cond_entropy[:, b]
         return values
 
-    def add(self, rec: TrajectoryRecord) -> None:
-        weight = rec.prob if self.mode == "enumerate" else rec.count
-        self.count += rec.count
-        if weight <= 0.0:
-            return
-        if rec.block is not self._block:
-            self._block, self._block_values = rec.block, self._values(rec.block)
-        values = self._block_values[rec.row]
-        infinite = np.isinf(values)
-        cols = slice(None)
-        if infinite.any():
-            self.infinite |= infinite
-            cols = ~infinite
-            values = values[cols]
-        total = self.total_weight[cols] + weight
-        mean = self.mean[cols]
-        delta = values - mean
-        mean = mean + (weight / total) * delta
-        self.m2[cols] += weight * delta * (values - mean)
-        self.mean[cols] = mean
-        self.total_weight[cols] = total
+    def add(self, records: Iterable[TrajectoryRecord]) -> None:
+        """Fold ``records`` in order, a run of records of one block at a
+        time: the block's value matrix at once, then West's update row by
+        row."""
+        for block, run in itertools.groupby(records, key=attrgetter("block")):
+            block_values = self._values(block)
+            for rec in run:
+                weight = rec.prob if self.mode == "enumerate" else rec.count
+                self.count += rec.count
+                if weight <= 0.0:
+                    continue
+                values = block_values[rec.row]
+                infinite = np.isinf(values)
+                cols = slice(None)
+                if infinite.any():
+                    self.infinite |= infinite
+                    cols = ~infinite
+                    values = values[cols]
+                total = self.total_weight[cols] + weight
+                mean = self.mean[cols]
+                delta = values - mean
+                mean = mean + (weight / total) * delta
+                self.m2[cols] += weight * delta * (values - mean)
+                self.mean[cols] = mean
+                self.total_weight[cols] = total
 
     def finalize(self) -> EntropyReport:
-        self._block, self._block_values = None, None
         means = np.where(self.infinite, math.inf, self.mean).tolist()
         errors = np.zeros(len(self.keys))
         if self.mode == "sample" and self.count >= 2:
@@ -190,8 +196,7 @@ def build_entropy_report(
     records: Iterable[TrajectoryRecord], grid: TimeGrid, mode: str = "enumerate"
 ) -> EntropyReport:
     builder = EntropyReportBuilder(grid, mode=mode)
-    for rec in records:
-        builder.add(rec)
+    builder.add(records)
     return builder.finalize()
 
 

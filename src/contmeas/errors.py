@@ -46,7 +46,7 @@ class InvalidParameters(ContmeasError, ValueError):
 
 
 class BudgetExceeded(ContmeasError, RuntimeError):
-    """Exhaustive enumeration would exceed the configured leaf budget."""
+    """Exhaustive enumeration would exceed the leaf budget."""
 
 
 class GridMiss(ContmeasError, LookupError):

@@ -34,7 +34,7 @@ def projective():
     model = builtin_scenario("qubit-projective", horizon=2)
     grid = TimeGrid.make(2)
     apriori = compute_a_priori(model, grid)
-    records = list(enumerate_trajectories(model, grid, apriori=apriori))
+    records = list(enumerate_trajectories(model, grid))
     report = build_entropy_report(records, grid)
     return model, grid, apriori, records, report
 
@@ -59,13 +59,10 @@ def model_sweep():
             grid = TimeGrid.make(horizon)
 
             start = time.perf_counter()
-            apriori = compute_a_priori(model, grid)
-            records = list(enumerate_trajectories(model, grid, apriori=apriori))
+            records = list(enumerate_trajectories(model, grid))
             report = build_entropy_report(records, grid)
             bounds = check_bounds(report)
-            consistency = consistency_checks(
-                model, grid, records=records, apriori=apriori
-            )
+            consistency = consistency_checks(model, grid, records=records)
             theorem_elapsed += time.perf_counter() - start
 
             start = time.perf_counter()
@@ -196,9 +193,9 @@ def test_criterion_6_hybrid_identity(model_sweep):
 
 
 def test_criterion_7_monte_carlo(projective, tmp_path):
-    model, grid, apriori, _, exact = projective
+    model, grid, _, _, exact = projective
     sampled = build_entropy_report(
-        sample_trajectories(model, grid, 100_000, seed=42, apriori=apriori),
+        sample_trajectories(model, grid, 100_000, seed=42),
         grid,
         mode="sample",
     )

@@ -58,6 +58,11 @@ class TestValidate:
     def test_model_and_scenario_exclusive(self, tmp_path):
         assert run_cli(["validate", "--scenario", "identity", "--model", "x"]) == 3
 
+    def test_negative_seed_exit_3(self, capsys):
+        assert run_cli(["validate", "--scenario", "pure-preserving-random", "--seed", "-5"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: --seed must be non-negative, got -5"]
+
 
 class TestCheck:
     def test_identity_all_zero(self, tmp_path):
@@ -117,6 +122,13 @@ class TestCheck:
         )
         assert code == 3
 
+    def test_table_keys_overflow_exit_3(self, tmp_path, capsys):
+        # 2 x 2**62 leaves: too many to key the consistency tables in int64
+        args = ["check", "--scenario", "qubit-projective", "--horizon", "62", "--grid", "0,62"]
+        assert run_cli([*args, "--out", tmp_path / "o"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("error: enumeration refused: ") and len(err) == 2
+
     def test_negative_tolerance_forces_exit_2(self, tmp_path):
         # saturated margins sit at 0; demanding margin >= 1e-3 must fail
         code = run_cli(
@@ -166,8 +178,12 @@ class TestCheck:
             (["--tol", "nan"], "--tol"),
             (["--tol", "inf"], "--tol"),
             (["--horizon", "0"], "--horizon must be at least 1"),
+            (
+                ["--mode", "sample", "--samples", "10", "--seed", "-1"],
+                "--seed must be non-negative, got -1",
+            ),
         ],
-        ids=["samples-0", "tol-nan", "tol-inf", "horizon-0"],
+        ids=["samples-0", "tol-nan", "tol-inf", "horizon-0", "seed-negative"],
     )
     def test_bad_option_exit_3(self, tmp_path, capsys, option, fragment):
         out = tmp_path / "o"

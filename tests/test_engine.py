@@ -26,6 +26,7 @@ from contmeas.engine import (
     format_outcomes,
     sample_trajectories,
 )
+from contmeas.entropics import EntropyReportBuilder
 from contmeas.errors import BudgetExceeded, GridMiss, NotPositiveSemidefinite, NumericRangeError
 from contmeas.model import Ensemble, MeasurementModel, TimeGrid, builtin_scenario, random_model
 from contmeas.quantum import DensityOperator
@@ -88,27 +89,6 @@ class TestAPriori:
                 assert np.linalg.norm(pushed - track[t].matrix) <= 1e-10
 
 
-class TestAPrioriArgument:
-    """Only the track that compute_a_priori returns carries the spectra the
-    walk reuses; anything else is refused at entry."""
-
-    @pytest.mark.parametrize(
-        "run",
-        [
-            lambda model, grid, eta: list(enumerate_trajectories(model, grid, apriori=eta)),
-            lambda model, grid, eta: list(sample_trajectories(model, grid, 5, 1, apriori=eta)),
-            lambda model, grid, eta: consistency_checks(model, grid, apriori=eta),
-        ],
-        ids=["enumerate", "sample", "consistency"],
-    )
-    def test_plain_dict_raises_type_error(self, run):
-        model = builtin_scenario("qubit-weak", horizon=2)
-        grid = full_grid(model)
-        plain = dict(compute_a_priori(model, grid))
-        with pytest.raises(TypeError, match="compute_a_priori"):
-            run(model, grid, plain)
-
-
 class TestEnumerate:
     def test_identity_scenario(self):
         model = builtin_scenario("identity", horizon=3)
@@ -167,7 +147,7 @@ class TestEnumerate:
         model = builtin_scenario("damped-qubit", horizon=2)
         grid = full_grid(model)
         track = compute_a_priori(model, grid)
-        for rec in enumerate_trajectories(model, grid, apriori=track):
+        for rec in enumerate_trajectories(model, grid):
             for s in grid.reference_times:
                 # the root row of the trie of s holds eta_s, bit for bit
                 state = rec.conditioned[(s, s)]
@@ -181,7 +161,7 @@ class TestEnumerate:
         track = compute_a_priori(model, grid)
         for t in grid.record_times:
             seen = {}
-            for rec in enumerate_trajectories(model, grid, apriori=track):
+            for rec in enumerate_trajectories(model, grid):
                 seen[(rec.letter, rec.outcomes[:t])] = (
                     rec.prob_at[t],
                     rec.aposteriori[t].matrix,
@@ -252,7 +232,7 @@ class TestBlocks:
     def test_leaves_equal_replay(self, case):
         model, times = self.CASES[case]()
         grid = full_grid(model) if times is None else TimeGrid.make(model.horizon, *times)
-        walk = _Walk(model, grid, None)
+        walk = _Walk(model, grid)
         records = list(enumerate_trajectories(model, grid))
         if case.startswith("split"):
             assert len(records) == model.leaf_count() > 2 * BLOCK_NODES
@@ -305,7 +285,7 @@ class TestBlocks:
     def test_first_failing_node_raises(self, faults, first, error):
         model = random_model(3, dim=2, n_outcomes=4, horizon=2)
         grid = full_grid(model)
-        walk = _Walk(model, grid, None)
+        walk = _Walk(model, grid)
         # four nodes at time 1, each with its main state and the track seeded at 0
         stacks = np.array([[0.3 * KET0 + 0.2 * KET1, 0.5 * np.eye(2)]] * 4, dtype=complex)
         for node, member, kind in faults:
@@ -317,13 +297,13 @@ class TestBlocks:
         trie.pushed[rows[:, 0]] = stacks[:, 1]
         block = walk.root(1, trie).take([0] * 4)
         with pytest.raises(error) as info:
-            walk.visit(paths, 1, stacks[:, :1], block, rows)
+            walk.visit(paths, 1, stacks[:, 0], block, rows)
         assert str(info.value).startswith(_path_name(1, paths[first], 1) + ": ")
         assert not trie.done[rows].any()
         # the same type and message as that node alone
         one = slice(first, first + 1)
         with pytest.raises(error) as alone:
-            walk.visit(paths[one], 1, stacks[one, :1], block.take([first]), rows[one])
+            walk.visit(paths[one], 1, stacks[one, 0], block.take([first]), rows[one])
         assert str(info.value) == str(alone.value)
 
 
@@ -600,9 +580,9 @@ class TestConsistency:
         model = random_model(seed, dim=3, n_outcomes=3, horizon=4)
         grid = full_grid(model) if times is None else TimeGrid.make(4, *times)
         eta = compute_a_priori(model, grid)
-        records = list(enumerate_trajectories(model, grid, apriori=eta))
+        records = list(enumerate_trajectories(model, grid))
         expected = reference_sums(grid, records, eta)
-        report = consistency_checks(model, grid, records=records, apriori=eta)
+        report = consistency_checks(model, grid, records=records)
         for (name, times), residual in expected.items():
             assert report.find(name, times).margin == -residual, (name, times)
 
@@ -716,27 +696,51 @@ class TestConsistency:
         assert check in {c.name for c in report.failures()}
 
 
+def watched(records, refs):
+    """``records``, appending weak references to each record and to its
+    block's table of states (which every block of an enumeration shares,
+    so a dead table means that no block is alive)."""
+    for rec in records:
+        refs.append((weakref.ref(rec), weakref.ref(rec.block.states)))
+        yield rec
+
+
 class TestConsistencyTables:
     def test_tables_hold_copies_not_records(self):
         # each held entry is a copy of one record's probability and matrix,
         # never a reference to a record's state or block
         model = random_model(2, dim=3, n_outcomes=3, horizon=4)
         grid = full_grid(model)
-        acc = ConsistencyAccumulator(model, grid, compute_a_priori(model, grid))
-        records = list(enumerate_trajectories(model, grid))
-        for rec in records:
-            acc.add(rec)
+        acc = ConsistencyAccumulator(model, grid)
+        refs = []
+        acc.add(watched(enumerate_trajectories(model, grid), refs))
+        assert len(refs) == model.leaf_count()
+        assert all(ref() is None for pair in refs for ref in pair)
         assert acc.finalize().passed
-        assert acc._block is None and acc._rows == []
         for table in (acc.prefix, acc.incr):
             n = len(table.index)
             assert n > 2 * BLOCK_NODES and table.matrices.base is None
             assert table.probs.shape[0] >= n and table.matrices.shape[1:] == (3, 3)
         # the first entry of the last leaf's full prefix is that leaf's own state
-        last = records[-1]
+        last = list(enumerate_trajectories(model, grid))[-1]
         row = acc.prefix.column(len(grid.record_times) - 1)[1][-1]
         assert np.array_equal(acc.prefix.matrices[row], last.aposteriori[4].matrix)
         assert acc.prefix.matrices[row] is not last.aposteriori[4].matrix
+
+    @pytest.mark.parametrize("mode", ["enumerate", "sample"])
+    def test_report_add_keeps_no_block(self, mode):
+        # the report builder folds runs of one block and keeps none of them
+        model = random_model(2, dim=3, n_outcomes=3, horizon=4)
+        grid = full_grid(model)
+        if mode == "enumerate":
+            records = enumerate_trajectories(model, grid)
+        else:
+            records = sample_trajectories(model, grid, 40, seed=1)
+        builder = EntropyReportBuilder(grid, mode)
+        refs = []
+        builder.add(watched(records, refs))
+        assert len(refs) > 1 and all(ref() is None for pair in refs for ref in pair)
+        assert builder.count == (model.leaf_count() if mode == "enumerate" else 40)
 
     def test_records_of_another_grid_refused(self):
         model = random_model(5, dim=2, n_outcomes=3, horizon=3)
@@ -749,7 +753,7 @@ class TestConsistencyTables:
         model = builtin_scenario("qubit-projective", horizon=63)
         grid = TimeGrid.make(63, (0, 63))
         with pytest.raises(BudgetExceeded):
-            ConsistencyAccumulator(model, grid, compute_a_priori(model, grid))
+            ConsistencyAccumulator(model, grid)
 
 
 class TestDump:
