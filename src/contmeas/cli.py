@@ -107,12 +107,11 @@ def _load_model(model_path, scenario, horizon, seed) -> MeasurementModel:
         except ContmeasError as exc:
             raise _Failure(EXIT_IO, str(exc)) from exc
     try:
-        text = Path(model_path).read_text(encoding="utf-8")
+        model = parse_model(Path(model_path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise _Failure(EXIT_IO, f"cannot read {model_path}: {exc}") from exc
-    try:
-        model = parse_model(text)
-    except (ModelSyntaxError, ShapeError) as exc:
+    except (ModelSyntaxError, ShapeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: json.loads of a document nested too deeply
         raise _Failure(EXIT_INVALID_MODEL, f"invalid model document: {exc}") from exc
     if horizon is not None and horizon != model.horizon:
         if not model.homogeneous:
@@ -191,19 +190,20 @@ def run_pipeline(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise _Failure(EXIT_IO, f"cannot create {out_dir}: {exc}") from exc
 
-        builder = EntropyReportBuilder(grid, mode=args.mode)
-        consumers, stats = [builder], Counter()
-        consistency = None
+        stats, consistency = Counter(), None
         dump = contextlib.nullcontext()
         if args.dump_trajectories:
             dump = _output(out_dir / "trajectories.csv")
         try:
             if args.mode == "enumerate":
+                # refuses a run too large to key before the builder makes its
+                # O(|grid|^3) keys
                 consistency = ConsistencyAccumulator(model, grid, tol=args.tol)
-                consumers.append(consistency)
                 records = enumerate_trajectories(model, grid, stats=stats)
             else:
                 records = sample_trajectories(model, grid, args.samples, args.seed, stats)
+            builder = EntropyReportBuilder(grid, mode=args.mode)
+            consumers = [builder, consistency] if consistency else [builder]
             with dump as stream:
                 writer = csv.writer(stream, lineterminator="\n") if stream else None
                 if writer:

@@ -7,13 +7,14 @@ outcome-only conditioned state of a reference time s is the a-priori state
 at s pushed through the outcome maps of the later steps; it depends only on
 the increments s+1..t, which is what the outcome-only conditioning requires.
 The walk reads these states (a node's tracks) from one route only, the rows
-of a table of states: enumeration keeps them once per (s, increment
+of a table of states whose first rows are the a-priori states eta_t, one
+per record time: enumeration keeps the tracks once per (s, increment
 string), in an increment trie shared by all letters and prefixes; a
 replayed path (and so the sampler) pushes them with its own state, seeded
 with the a-priori state when it passes depth s, and copies them into rows
-of a table of its own at each record time. The sampler draws its paths in
-arrays and replays each distinct path once, into one record that carries
-its number of draws.
+of a table of its own at each record time. A node's path is its row of
+outcome codes. The sampler draws its paths in arrays and replays each
+distinct path once, into one record that carries its number of draws.
 
 All probabilities are plain probabilities under the physical law; the
 uniform reference-measure densities differ from them by constant factors
@@ -83,17 +84,19 @@ class IncrementTrie:
     s+1..t), kept as arrays: the pushed (unnormalized) matrix, its mass, the
     entropy and spectrum of the state, and the child row of each outcome.
     The normalized matrix is worked out from the first two by the steps
-    DensityOperator.from_stack takes, so it has the same bits. Row i < R is
-    eta_s of the i-th reference time s (mass 1), given as ``roots``. A row
-    is validated and decomposed when a record time first needs it (done).
-    Enumeration grows one table per run by ``step``, a trie per s rooted at
-    eta_s; a replay copies the tracks it pushes into a table of its own."""
+    DensityOperator.from_stack takes, so it has the same bits. Row i is
+    eta_t of the i-th record time t (mass 1), taken from the batch ``eta``
+    that compute_a_priori decomposed; the relative entropies against eta_t
+    read its spectrum there. A row is validated and decomposed when a
+    record time first needs it (done). Enumeration grows one table per run
+    by ``step``, a trie per reference time s rooted at the row of eta_s; a
+    replay copies the tracks it pushes into a table of its own."""
 
     ARRAYS = ("mass", "pushed", "entropy", "eigenvalues", "eigenvectors", "children", "done")
 
-    def __init__(self, roots, width=1):
-        self.size = len(roots[0])
-        for name, values in zip(self.ARRAYS, roots):
+    def __init__(self, eta: StateBatch, width=1):
+        self.size = len(eta.entropies)
+        for name, values in zip(self.ARRAYS, (np.ones(self.size), *eta)):
             setattr(self, name, values.copy())
         self.children = np.full((self.size, width), -1)
         self.done = np.ones(self.size, dtype=bool)
@@ -150,8 +153,9 @@ class RecordBlock:
     alone from the a-priori state at s; conditioned, the row in ``states``
     of the state given them; its cond_entropy; and chi_term, the relative
     entropy of aposteriori[t] against it. ``codes`` holds each node's
-    outcome index at each step. A column not reached yet holds NaN (None
-    for states, -1 for rows)."""
+    outcome index at each step: its path, which names the node's records
+    and errors. A column not reached yet holds NaN (None for states, -1
+    for rows)."""
 
     __slots__ = ("letter", "times", "pairs", "index", "states", "codes")
     __slots__ += _TIME_COLUMNS + _PAIR_COLUMNS
@@ -239,6 +243,15 @@ def _path_name(letter, outcomes, t) -> str:
     return f"trajectory (letter {letter}, outcomes {format_outcomes(outcomes)!r}, time {t})"
 
 
+def _outcomes(model: MeasurementModel, codes) -> list:
+    """The outcome labels of each row of ``codes`` (n, k), the outcome
+    indices of steps 1..k, as one tuple per row."""
+    labels = np.empty(codes.shape, dtype=object)
+    for t in range(codes.shape[1]):
+        labels[:, t] = np.array(model.instrument_at(t + 1).outcomes, dtype=object)[codes[:, t]]
+    return list(map(tuple, labels.tolist()))
+
+
 def _letter_roots(model: MeasurementModel) -> list:
     """Root of each letter's walk: prior weight times the Hermitian part of
     its state. Their sum is the initial a-priori state."""
@@ -249,11 +262,11 @@ def _letter_roots(model: MeasurementModel) -> list:
 
 
 class APrioriTrack(dict):
-    """The a-priori states eta_t by record time t. ``spectra[t]`` is the
-    (eigenvalues, eigenvectors) pair of eta_t from the same decomposition,
-    which the walk reuses."""
+    """The a-priori states eta_t by record time t. ``batch`` is the one
+    decomposition they come from, in record-time order: the first rows of
+    the walk's tables of states."""
 
-    spectra: dict
+    batch: StateBatch
 
 
 def compute_a_priori(model: MeasurementModel, grid: TimeGrid) -> APrioriTrack:
@@ -270,7 +283,7 @@ def compute_a_priori(model: MeasurementModel, grid: TimeGrid) -> APrioriTrack:
             matrices.append(current)
     batch = DensityOperator.from_stack(matrices)
     track = APrioriTrack(zip(times, batch.states))
-    track.spectra = dict(zip(times, zip(batch.eigenvalues, batch.eigenvectors)))
+    track.batch = batch
     return track
 
 
@@ -297,7 +310,8 @@ class _Walk:
     time. A node's outcome-only conditioned states (its tracks, one per
     reference time passed so far, in seeding order) are rows of its block's
     table of states: of the increment trie in enumeration, of the record's
-    own table in a replay."""
+    own table in a replay. Row i of every table is eta_t of the i-th record
+    time t."""
 
     def __init__(self, model: MeasurementModel, grid: TimeGrid, stats=None):
         self.model = model
@@ -305,29 +319,19 @@ class _Walk:
         self.roots = _letter_roots(model)
         # states decomposed: "path states" (main states), "increment states"
         self.stats = Counter() if stats is None else stats
-        refs = grid.reference_times
-        d = model.dim
-        spectra = [self.eta.spectra[s] for s in refs]
-        # the rows of the reference times in every table of conditioned states
-        self.root_row = {s: i for i, s in enumerate(refs)}
-        self.root_states = (
-            np.ones(len(refs)),
-            np.array([self.eta[s].matrix for s in refs], dtype=complex).reshape(-1, d, d),
-            np.array([self.eta[s].entropy for s in refs], dtype=float),
-            np.array([lam for lam, _ in spectra], dtype=float).reshape(-1, d),
-            np.array([vec for _, vec in spectra], dtype=complex).reshape(-1, d, d),
-        )
+        refs = self.refs = grid.reference_times
         self.times = grid.record_times
         self.pairs = tuple(grid.pairs())
         pair_col = {pair: col for col, pair in enumerate(self.pairs)}
         self.index = ({t: col for col, t in enumerate(self.times)}, pair_col)
-        # per record time: its column, the pair columns of the tracks seeded
-        # before it and the pair column of the track seeded at it (or None)
+        # per record time: its column (and the row of eta_t in every table
+        # of states), the pair columns of the tracks seeded before it and
+        # the pair column of the track seeded at it (or None)
         self.columns = {
             t: (
                 col,
                 np.array([pair_col[(s, t)] for s in refs if s < t], dtype=int),
-                pair_col[(t, t)] if t in self.root_row else None,
+                pair_col[(t, t)] if t in refs else None,
             )
             for col, t in enumerate(self.times)
         }
@@ -336,20 +340,20 @@ class _Walk:
         """The root block of a letter; its tracks go to ``states``, by
         default a table of their own."""
         if states is None:
-            states = IncrementTrie(self.root_states)
+            states = IncrementTrie(self.eta.batch)
         return RecordBlock(letter, self.times, self.pairs, self.index, states, self.model.horizon)
 
-    def visit(self, paths, t, stacks, block, rows):
+    def visit(self, t, stacks, block, rows):
         """Seed the reference track of time t in every node of a block and
-        write its record-time columns into ``block``; ``paths`` holds the
-        nodes' outcome strings in emission order, ``stacks`` (n, d, d)
-        their main states and ``rows`` (n, k) their tracks as rows of
-        ``block.states``. One validated batch holds the main states and the
-        rows not decomposed before; an error names the trajectory of the
-        first failing node. Returns the rows with the track seeded at t."""
-        n, root = len(stacks), self.root_row.get(t)
-        if root is not None:
-            rows = np.concatenate([rows, np.full((n, 1), root)], axis=1)
+        write its record-time columns into ``block``; ``stacks`` (n, d, d)
+        holds the nodes' main states and ``rows`` (n, k) their tracks as
+        rows of ``block.states``, in emission order. One validated batch
+        holds the main states and the rows not decomposed before; an error
+        names the trajectory of the first failing node, from its codes.
+        Returns the rows with the track seeded at t: the row of eta_t."""
+        n = len(stacks)
+        if t in self.refs:
+            rows = np.concatenate([rows, np.full((n, 1), self.columns[t][0])], axis=1)
         if t not in self.columns:
             return rows
         states = block.states
@@ -359,12 +363,12 @@ class _Walk:
             masses, batch = _node_states(np.concatenate([stacks, states.pushed[new]]))
         except (NotPositiveSemidefinite, NumericRangeError):
             # the first failing node raises the same error on its own
-            for i, path in enumerate(paths):
+            for i in range(n):
                 try:
                     _node_states(np.concatenate([stacks[i : i + 1], states.pushed[own[i]]]))
                 except (NotPositiveSemidefinite, NumericRangeError) as exc:
-                    name = _path_name(block.letter, path, t)
-                    raise type(exc)(f"{name}: {exc}") from exc
+                    path = _outcomes(self.model, block.codes[i : i + 1, :t])[0]
+                    raise type(exc)(f"{_path_name(block.letter, path, t)}: {exc}") from exc
             raise
         states.write(new, masses[n:], batch, n)
         self.stats["path states"] += n
@@ -376,17 +380,14 @@ class _Walk:
         """Write record time t into the rows of ``block``: the main states
         (the first n of ``batch``) and their masses, and the tracks at rows
         ``rows`` (n, k) of ``block.states``; one relative-entropy pass of
-        each main state against eta_t and its tracks. A track seeded at t is
-        eta_t itself: its root row."""
+        each main state against the rows of eta_t and its tracks. A track
+        seeded at t is eta_t itself: its row."""
         col, track_cols, seeded = self.columns[t]
         states = block.states
-        n, k = rows.shape
+        n = len(rows)
+        both = np.concatenate([np.full((n, 1), col), rows], axis=1)
         lam, vec = batch.eigenvalues[:n], batch.eigenvectors[:n]
-        lam2 = np.empty((n, 1 + k) + lam.shape[1:])
-        vec2 = np.empty((n, 1 + k) + vec.shape[1:], dtype=complex)
-        lam2[:, 0], vec2[:, 0] = self.eta.spectra[t]
-        lam2[:, 1:], vec2[:, 1:] = states.eigenvalues[rows], states.eigenvectors[rows]
-        chis = relative_entropies(lam, vec, lam2, vec2)
+        chis = relative_entropies(lam, vec, states.eigenvalues[both], states.eigenvectors[both])
         objects = np.empty(n, dtype=object)
         objects[:] = StateBatch(*(a[:n] for a in batch)).states
         values = (masses, objects, batch.entropies[:n], chis[:, 0])
@@ -396,8 +397,7 @@ class _Walk:
         for name, value in zip(_PAIR_COLUMNS, values):
             getattr(block, name)[:, track_cols] = value
         if seeded is not None:
-            root = self.root_row[t]
-            values = (states.mass[root], root, states.entropy[root], chis[:, 0])
+            values = (states.mass[col], col, states.entropy[col], chis[:, 0])
             for name, value in zip(_PAIR_COLUMNS, values):
                 getattr(block, name)[:, seeded] = value
 
@@ -410,13 +410,13 @@ class _Walk:
         stacks = self.roots[letter][np.newaxis, np.newaxis]
         block = self.root(letter)
         states = block.states
-        free = states.reserve(len(self.pairs) - len(self.root_row))
+        free = states.reserve(len(self.pairs) - len(self.refs))
         for t in range(self.model.horizon + 1):
             k = stacks.shape[1] - 1 if t in self.columns else 0
             rows, free = free[np.newaxis, :k], free[k:]
             states.pushed[rows[0]] = stacks[0, 1 : 1 + k]
-            self.visit((outcomes,), t, stacks[:, 0], block, rows)
-            if t in self.root_row:
+            self.visit(t, stacks[:, 0], block, rows)
+            if t in self.refs:
                 seed = self.eta[t].matrix[np.newaxis, np.newaxis]
                 stacks = np.concatenate([stacks, seed], axis=1)
             if t == self.model.horizon:
@@ -448,20 +448,20 @@ def enumerate_trajectories(
     walk = _Walk(model, grid, stats)
     horizon = model.horizon
     width = max((model.instrument_at(k).n_outcomes for k in range(1, horizon + 1)), default=1)
-    trie = IncrementTrie(walk.root_states, width)
+    trie = IncrementTrie(walk.eta.batch, width)
 
     for letter, (p, root) in enumerate(zip(model.ensemble.prior, walk.roots)):
         if p <= 0.0:
             continue
         # pending blocks: (depth, (n, d, d) main states, (n, k) trie rows,
-        # record block, outcome strings)
+        # record block)
         no_rows = np.zeros((1, 0), dtype=np.int64)
-        pending = [(0, root[np.newaxis], no_rows, walk.root(letter, trie), [()])]
+        pending = [(0, root[np.newaxis], no_rows, walk.root(letter, trie))]
         while pending:
-            t, stacks, rows, block, paths = pending.pop()
-            rows = walk.visit(paths, t, stacks, block, rows)
+            t, stacks, rows, block = pending.pop()
+            rows = walk.visit(t, stacks, block, rows)
             if t == horizon:
-                for row, outcomes in enumerate(paths):
+                for row, outcomes in enumerate(_outcomes(model, block.codes)):
                     yield TrajectoryRecord(letter, outcomes, block, row)
                 continue
             instrument = model.instrument_at(t + 1)
@@ -476,13 +476,11 @@ def enumerate_trajectories(
             children = children.reshape((-1,) + stacks.shape[1:])[kept]
             parents, codes = np.divmod(kept, n_out)
             child_rows = trie.step(rows[parents], codes, instrument.maps)
-            labels = instrument.outcomes
-            paths = [paths[i] + (labels[v],) for i, v in zip(parents.tolist(), codes.tolist())]
             for j in reversed(range(0, len(kept), BLOCK_NODES)):
                 part = slice(j, j + BLOCK_NODES)
                 child = block.take(parents[part])
                 child.codes[:, t] = codes[part]
-                pending.append((t + 1, children[part], child_rows[part], child, paths[part]))
+                pending.append((t + 1, children[part], child_rows[part], child))
 
 
 def _draw_paths(model: MeasurementModel, n_samples: int, seed: int) -> list:
@@ -499,7 +497,6 @@ def _draw_paths(model: MeasurementModel, n_samples: int, seed: int) -> list:
     roots = np.array(_letter_roots(model))
     steps = [model.instrument_at(t) for t in range(1, model.horizon + 1)]
     effects = [[km.normalization() for km in instrument.maps] for instrument in steps]
-    labels = [np.array(instrument.outcomes, dtype=object) for instrument in steps]
     paths = []
     for start in range(0, n_samples, _DRAW_ROWS):
         draws = rng.random((min(_DRAW_ROWS, n_samples - start), 1 + model.horizon))
@@ -524,8 +521,7 @@ def _draw_paths(model: MeasurementModel, n_samples: int, seed: int) -> list:
             for v in np.unique(picks).tolist():
                 group = picks == v
                 mains[group] = instrument.maps[v].apply(mains[group])
-        outcomes = zip(*(labels[t][codes[:, t]] for t in range(model.horizon)))
-        paths.extend(zip(letters.tolist(), outcomes))
+        paths.extend(zip(letters.tolist(), _outcomes(model, codes)))
         if failed:
             t, total = failed[min(failed)]
             letter, outcomes = paths[start + min(failed)]
@@ -691,6 +687,10 @@ class ConsistencyAccumulator:
         self.total_prob = 0.0
         self._radix = [1] + [model.instrument_at(k).n_outcomes for k in range(1, model.horizon + 1)]
         self._count = np.cumprod(self._radix)  # outcome strings up to each time
+        # the record times, and each pair's times and number of increment strings
+        self._times = np.array(grid.record_times)
+        self._s, self._t = np.array(self._pairs, dtype=np.int64).reshape(-1, 2).T
+        self._spans = self._span(self._s, self._t)
         self.prefix = _Table(len(grid.record_times), model.dim)
         self.incr = _Table(len(self._pairs), model.dim)
         self._states = None  # a weak reference to the first block's states: the run's trie
@@ -718,11 +718,9 @@ class ConsistencyAccumulator:
             strings = np.zeros((len(rows), len(self._radix)), dtype=np.int64)
             for k in range(1, len(self._radix)):
                 strings[:, k] = strings[:, k - 1] * self._radix[k] + codes[:, k - 1]
-            times = np.array(self.grid.record_times)
-            s, t = np.array(self._pairs, dtype=np.int64).reshape(-1, 2).T
-            prefixes = block.letter * self._count[times] + strings[:, times]
+            prefixes = block.letter * self._count[self._times] + strings[:, self._times]
             self.prefix.hold(prefixes, prob_at, block.aposteriori[rows], _matrices_of)
-            increments = strings[:, t] - strings[:, s] * self._span(s, t)
+            increments = strings[:, self._t] - strings[:, self._s] * self._spans
             if self._states is None:
                 self._states = weakref.ref(block.states)
             self.incr.hold(

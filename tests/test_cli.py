@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from contmeas import cli
 from contmeas.cli import _parse_times, main
 from contmeas.engine import _draw_paths, consistency_checks, format_outcomes
 from contmeas.model import TimeGrid, builtin_scenario, random_model, serialize_model
@@ -51,6 +52,18 @@ class TestValidate:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run_cli(["validate", "--model", bad]) == 1
+
+    @pytest.mark.parametrize("command", ["validate", "check"])
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b"[" * 100_000], ids=["not-utf-8", "nested-too-deep"]
+    )
+    def test_undecodable_or_too_nested_exit_1(self, tmp_path, capsys, command, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        out = ["--out", tmp_path / "o"] if command == "check" else []
+        assert run_cli([command, "--model", bad, *out]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid model document: ")
 
     def test_missing_file(self, tmp_path):
         assert run_cli(["validate", "--model", tmp_path / "absent.json"]) == 3
@@ -121,6 +134,18 @@ class TestCheck:
             ]
         )
         assert code == 3
+
+    def test_refused_before_report_builder(self, tmp_path, capsys, monkeypatch):
+        # 2 x 2**120 leaves, 121 record times: refused before the builder
+        # makes its O(|grid|^3) keys
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("the report builder was built")
+
+        monkeypatch.setattr(cli, "EntropyReportBuilder", unbuilt)
+        args = ["check", "--scenario", "qubit-weak", "--horizon", "120"]
+        assert run_cli([*args, "--out", tmp_path / "o"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("error: enumeration refused: ")
 
     def test_table_keys_overflow_exit_3(self, tmp_path, capsys):
         # 2 x 2**62 leaves: too many to key the consistency tables in int64

@@ -290,26 +290,48 @@ class TestBlocks:
         stacks = np.array([[0.3 * KET0 + 0.2 * KET1, 0.5 * np.eye(2)]] * 4, dtype=complex)
         for node, member, kind in faults:
             stacks[node, member] = self.BAD[kind]
-        paths = [(label,) for label in model.instrument_at(1).outcomes]
         # the tracks are trie rows not decomposed yet
-        trie = IncrementTrie(walk.root_states, 4)
+        trie = IncrementTrie(walk.eta.batch, 4)
         rows = trie.reserve(4)[:, np.newaxis]
         trie.pushed[rows[:, 0]] = stacks[:, 1]
+        # node i took outcome i at step 1: its codes name it
         block = walk.root(1, trie).take([0] * 4)
+        block.codes[:, 0] = np.arange(4)
         with pytest.raises(error) as info:
-            walk.visit(paths, 1, stacks[:, 0], block, rows)
-        assert str(info.value).startswith(_path_name(1, paths[first], 1) + ": ")
+            walk.visit(1, stacks[:, 0], block, rows)
+        label = model.instrument_at(1).outcomes[first]
+        assert str(info.value).startswith(_path_name(1, (label,), 1) + ": ")
         assert not trie.done[rows].any()
         # the same type and message as that node alone
         one = slice(first, first + 1)
         with pytest.raises(error) as alone:
-            walk.visit(paths[one], 1, stacks[one, 0], block.take([first]), rows[one])
+            walk.visit(1, stacks[one, 0], block.take([first]), rows[one])
         assert str(info.value) == str(alone.value)
 
 
 class TestIncrementTrie:
     """Enumeration decomposes each outcome-only conditioned state once per
     (s, increment string), on a trie grown only for reached strings."""
+
+    @pytest.mark.parametrize(
+        "times", [None, ([0, 1, 2, 3, 4, 5], [0, 3]), ([0, 2, 3, 5], [0, 3])]
+    )
+    def test_first_rows_are_a_priori(self, times):
+        # the model of the random-seed2-h5 golden cases, with sparse refs too
+        model = random_model(2, dim=3, n_outcomes=3, horizon=5)
+        grid = full_grid(model) if times is None else TimeGrid.make(model.horizon, *times)
+        eta = compute_a_priori(model, grid)
+        records = list(enumerate_trajectories(model, grid))
+        replayed = _Walk(model, grid).replay(records[7].letter, records[7].outcomes)
+        for states in (records[0].block.states, replayed.block.states):
+            assert states.size >= len(grid.record_times)
+            for row, t in enumerate(grid.record_times):
+                assert states.mass[row] == 1.0 and states.done[row]
+                assert np.array_equal(states.pushed[row], eta[t].matrix)
+                assert np.array_equal(states.matrices(row), eta[t].matrix)
+                assert states.entropy[row] == eta[t].entropy
+                assert np.array_equal(states.eigenvalues[row], eta.batch.eigenvalues[row])
+                assert np.array_equal(states.eigenvectors[row], eta.batch.eigenvectors[row])
 
     def test_each_state_decomposed_once(self, monkeypatch):
         model = random_model(2, dim=3, n_outcomes=3, horizon=4)
@@ -346,8 +368,9 @@ class TestIncrementTrie:
         assert leaves == [(0, "000"), (1, "000"), (1, "111")]
         # "0" and "1" repeated, for every length after every s
         assert stats["increment states"] == 2 * sum(3 - s for s in range(4))
+        # one row of eta_t per record time, then the reached strings
         states = records[0].block.states
-        assert states.size == len(grid.reference_times) + stats["increment states"]
+        assert states.size == len(grid.record_times) + stats["increment states"]
         assert consistency_checks(model, grid, records=records).passed
 
 
