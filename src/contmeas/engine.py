@@ -53,7 +53,7 @@ from .quantum import (
 PRUNE_REL_TOL = 1e-14
 # Nodes stepped together: the walk holds the nodes of one depth in blocks of
 # at most this many, in emission order, each one (n, d, d) array.
-BLOCK_NODES = 32
+BLOCK_NODES = 64
 # Cap on letters x outcome strings for exhaustive enumeration.
 DEFAULT_LEAF_BUDGET = 10**7
 # The consistency checks form their (m, d, d) temporaries at most this many

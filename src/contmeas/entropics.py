@@ -75,13 +75,14 @@ class EntropyReportBuilder:
     probability; with ``mode="sample"`` a record (one distinct path) is
     weighted by its draw count, each draw counting 1/N, and the
     accumulators also produce standard errors. Each entry is a weighted
-    streaming mean and variance (West's update; a frequency weight k gives
-    the mean and m2 of k unit updates in exact arithmetic) with an infinity
-    flag for diverging relative-entropy contributions; the entries are kept
-    as columns in ``keys`` order and updated together. ``count`` counts
-    draws in sample mode and records in enumerate mode. ``add`` takes the
-    records of a stream in order, any number at a time, and holds none of
-    them once it returns.
+    streaming mean and M2 (a frequency weight k gives the mean and m2 of k
+    unit updates in exact arithmetic) with an infinity flag for diverging
+    relative-entropy contributions, which weigh 0 in their column. The
+    entries are kept as columns in ``keys`` order and updated together, a
+    run of records of one block at a time (see ``add``). ``count`` counts
+    draws in sample mode and records in enumerate mode, weight 0 or not.
+    ``add`` takes the records of a stream in order, any number at a time,
+    and holds none of them once it returns.
     """
 
     def __init__(self, grid: TimeGrid, mode: str = "enumerate"):
@@ -141,29 +142,41 @@ class EntropyReportBuilder:
 
     def add(self, records: Iterable[TrajectoryRecord]) -> None:
         """Fold ``records`` in order, a run of records of one block at a
-        time: the block's value matrix at once, then West's update row by
-        row."""
+        time: the run's weight, weighted mean and M2 per column are merged
+        into the report's (Chan, Golub & LeVeque 1979, in West's form). A
+        one-row run, as every sampled record is, merges with M2 0: West's
+        update of its row, bit for bit."""
         for block, run in itertools.groupby(records, key=attrgetter("block")):
-            block_values = self._values(block)
-            for rec in run:
-                weight = rec.prob if self.mode == "enumerate" else rec.count
-                self.count += rec.count
-                if weight <= 0.0:
-                    continue
-                values = block_values[rec.row]
-                infinite = np.isinf(values)
-                cols = slice(None)
-                if infinite.any():
-                    self.infinite |= infinite
-                    cols = ~infinite
-                    values = values[cols]
-                total = self.total_weight[cols] + weight
-                mean = self.mean[cols]
-                delta = values - mean
-                mean = mean + (weight / total) * delta
-                self.m2[cols] += weight * delta * (values - mean)
-                self.mean[cols] = mean
-                self.total_weight[cols] = total
+            rows, counts = map(np.array, zip(*[(rec.row, rec.count) for rec in run]))
+            self.count += int(counts.sum())
+            weights = block.prob_at[rows, -1] if self.mode == "enumerate" else counts * 1.0
+            positive = weights > 0.0
+            if not positive.any():
+                continue
+            rows, weights = rows[positive], weights[positive]
+            values = self._values(block)[rows]
+            infinite = np.isinf(values)
+            self.infinite |= infinite.any(axis=0)
+            # an infinite entry weighs 0 in its column
+            weights = np.where(infinite, 0.0, weights[:, np.newaxis])
+            if len(rows) == 1:
+                run_weight, run_mean, run_m2 = weights[0], values[0], np.zeros(len(self.keys))
+            else:
+                values = np.where(infinite, 0.0, values)
+                run_weight = weights.sum(axis=0)
+                run_mean = (weights * values).sum(axis=0)
+                run_mean /= np.where(run_weight > 0.0, run_weight, 1.0)
+                run_m2 = (weights * (values - run_mean) ** 2).sum(axis=0)
+            # a column the run gives no weight keeps its entries
+            cols = run_weight > 0.0
+            weight, run_mean = run_weight[cols], run_mean[cols]
+            total = self.total_weight[cols] + weight
+            mean = self.mean[cols]
+            delta = run_mean - mean
+            mean = mean + (weight / total) * delta
+            self.m2[cols] += weight * delta * (run_mean - mean) + run_m2[cols]
+            self.mean[cols] = mean
+            self.total_weight[cols] = total
 
     def finalize(self) -> EntropyReport:
         means = np.where(self.infinite, math.inf, self.mean).tolist()

@@ -277,7 +277,10 @@ def _require_keys(obj: dict, keys: set, where: str):
 def _parse_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ShapeError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ShapeError(f"{where}: an integer too large for a float") from None
 
 
 def _parse_matrix(value, dim: int, where: str) -> np.ndarray:
@@ -328,6 +331,8 @@ def parse_model(text: str) -> MeasurementModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:  # an integer literal of more digits than int() reads
+        raise ModelSyntaxError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise ShapeError("model document must be a JSON object")
     _require_keys(doc, {"dim", "horizon", "ensemble", "instruments"}, "model")

@@ -65,6 +65,21 @@ class TestValidate:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: invalid model document: ")
 
+    @pytest.mark.parametrize("command", ["validate", "check"])
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_integer_too_large_exit_1(self, tmp_path, capsys, command, digits):
+        # "p": 1 followed by 400 zeros does not fit a float; 5000 zeros is
+        # more digits than int() reads
+        text = serialize_model(builtin_scenario("qubit-projective"))
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace('"p": 0.5', '"p": 1' + "0" * digits, 1))
+        out = ["--out", tmp_path / "o"] if command == "check" else []
+        assert run_cli([command, "--model", bad, *out]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid model document: ")
+        if digits == 400:
+            assert err[0].endswith("ensemble[0].p: an integer too large for a float")
+
     def test_missing_file(self, tmp_path):
         assert run_cli(["validate", "--model", tmp_path / "absent.json"]) == 3
 

@@ -8,6 +8,7 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
+from contmeas import engine
 from contmeas.engine import (
     _PAIR_COLUMNS,
     _DRAW_ROWS,
@@ -259,6 +260,33 @@ class TestBlocks:
                     assert state.entropy == theirs[key].entropy
                     # a view into a block would keep the whole block alive
                     assert state.matrix.base is None
+
+    def test_block_size_invariance(self, monkeypatch):
+        # the block size changes how nodes are stepped together, never what
+        # a leaf's record holds or what the consistency checks find
+        model = random_model(1, dim=3, n_outcomes=3, horizon=4)
+        grid = full_grid(model)
+        runs = []
+        for size in (1, 7, 64):
+            monkeypatch.setattr(engine, "BLOCK_NODES", size)
+            records = list(enumerate_trajectories(model, grid))
+            margins = [c.margin for c in consistency_checks(model, grid, records).checks]
+            runs.append((records, margins))
+        (first, margins), others = runs[0], runs[1:]
+        assert max(rec.row for rec in runs[-1][0]) > 7
+        for records, other_margins in others:
+            assert other_margins == margins
+            assert len(records) == len(first) == model.leaf_count()
+            for rec, one in zip(records, first):
+                assert (rec.letter, rec.outcomes, rec.count) == (one.letter, one.outcomes, 1)
+                assert np.array_equal(rec.block.codes[rec.row], one.block.codes[one.row])
+                for field in SCALAR_FIELDS:
+                    assert getattr(rec, field) == getattr(one, field), field
+                for field in ("aposteriori", "conditioned"):
+                    for key, state in getattr(rec, field).items():
+                        theirs = getattr(one, field)[key]
+                        assert np.array_equal(state.matrix, theirs.matrix), (field, key)
+                        assert state.entropy == theirs.entropy
 
     BAD = {
         "negative": np.diag([-1e-3, 1.0 + 1e-3]).astype(complex),

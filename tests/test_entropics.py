@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from contmeas import engine
 from contmeas.engine import TrajectoryRecord, enumerate_trajectories, sample_trajectories
 from contmeas.entropics import (
     EntropyReport,
@@ -251,12 +252,53 @@ class TestColumnBuilder:
             expected = (acc.mean, acc.standard_error() if mode == "sample" else 0.0)
             assert (value, report.se[key]) == expected, key
 
-    def test_enumerate_bit_for_bit(self):
+    def test_enumerate_bit_for_bit(self, monkeypatch):
+        # with one node per block every run is one row, whose merge is
+        # West's update of that row
+        monkeypatch.setattr(engine, "BLOCK_NODES", 1)
         model = random_model(4, dim=3, n_outcomes=3, horizon=3)
         grid = full_grid(model)
         records = list(enumerate_trajectories(model, grid))
+        assert all(rec.row == 0 for rec in records)
         report = build_entropy_report(records, grid)
         self.assert_matches_reference(report, records, grid, "enumerate")
+
+    def test_enumerate_blocks_within_rounding(self):
+        # runs of many rows merge their means and M2, which rounds otherwise
+        model = random_model(4, dim=3, n_outcomes=3, horizon=3)
+        grid = full_grid(model)
+        records = list(enumerate_trajectories(model, grid))
+        assert max(rec.row for rec in records) > 1
+        report = build_entropy_report(records, grid)
+        _, accs = reference_report(records, grid)
+        for key, acc in accs.items():
+            kind = key[0]
+            value = getattr(report, kind)[key[1] if kind == "chi_at" else key[1:]]
+            assert abs(value - acc.mean) <= 1e-12, key
+
+    def test_block_merge_masks_infinite_entries(self):
+        # a multi-row run with one infinite entry: its column reads inf, and
+        # the row's other columns fold as they would row by row
+        model = random_model(4, dim=3, n_outcomes=3, horizon=3)
+        grid = full_grid(model)
+        records = list(enumerate_trajectories(model, grid))
+        rec = records[0]
+        block = rec.block.take(np.arange(len(rec.block.codes)))
+        col = block.pairs.index((0, 2))
+        block.chi_term[rec.row + 1, col] = math.inf
+        run = [TrajectoryRecord(r.letter, r.outcomes, block, r.row) for r in records[:20]]
+        assert all(r.block is rec.block for r in records[:20])
+        merged = EntropyReportBuilder(grid)
+        merged.add(run)
+        by_row = EntropyReportBuilder(grid)
+        for one in run:
+            by_row.add([one])
+        assert math.isinf(merged.finalize().chi_bar[(0, 2)])
+        assert np.array_equal(merged.infinite, by_row.infinite)
+        assert merged.infinite.sum() == 1
+        assert np.allclose(merged.mean, by_row.mean, rtol=0.0, atol=1e-12)
+        assert np.allclose(merged.m2, by_row.m2, rtol=0.0, atol=1e-12)
+        assert np.allclose(merged.total_weight, by_row.total_weight, rtol=0.0, atol=1e-12)
 
     @pytest.fixture(scope="class")
     def sampled_with_inf(self):
