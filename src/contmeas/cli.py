@@ -79,6 +79,19 @@ class _Failure(Exception):
         self.code = code
 
 
+class _UsageError(Exception):
+    """A command-line usage error, with argparse's message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach ``main`` (which exits 3)
+    instead of exiting 2, the code of a failed check."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
 def _say(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -327,7 +340,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="contmeas",
         description="Repeated quantum measurements: trajectories, information "
         "quantities, and entropic bound audits.",
@@ -351,7 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        _say(str(exc))
+        return EXIT_IO
     if args.command == "scenario":
         return _cmd_scenario_list()
     if args.command == "validate":

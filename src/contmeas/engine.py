@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 import sys
 import weakref
 from collections import Counter
@@ -63,7 +64,7 @@ _SLICE_ROWS = 256
 _DRAW_ROWS = 1024
 
 
-_TIME_COLUMNS = ("prob_at", "aposteriori", "entropy", "chi_at_term")
+_TIME_COLUMNS = ("prob_at", "log_prob", "aposteriori", "entropy", "chi_at_term")
 _PAIR_COLUMNS = ("incr_prob", "conditioned", "cond_entropy", "chi_term")
 
 
@@ -81,10 +82,11 @@ def _grow(owner, names, size) -> None:
 
 class IncrementTrie:
     """Outcome-only conditioned states, a row per increment string (outcomes
-    s+1..t), kept as arrays: the pushed (unnormalized) matrix, its mass, the
-    entropy and spectrum of the state, and the child row of each outcome.
-    The normalized matrix is worked out from the first two by the steps
-    DensityOperator.from_stack takes, so it has the same bits. Row i is
+    s+1..t), kept as arrays: the pushed (unnormalized) matrix, its mass and
+    the math.log of it, the entropy and spectrum of the state, and the child
+    row of each outcome. The normalized matrix is worked out from the pushed
+    one and its mass by the steps DensityOperator.from_stack takes, so it
+    has the same bits. Row i is
     eta_t of the i-th record time t (mass 1), taken from the batch ``eta``
     that compute_a_priori decomposed; the relative entropies against eta_t
     read its spectrum there. A row is validated and decomposed when a
@@ -92,7 +94,9 @@ class IncrementTrie:
     by ``step``, a trie per reference time s rooted at the row of eta_s; a
     replay copies the tracks it pushes into a table of its own."""
 
-    ARRAYS = ("mass", "pushed", "entropy", "eigenvalues", "eigenvectors", "children", "done")
+    ARRAYS = (
+        "mass", "pushed", "entropy", "eigenvalues", "eigenvectors", "children", "done", "log_mass"
+    )
 
     def __init__(self, eta: StateBatch, width=1):
         self.size = len(eta.entropies)
@@ -100,6 +104,7 @@ class IncrementTrie:
             setattr(self, name, values.copy())
         self.children = np.full((self.size, width), -1)
         self.done = np.ones(self.size, dtype=bool)
+        self.log_mass = np.zeros(self.size)
 
     def reserve(self, count) -> np.ndarray:
         """``count`` new rows with no children, not written or decomposed."""
@@ -110,8 +115,11 @@ class IncrementTrie:
         return rows
 
     def write(self, rows, masses, batch: StateBatch, start: int) -> None:
-        """Rows ``rows`` hold the states batch[start:] of masses ``masses``."""
+        """Rows ``rows`` hold the states batch[start:] of masses ``masses``,
+        with math.log of each mass (np.log may round differently in the last
+        bit)."""
         self.mass[rows], self.entropy[rows] = masses, batch.entropies[start:]
+        self.log_mass[rows] = [math.log(mass) for mass in masses.tolist()]
         self.eigenvalues[rows] = batch.eigenvalues[start:]
         self.eigenvectors[rows] = batch.eigenvectors[start:]
         self.done[rows] = True
@@ -146,16 +154,16 @@ class IncrementTrie:
 class RecordBlock:
     """The record columns of a block of nodes of one letter, a row per node
     in emission order. By record time t, (n, len(times)): prob_at, the mass
-    of (letter, outcomes up to t); aposteriori, the state given them (a
-    DensityOperator, shared by the rows of a subtree); its entropy; and
-    chi_at_term, its relative entropy against the a-priori state. By pair
-    (s, t), (n, len(pairs)): incr_prob, the mass of the outcomes s+1..t
-    alone from the a-priori state at s; conditioned, the row in ``states``
-    of the state given them; its cond_entropy; and chi_term, the relative
-    entropy of aposteriori[t] against it. ``codes`` holds each node's
-    outcome index at each step: its path, which names the node's records
-    and errors. A column not reached yet holds NaN (None for states, -1
-    for rows)."""
+    of (letter, outcomes up to t), and log_prob, its math.log; aposteriori,
+    the state given them (a DensityOperator, shared by the rows of a
+    subtree); its entropy; and chi_at_term, its relative entropy against
+    the a-priori state. By pair (s, t), (n, len(pairs)): incr_prob, the
+    mass of the outcomes s+1..t alone from the a-priori state at s;
+    conditioned, the row in ``states`` of the state given them; its
+    cond_entropy; and chi_term, the relative entropy of aposteriori[t]
+    against it. ``codes`` holds each node's outcome index at each step: its
+    path, which names the node's records and errors. A column not reached
+    yet holds NaN (None for states, -1 for rows)."""
 
     __slots__ = ("letter", "times", "pairs", "index", "states", "codes")
     __slots__ += _TIME_COLUMNS + _PAIR_COLUMNS
@@ -176,7 +184,7 @@ class RecordBlock:
         """A new block of copies of the given rows, on the same states."""
         block = copy.copy(self)
         for name in ("codes",) + _TIME_COLUMNS + _PAIR_COLUMNS:
-            setattr(block, name, getattr(self, name)[rows])
+            setattr(block, name, getattr(self, name).take(rows, axis=0))
         return block
 
     def check_grid(self, times, pairs) -> None:
@@ -358,9 +366,9 @@ class _Walk:
             return rows
         states = block.states
         own = rows[:, : len(self.columns[t][1])]
-        new = np.unique(own[~states.done[own]])
+        new = np.unique(own[~states.done.take(own)])
         try:
-            masses, batch = _node_states(np.concatenate([stacks, states.pushed[new]]))
+            masses, batch = _node_states(np.concatenate([stacks, states.pushed.take(new, axis=0)]))
         except (NotPositiveSemidefinite, NumericRangeError):
             # the first failing node raises the same error on its own
             for i in range(n):
@@ -378,7 +386,8 @@ class _Walk:
 
     def _write(self, block, t, rows, masses, batch) -> None:
         """Write record time t into the rows of ``block``: the main states
-        (the first n of ``batch``) and their masses, and the tracks at rows
+        (the first n of ``batch``), their masses and the logs of them (the
+        trie keeps its rows' logs the same way), and the tracks at rows
         ``rows`` (n, k) of ``block.states``; one relative-entropy pass of
         each main state against the rows of eta_t and its tracks. A track
         seeded at t is eta_t itself: its row."""
@@ -387,13 +396,15 @@ class _Walk:
         n = len(rows)
         both = np.concatenate([np.full((n, 1), col), rows], axis=1)
         lam, vec = batch.eigenvalues[:n], batch.eigenvectors[:n]
-        chis = relative_entropies(lam, vec, states.eigenvalues[both], states.eigenvectors[both])
+        lam2, vec2 = (a.take(both, axis=0) for a in (states.eigenvalues, states.eigenvectors))
+        chis = relative_entropies(lam, vec, lam2, vec2)
         objects = np.empty(n, dtype=object)
         objects[:] = StateBatch(*(a[:n] for a in batch)).states
-        values = (masses, objects, batch.entropies[:n], chis[:, 0])
+        logs = [math.log(mass) for mass in masses.tolist()]
+        values = (masses, logs, objects, batch.entropies[:n], chis[:, 0])
         for name, value in zip(_TIME_COLUMNS, values):
             getattr(block, name)[:, col] = value
-        values = (states.mass[rows], rows, states.entropy[rows], chis[:, 1:])
+        values = (states.mass.take(rows), rows, states.entropy.take(rows), chis[:, 1:])
         for name, value in zip(_PAIR_COLUMNS, values):
             getattr(block, name)[:, track_cols] = value
         if seeded is not None:
@@ -632,8 +643,9 @@ class _Table:
             if shared:
                 other = self.origins[held] != sources[later]
                 held, later = held[other], later[other]
-            diffs = self.matrices[held] - matrix_of(sources[later])
-            self.deviation = _worst(_norms(diffs), self.deviation)
+            if len(later):
+                diffs = self.matrices[held] - matrix_of(sources[later])
+                self.deviation = _worst(_norms(diffs), self.deviation)
 
     def column(self, col):
         """String numbers and rows of one column's entries, in first-seen
@@ -650,11 +662,38 @@ class _Table:
 
 def _group_sums(groups, count, probs, matrices, rows) -> np.ndarray:
     """Sum of probs[i] * matrices[rows[i]] per group index ``groups[i]``,
-    each group added up in order, a slice at a time."""
+    each group added up from 0 in input order, with the bits of np.add.at.
+    The terms are sorted by group (stably) and summed a window of ranks
+    (positions within a group) at a time: a (groups, 1 + width) array whose
+    first column carries each group's running sum and whose short groups
+    are padded with zeros, reduced along its second axis, which numpy adds
+    in order. A window holds at most _SLICE_ROWS groups and about
+    _SLICE_ROWS terms (one per group when more groups than that are left)."""
     out = np.zeros((count,) + matrices.shape[1:], dtype=complex)
-    for i in range(0, len(probs), _SLICE_ROWS):
-        part = slice(i, i + _SLICE_ROWS)
-        np.add.at(out, groups[part], probs[part, None, None] * matrices[rows[part]])
+    order = np.argsort(groups, kind="stable")
+    probs, rows = probs.take(order), rows.take(order)
+    sizes = np.bincount(groups, minlength=count)
+    starts = np.cumsum(sizes) - sizes
+    rank = 0
+    while rank < sizes.max(initial=0):
+        live = np.flatnonzero(sizes > rank)
+        width = max(1, _SLICE_ROWS // len(live))
+        ranks = np.arange(rank, rank + width)
+        for i in range(0, len(live), _SLICE_ROWS):
+            part = live[i : i + _SLICE_ROWS]
+            present = ranks < sizes[part, np.newaxis]
+            index = (starts[part, np.newaxis] + ranks)[present]
+            terms = probs.take(index)[:, None, None] * matrices.take(rows.take(index), axis=0)
+            if width == 1:
+                out[part] += terms  # one term per group
+                continue
+            window = np.zeros((len(part), 1 + width) + matrices.shape[1:], dtype=complex)
+            window[:, 0] = out[part]
+            window[:, 1:][present] = terms
+            # as floats, real and imaginary parts innermost: the ranks are
+            # never the innermost axis, which numpy would add pairwise
+            out[part] = window.view(float).sum(axis=1).view(complex)
+        rank += width
     return out
 
 
@@ -752,13 +791,12 @@ class ConsistencyAccumulator:
         gaps = np.abs(block.incr_prob[row] - masses)
         self.incr.deviation = _worst(_norms(mine - theirs), _worst(gaps, self.incr.deviation))
 
-    def _pushed(self, table, col, keys, s, t, weighted):
-        """The entries in column ``col`` of ``table`` (strings ending at s)
-        that are the parents of the keys (strings ending at t), times their
-        probabilities when ``weighted``, each pushed through the outcome
-        maps of steps s+1..t along the digits of its key: one Kraus
-        application per (step, outcome) group of up to _SLICE_ROWS rows."""
-        parents = table.rows(keys // self._span(s, t), col)
+    def _pushed(self, table, parents, keys, s, t, weighted):
+        """The entries ``parents`` of ``table`` (strings ending at s), the
+        parents of the keys (strings ending at t), times their probabilities
+        when ``weighted``, each pushed through the outcome maps of steps
+        s+1..t along the digits of its key: one Kraus application per
+        (step, outcome) group of up to _SLICE_ROWS rows."""
         stack = table.matrices[parents]
         if weighted:
             stack *= table.probs[parents, None, None]
@@ -773,16 +811,24 @@ class ConsistencyAccumulator:
 
     def _composition_residuals(self):
         """Conditioning r -> s, rescaling, then s -> t must match r -> t:
-        one residual per increment-table entry that has a parent."""
+        one residual per increment-table entry that has a parent. The
+        entries of every reference time r <= s are pushed s -> t together."""
         col = {pair: i for i, pair in enumerate(self._pairs)}
+        times = self.grid.record_times
         residuals = [np.zeros(0)]
-        for r in self.grid.reference_times:
-            laters = [t for t in self.grid.record_times if t >= r]
-            for s, t in zip(laters, laters[1:]):
-                keys, rows = self.incr.column(col[(r, t)])
-                via = self._pushed(self.incr, col[(r, s)], keys, s, t, weighted=True)
-                via -= self.incr.probs[rows, None, None] * self.incr.matrices[rows]
-                residuals.append(_norms(via))
+        for s, t in zip(times, times[1:]):
+            parts = []
+            for r in self.grid.reference_times:
+                if r <= s:
+                    keys, rows = self.incr.column(col[(r, t)])
+                    parents = self.incr.rows(keys // self._span(s, t), col[(r, s)])
+                    parts.append((keys, parents, rows))
+            if not parts:
+                continue
+            keys, parents, rows = (np.concatenate(part) for part in zip(*parts))
+            via = self._pushed(self.incr, parents, keys, s, t, weighted=True)
+            via -= self.incr.probs[rows, None, None] * self.incr.matrices[rows]
+            residuals.append(_norms(via))
         return np.concatenate(residuals)
 
     def _recursion_residuals(self):
@@ -792,7 +838,8 @@ class ConsistencyAccumulator:
         residuals = [np.zeros(0)]
         for i, (s, t) in enumerate(zip(times, times[1:])):
             keys, rows = self.prefix.column(i + 1)
-            pushed = self._pushed(self.prefix, i, keys, s, t, weighted=False)
+            parents = self.prefix.rows(keys // self._span(s, t), i)
+            pushed = self._pushed(self.prefix, parents, keys, s, t, weighted=False)
             trace = np.trace(pushed, axis1=1, axis2=2).real
             positive = ~(trace <= 0.0)
             pushed /= np.where(positive, trace, 1.0)[:, None, None]

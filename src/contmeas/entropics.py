@@ -56,13 +56,6 @@ class EntropyReport:
     se: dict  # full key, e.g. ("Ic", r, t) -> standard error
 
 
-def _logs(a: np.ndarray) -> np.ndarray:
-    """math.log of every entry, once per distinct value (np.log may round
-    differently in the last bit)."""
-    values, inverse = np.unique(a, return_inverse=True)
-    return np.array([math.log(x) for x in values.tolist()])[inverse].reshape(a.shape)
-
-
 def _index_rows(rows: list, width: int) -> np.ndarray:
     """Integer index columns of ``rows`` as the rows of a (width, n) array."""
     return np.array(rows, dtype=int).reshape(-1, width).T
@@ -126,8 +119,7 @@ class EntropyReportBuilder:
         """Every entry's contribution of each row of a block of records,
         (n, len(keys)) in ``keys`` order."""
         block.check_grid(self._times, self._pairs)
-        log_prob = _logs(block.prob_at)
-        log_incr = _logs(block.incr_prob)
+        log_prob, log_incr = block.log_prob, block.states.log_mass.take(block.conditioned)
         cols = self._cols
         values = np.empty((len(block.prob_at), len(self.keys)))
         t, r, p = self._ic_src

@@ -78,8 +78,8 @@ class StateBatch(NamedTuple):
     def states(self) -> list:
         """A DensityOperator per member, in stack order, each owning a copy
         of its matrix."""
-        entropies = self.entropies.tolist()
-        return [DensityOperator(m.copy(), s) for m, s in zip(self.matrices, entropies)]
+        copies = map(np.ndarray.copy, self.matrices)
+        return list(map(DensityOperator, copies, self.entropies.tolist()))
 
 
 def _first_false(ok: np.ndarray) -> int:
@@ -268,7 +268,10 @@ def relative_entropies(lam1, v1, lam2, v2) -> np.ndarray:
 
     Same support rule, infinity flag and 0 log 0 convention as
     _relent_spectra, entry by entry; that scalar form stays separate for
-    the independent oracles.
+    the independent oracles. Each first argument meets all m of its second
+    arguments in one (d, d) x (d, m*d) product of eigenvectors and one
+    (1, d) x (d, m*d) product of its support weights, so a row's bits do
+    not depend on how many rows come with it.
     """
     a_max = lam1[..., -1:]
     supp1 = lam1 > SUPPORT_REL_TOL * a_max
@@ -276,12 +279,16 @@ def relative_entropies(lam1, v1, lam2, v2) -> np.ndarray:
     term1 = (weights * np.log(np.where(supp1, lam1, 1.0))).sum(axis=-1, keepdims=True)
     b_max = lam2[..., -1]
     supp2 = lam2 > SUPPORT_REL_TOL * b_max[..., np.newaxis]
-    # [..., j, a, b] = |<a_a|b_jb>|^2
-    overlaps = np.abs(v1.conj().swapaxes(-1, -2)[..., np.newaxis, :, :] @ v2) ** 2
-    weights = weights[..., np.newaxis]
-    outside = (np.where(supp2[..., np.newaxis, :], 0.0, overlaps).sum(axis=-1) @ weights)[..., 0]
+    m, d = lam2.shape[-2:]
+    # [..., a, (j, b)] = <a_a|b_jb>, then |.|^2
+    right = np.swapaxes(v2, -3, -2).reshape(v2.shape[:-3] + (d, m * d))
+    z = v1.conj().swapaxes(-1, -2) @ right
+    overlaps = z.real**2 + z.imag**2
+    # [..., j, b] = sum_a weights_a |<a_a|b_jb>|^2, the mass of A on b_jb
+    mass = (weights[..., np.newaxis, :] @ overlaps).reshape(lam2.shape)
+    outside = np.where(supp2, 0.0, mass).sum(axis=-1)
     log2 = np.log(np.where(supp2, lam2, 1.0))  # zero off the support
-    term2 = ((overlaps @ log2[..., np.newaxis])[..., 0] @ weights)[..., 0]
+    term2 = (mass * log2).sum(axis=-1)
     infinite = (b_max <= 0.0) | (outside > SUPPORT_MASS_TOL * lam1.sum(axis=-1, keepdims=True))
     # every term of a zero first argument vanishes: 0 against anything
     return np.where(infinite & (a_max > 0.0), math.inf, term1 - term2)

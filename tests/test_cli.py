@@ -235,6 +235,35 @@ class TestCheck:
         assert len(err) == 1 and err[0].startswith("error: ") and fragment in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["check", "--bogus"], "unrecognized arguments: --bogus"),
+            (["check", "--mode", "foo"], "argument --mode: invalid choice: 'foo'"),
+            (["check", "--samples", "x"], "argument --samples: invalid int value: 'x'"),
+            (["frobnicate"], "invalid choice: 'frobnicate'"),
+            (["check", "--grid", "-1,2"], "argument --grid: expected one argument"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["unknown-flag", "bad-mode", "bad-samples", "bad-command", "grid-dash", "no-command"],
+    )
+    def test_usage_error_exit_3(self, tmp_path, capsys, monkeypatch, argv, fragment):
+        # exit 2 is kept for a failed check or bound; argparse's own usage
+        # errors return 3 from main, with argparse's usage and one error line
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        errors = [line for line in err if "error:" in line]
+        assert err[0].startswith("usage: contmeas")
+        assert errors == [err[-1]] and fragment in err[-1]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["check", "--help"])
+        assert info.value.code == 0
+        assert "usage: contmeas check" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", ["check", "run", "validate"])
     def test_horizon_below_1_on_model_route_exit_3(self, tmp_path, capsys, command):
         path = tmp_path / "model.json"

@@ -1,23 +1,28 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from collections.abc import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contmeas import engine
 from contmeas.engine import (
     _PAIR_COLUMNS,
     _DRAW_ROWS,
+    _SLICE_ROWS,
     _TIME_COLUMNS,
     BLOCK_NODES,
     ConsistencyAccumulator,
     IncrementTrie,
     TrajectoryRecord,
     _draw_paths,
+    _group_sums,
     _letter_roots,
     _path_name,
     _Walk,
@@ -581,6 +586,61 @@ class TestArrayDraws:
             _draw_paths(model, 3, 1)
         assert str(arrays.value) == str(scalar.value)
         assert "letter " in str(arrays.value) and "e-30" in str(arrays.value)
+
+
+@st.composite
+def grouped_terms(draw):
+    """Arguments of _group_sums: group sizes from 0 (an empty group) to
+    beyond _SLICE_ROWS, the group ids in random order, probabilities of
+    mixed magnitudes (some 0) and matrices with some -0.0 entries."""
+    dim = draw(st.integers(2, 4))
+    sizes = draw(
+        st.lists(
+            st.one_of(st.integers(0, 3), st.integers(_SLICE_ROWS - 2, _SLICE_ROWS + 40)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    probs = rng.random(len(groups)) * 10.0 ** rng.integers(-12, 2, len(groups))
+    probs[rng.random(len(groups)) < 0.05] = 0.0
+    shape = (20, dim, dim)
+    matrices = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    matrices[rng.random(shape) < 0.1] = -0.0
+    rows = rng.integers(0, len(matrices), len(groups))
+    return groups, len(sizes), probs, matrices, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouped_terms())
+def test_group_sums_add_each_group_in_order(args):
+    groups, count, probs, matrices, rows = args
+    expected = np.zeros((count,) + matrices.shape[1:], dtype=complex)
+    for g, p, row in zip(groups, probs, rows):
+        expected[g] = expected[g] + p * matrices[row]
+    assert _group_sums(*args).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_group_sums_memory_stays_near_slice_rows(dim):
+    # one group of 5,000 terms beside 5,000 singletons: a (groups, width)
+    # layout of all of them would take 5,001 x 5,000 matrices
+    count, big = 5001, 5000
+    groups = np.concatenate([np.zeros(big, dtype=np.int64), np.arange(1, count)])
+    rng = np.random.default_rng(dim)
+    groups = rng.permutation(groups)
+    probs = rng.random(len(groups))
+    matrices = rng.standard_normal((50, dim, dim)) + 0j
+    rows = rng.integers(0, 50, len(groups))
+    tracemalloc.start()
+    try:
+        _group_sums(groups, count, probs, matrices, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix = 16 * dim * dim
+    assert peak <= 4 * (_SLICE_ROWS + count) * matrix
 
 
 def reference_sums(grid, records, eta):

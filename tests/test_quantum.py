@@ -443,6 +443,51 @@ def test_relative_entropies_of_a_block_match_scalar_kernel(stacks):
                 assert abs(block[i, j] - expected) <= 1e-12
 
 
+@st.composite
+def walk_blocks(draw):
+    """First and second arguments at the shapes of the walk: 64 to 80
+    first spectra, each against 7 others, drawn from a pool of states of
+    random rank (0 to full) with a shared eigenbasis or not."""
+    dim = draw(st.integers(2, 4))
+    n = draw(st.integers(64, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shared = draw(st.booleans())
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    pool = []
+    for rank in rng.integers(0, dim + 1, 24).tolist():
+        if shared:
+            cols = basis[:, rng.permutation(dim)[:rank]]
+        else:
+            cols = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        m = (cols * rng.uniform(0.05, 1.0, rank)) @ cols.conj().T
+        if rank:
+            m /= np.trace(m).real
+        pool.append(_clipped_spectrum(m))
+    lam = np.array([lam for lam, _ in pool])
+    vec = np.array([v for _, v in pool])
+    first, second = rng.integers(0, len(pool), n), rng.integers(0, len(pool), (n, 7))
+    return lam[first], vec[first], lam[second], vec[second]
+
+
+@settings(max_examples=30, deadline=None)
+@given(walk_blocks())
+def test_relative_entropies_at_walk_shapes(block):
+    # the wide products run at block scale: each row has the bits of its
+    # one-row call, and matches the scalar kernel entry by entry
+    lam1, v1, lam2, v2 = block
+    out = relative_entropies(lam1, v1, lam2, v2)
+    assert out.shape == (len(lam1), 7)
+    for i in range(len(lam1)):
+        row = relative_entropies(lam1[i], v1[i], lam2[i], v2[i])
+        assert out[i].tobytes() == row.tobytes()
+        for j in range(7):
+            expected = _relent_spectra(lam1[i], v1[i], lam2[i, j], v2[i, j])
+            if math.isinf(expected) or math.isinf(out[i, j]):
+                assert out[i, j] == expected
+            else:
+                assert abs(out[i, j] - expected) <= 1e-12
+
+
 @settings(max_examples=200, deadline=None)
 @given(spectrum_stacks(), st.integers(0, 2**32 - 1))
 def test_relative_entropies_ignore_eigenvector_phases(stacks, seed):
