@@ -65,7 +65,9 @@ _DRAW_ROWS = 1024
 
 
 _TIME_COLUMNS = ("prob_at", "log_prob", "aposteriori", "entropy", "chi_at_term")
-_PAIR_COLUMNS = ("incr_prob", "conditioned", "cond_entropy", "chi_term")
+_PAIR_COLUMNS = ("conditioned", "chi_term")
+# facts of a conditioned state that its row of the table of states holds
+_STATE_FACTS = {"incr_prob": "mass", "cond_entropy": "entropy"}
 
 
 def _grow(owner, names, size) -> None:
@@ -128,9 +130,6 @@ class IncrementTrie:
         """The normalized matrices of ``rows``."""
         return _hermitian_part(self.pushed[rows] / self.mass[rows, ..., None, None])
 
-    def state(self, row) -> DensityOperator:
-        return DensityOperator(self.matrices(row), self.entropy.item(row))
-
     def step(self, rows, codes, maps) -> np.ndarray:
         """Rows of the children of ``rows`` (n, k) by the outcomes ``codes``
         (n,); a missing child is made by pushing its parent through the map
@@ -155,17 +154,17 @@ class RecordBlock:
     """The record columns of a block of nodes of one letter, a row per node
     in emission order. By record time t, (n, len(times)): prob_at, the mass
     of (letter, outcomes up to t), and log_prob, its math.log; aposteriori,
-    the state given them (a DensityOperator, shared by the rows of a
-    subtree); its entropy; and chi_at_term, its relative entropy against
-    the a-priori state. By pair (s, t), (n, len(pairs)): incr_prob, the
-    mass of the outcomes s+1..t alone from the a-priori state at s;
-    conditioned, the row in ``states`` of the state given them; its
-    cond_entropy; and chi_term, the relative entropy of aposteriori[t]
-    against it. ``codes`` holds each node's outcome index at each step: its
-    path, which names the node's records and errors. A column not reached
-    yet holds NaN (None for states, -1 for rows)."""
+    the state given them as its row of ``posteriors[col]``, the stack of
+    main states written at t (shared with the blocks taken from this one);
+    its entropy; and chi_at_term, its relative entropy against the a-priori
+    state. By pair (s, t), (n, len(pairs)): conditioned, the row in
+    ``states`` of the state given the outcomes s+1..t alone, which holds
+    its mass from the a-priori state at s and its entropy; and chi_term,
+    the relative entropy of aposteriori[t] against it. ``codes`` holds each
+    node's outcome index at each step: its path, which names the node's
+    records and errors. A column not reached yet holds NaN (-1 for rows)."""
 
-    __slots__ = ("letter", "times", "pairs", "index", "states", "codes")
+    __slots__ = ("letter", "times", "pairs", "index", "states", "posteriors", "codes")
     __slots__ += _TIME_COLUMNS + _PAIR_COLUMNS
 
     def __init__(self, letter, times, pairs, index, states, horizon):
@@ -173,16 +172,17 @@ class RecordBlock:
         each pair to its column."""
         self.letter, self.times, self.pairs, self.states = letter, times, pairs, states
         self.index = index
+        self.posteriors = [None] * len(times)
         self.codes = np.zeros((1, horizon), dtype=np.int64)
-        fills = {"aposteriori": (None, object), "conditioned": (-1, np.int64)}
         for name in _TIME_COLUMNS + _PAIR_COLUMNS:
             width = len(times) if name in _TIME_COLUMNS else len(pairs)
-            fill, dtype = fills.get(name, (np.nan, float))
-            setattr(self, name, np.full((1, width), fill, dtype=dtype))
+            fill = -1 if name in ("aposteriori", "conditioned") else np.nan
+            setattr(self, name, np.full((1, width), fill))
 
     def take(self, rows) -> "RecordBlock":
-        """A new block of copies of the given rows, on the same states."""
+        """A new block of copies of the given rows, on the same states and stacks."""
         block = copy.copy(self)
+        block.posteriors = list(self.posteriors)
         for name in ("codes",) + _TIME_COLUMNS + _PAIR_COLUMNS:
             setattr(block, name, getattr(self, name).take(rows, axis=0))
         return block
@@ -193,19 +193,26 @@ class RecordBlock:
 
 
 class RecordRow(Mapping):
-    """One record's entries of one column, keyed by time or by (s, t) pair;
-    a lookup reads one element. A ``conditioned`` entry is the state of its
-    row in the block's states."""
+    """One record's entries of one field, keyed by time or by (s, t) pair;
+    a lookup reads one element. The one place where a row of a stack or of
+    the states becomes a DensityOperator, with a fresh copy of its matrix;
+    incr_prob and cond_entropy read the conditioned row of the states."""
 
     __slots__ = ("_block", "_row", "_name", "_index")
 
     def __init__(self, block: RecordBlock, row: int, name: str):
         self._block, self._row, self._name = block, row, name
-        self._index = block.index[name in _PAIR_COLUMNS]
+        self._index = block.index[name not in _TIME_COLUMNS]
 
     def __getitem__(self, key):
-        value = getattr(self._block, self._name).item(self._row, self._index[key])
-        return self._block.states.state(value) if self._name == "conditioned" else value
+        block, name, col, states = self._block, self._name, self._index[key], self._block.states
+        value = getattr(block, "conditioned" if name in _STATE_FACTS else name).item(self._row, col)
+        if name == "aposteriori":
+            matrix = block.posteriors[col][value].copy()
+            return DensityOperator(matrix, block.entropy.item(self._row, col))
+        if name == "conditioned":
+            return DensityOperator(states.matrices(value), states.entropy.item(value))
+        return getattr(states, _STATE_FACTS[name]).item(value) if name in _STATE_FACTS else value
 
     def __iter__(self):
         return iter(self._index)
@@ -218,9 +225,9 @@ class RecordRow(Mapping):
 class TrajectoryRecord:
     """One enumerated trajectory, or one distinct sampled path with
     ``count``, its number of draws (1 in enumeration): row ``row`` of a
-    block of leaves. Each column of the block reads as a read-only mapping
-    of this row, keyed by time or by (s, t) pair: ``rec.prob_at[t]``,
-    ``rec.conditioned[(s, t)]`` (see RecordBlock and RecordRow). The
+    block of leaves. Each field reads as a read-only mapping of this row,
+    keyed by time or by (s, t) pair: ``rec.prob_at[t]``,
+    ``rec.incr_prob[(s, t)]`` (see RecordBlock and RecordRow). The
     entropic terms are cached so that report building never re-decomposes
     a matrix."""
 
@@ -231,7 +238,7 @@ class TrajectoryRecord:
     count: int = 1
 
     def __getattr__(self, name):
-        if name not in _TIME_COLUMNS + _PAIR_COLUMNS:
+        if name not in _TIME_COLUMNS + _PAIR_COLUMNS + tuple(_STATE_FACTS):
             raise AttributeError(name)
         return RecordRow(self.block, self.row, name)
 
@@ -385,9 +392,9 @@ class _Walk:
         return rows
 
     def _write(self, block, t, rows, masses, batch) -> None:
-        """Write record time t into the rows of ``block``: the main states
-        (the first n of ``batch``), their masses and the logs of them (the
-        trie keeps its rows' logs the same way), and the tracks at rows
+        """Write record time t into the rows of ``block``: a copy of the
+        main states (the first n of ``batch``), their masses and the logs of
+        them (as the trie keeps its rows' logs), and the tracks at rows
         ``rows`` (n, k) of ``block.states``; one relative-entropy pass of
         each main state against the rows of eta_t and its tracks. A track
         seeded at t is eta_t itself: its row."""
@@ -398,19 +405,14 @@ class _Walk:
         lam, vec = batch.eigenvalues[:n], batch.eigenvectors[:n]
         lam2, vec2 = (a.take(both, axis=0) for a in (states.eigenvalues, states.eigenvectors))
         chis = relative_entropies(lam, vec, lam2, vec2)
-        objects = np.empty(n, dtype=object)
-        objects[:] = StateBatch(*(a[:n] for a in batch)).states
+        block.posteriors[col] = batch.matrices[:n].copy()
         logs = [math.log(mass) for mass in masses.tolist()]
-        values = (masses, logs, objects, batch.entropies[:n], chis[:, 0])
+        values = (masses, logs, np.arange(n), batch.entropies[:n], chis[:, 0])
         for name, value in zip(_TIME_COLUMNS, values):
             getattr(block, name)[:, col] = value
-        values = (states.mass.take(rows), rows, states.entropy.take(rows), chis[:, 1:])
-        for name, value in zip(_PAIR_COLUMNS, values):
-            getattr(block, name)[:, track_cols] = value
+        block.conditioned[:, track_cols], block.chi_term[:, track_cols] = rows, chis[:, 1:]
         if seeded is not None:
-            values = (states.mass[col], col, states.entropy[col], chis[:, 0])
-            for name, value in zip(_PAIR_COLUMNS, values):
-                getattr(block, name)[:, seeded] = value
+            block.conditioned[:, seeded], block.chi_term[:, seeded] = col, chis[:, 0]
 
     def replay(self, letter, outcomes, count=1) -> TrajectoryRecord:
         """Rebuild the full record for a known path (no randomness involved),
@@ -697,10 +699,6 @@ def _group_sums(groups, count, probs, matrices, rows) -> np.ndarray:
     return out
 
 
-def _matrices_of(states) -> np.ndarray:
-    return np.array([state.matrix for state in states])
-
-
 class ConsistencyAccumulator:
     """Streaming verifier of the structural identities of the enumerated
     table: probability conservation, martingale marginals, measurability of
@@ -758,17 +756,17 @@ class ConsistencyAccumulator:
             for k in range(1, len(self._radix)):
                 strings[:, k] = strings[:, k - 1] * self._radix[k] + codes[:, k - 1]
             prefixes = block.letter * self._count[self._times] + strings[:, self._times]
-            self.prefix.hold(prefixes, prob_at, block.aposteriori[rows], _matrices_of)
+            # the a-posteriori rows of every column, as rows of one stack
+            offsets = np.cumsum([0] + [len(stack) for stack in block.posteriors[:-1]])
+            matrices = np.concatenate(block.posteriors)
+            sources = block.aposteriori[rows] + offsets
+            self.prefix.hold(prefixes, prob_at, sources, matrices.__getitem__)
             increments = strings[:, self._t] - strings[:, self._s] * self._spans
             if self._states is None:
                 self._states = weakref.ref(block.states)
-            self.incr.hold(
-                increments,
-                block.incr_prob[rows],
-                block.conditioned[rows],
-                block.states.matrices,
-                shared=block.states is self._states(),
-            )
+            states, sources = block.states, block.conditioned[rows]
+            shared = states is self._states()
+            self.incr.hold(increments, states.mass[sources], sources, states.matrices, shared)
 
     def _recheck(self, rec: TrajectoryRecord) -> None:
         """Fold into ``increment-dependence`` the deviation of a record's
@@ -787,8 +785,9 @@ class ConsistencyAccumulator:
         pushed = np.array(pushed).reshape(-1, self.model.dim, self.model.dim)
         masses = np.trace(pushed, axis1=1, axis2=2).real
         theirs = _hermitian_part(pushed / masses[:, np.newaxis, np.newaxis])
-        mine = block.states.matrices(block.conditioned[row])
-        gaps = np.abs(block.incr_prob[row] - masses)
+        conditioned = block.conditioned[row]
+        mine = block.states.matrices(conditioned)
+        gaps = np.abs(block.states.mass[conditioned] - masses)
         self.incr.deviation = _worst(_norms(mine - theirs), _worst(gaps, self.incr.deviation))
 
     def _pushed(self, table, parents, keys, s, t, weighted):

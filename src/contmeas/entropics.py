@@ -119,7 +119,8 @@ class EntropyReportBuilder:
         """Every entry's contribution of each row of a block of records,
         (n, len(keys)) in ``keys`` order."""
         block.check_grid(self._times, self._pairs)
-        log_prob, log_incr = block.log_prob, block.states.log_mass.take(block.conditioned)
+        log_prob, states, conditioned = block.log_prob, block.states, block.conditioned
+        log_incr, cond_entropy = states.log_mass[conditioned], states.entropy[conditioned]
         cols = self._cols
         values = np.empty((len(block.prob_at), len(self.keys)))
         t, r, p = self._ic_src
@@ -129,7 +130,7 @@ class EntropyReportBuilder:
         s, t = self._iq_src
         values[:, cols["Iq"]] = block.entropy[:, s] - block.entropy[:, t]
         a, b = self._iq_cond_src
-        values[:, cols["Iq_cond"]] = block.cond_entropy[:, a] - block.cond_entropy[:, b]
+        values[:, cols["Iq_cond"]] = cond_entropy[:, a] - cond_entropy[:, b]
         return values
 
     def add(self, records: Iterable[TrajectoryRecord]) -> None:

@@ -16,6 +16,7 @@ from contmeas.engine import (
     _PAIR_COLUMNS,
     _DRAW_ROWS,
     _SLICE_ROWS,
+    _STATE_FACTS,
     _TIME_COLUMNS,
     BLOCK_NODES,
     ConsistencyAccumulator,
@@ -47,20 +48,33 @@ def full_grid(model):
 
 def with_entry(rec, field, key, value):
     """A copy of ``rec``, as a one-row block, whose ``field`` holds ``value``
-    at ``key`` (a time or an (s, t) pair). A conditioned state goes into a
-    new row of the record's table of states (mass 1), with the spectrum of
-    the row it replaces; every other row stays as it was."""
+    at ``key`` (a time or an (s, t) pair). An a-posteriori state goes into a
+    new row of the stack of its time. A conditioned state, or an increment
+    mass, goes into a new row of the record's table of states: a copy of
+    the row it replaces but for its state or its mass (the pushed matrix is
+    the state times the mass). Every other row stays as it was."""
     block = rec.block.take([rec.row])
-    labels = block.pairs if isinstance(key, tuple) else block.times
-    if field == "conditioned":
-        states, old = block.states, block.conditioned[0, labels.index(key)]
+    if field == "aposteriori":
+        col = block.times.index(key)
+        stack = block.posteriors[col]
+        block.posteriors[col] = np.concatenate([stack, value.matrix[np.newaxis]])
+        block.aposteriori[0, col] = len(stack)
+    elif field in ("conditioned", "incr_prob"):
+        col = block.pairs.index(key)
+        states, old = block.states, block.conditioned[0, col]
         row = states.reserve(1)[0]
-        for name in ("eigenvalues", "eigenvectors"):
+        for name in IncrementTrie.ARRAYS:
             getattr(states, name)[row] = getattr(states, name)[old]
-        states.pushed[row], states.mass[row] = value.matrix, 1.0
-        states.entropy[row] = value.entropy
-        value = row
-    getattr(block, field)[0, labels.index(key)] = value
+        if field == "conditioned":
+            states.pushed[row] = value.matrix * states.mass[row]
+            states.entropy[row] = value.entropy
+        else:
+            states.pushed[row] = states.matrices(old) * value
+            states.mass[row], states.log_mass[row] = value, math.log(value)
+        block.conditioned[0, col] = row
+    else:
+        labels = block.pairs if isinstance(key, tuple) else block.times
+        getattr(block, field)[0, labels.index(key)] = value
     return TrajectoryRecord(rec.letter, rec.outcomes, block, 0)
 
 
@@ -412,14 +426,27 @@ class TestRecordRow:
         model = random_model(8, dim=2, n_outcomes=2, horizon=3)
         grid = full_grid(model)
         rec = list(enumerate_trajectories(model, grid))[5]
-        block, row = rec.block, rec.row
+        block, row, states = rec.block, rec.row, rec.block.states
+        # the block stores rows and numbers only; a conditioned state's mass
+        # and entropy are stored once, in its row of the states
+        assert not hasattr(block, "incr_prob") and not hasattr(block, "cond_entropy")
         for name in _TIME_COLUMNS + _PAIR_COLUMNS:
+            assert getattr(block, name).dtype != object
+        assert all(stack.dtype == complex for stack in block.posteriors)
+        conditioned = block.conditioned[row]
+        sources = {
+            **{name: getattr(block, name)[row] for name in _TIME_COLUMNS + _PAIR_COLUMNS},
+            "incr_prob": states.mass[conditioned],
+            "cond_entropy": states.entropy[conditioned],
+        }
+        assert set(sources) == set(_TIME_COLUMNS + _PAIR_COLUMNS + tuple(_STATE_FACTS))
+        for name, source in sources.items():
             field = getattr(rec, name)
-            keys = block.pairs if name in _PAIR_COLUMNS else block.times
+            keys = block.times if name in _TIME_COLUMNS else block.pairs
             assert isinstance(field, Mapping) and not hasattr(field, "__setitem__")
             assert list(field) == list(keys) == list(field.keys()) and len(field) == len(keys)
             if name not in ("aposteriori", "conditioned"):
-                assert field == dict(zip(keys, getattr(block, name)[row].tolist()))
+                assert field == dict(zip(keys, source.tolist()))
                 assert all(type(value) is float for value in field.values())
         with pytest.raises(KeyError):
             rec.prob_at[(0, 1)]
@@ -427,12 +454,45 @@ class TestRecordRow:
         prob_at = rec.prob_at
         block.prob_at[row, 1] = 0.25
         assert prob_at[1] == 0.25
-        # a conditioned entry is the state of the row it points at
-        col = block.pairs.index((1, 3))
-        state = rec.conditioned[(1, 3)]
-        assert np.array_equal(state.matrix, block.states.matrices(block.conditioned[row, col]))
-        assert state.entropy == rec.cond_entropy[(1, 3)] and state.matrix.base is None
+        # a state entry is a fresh copy of the row it points at: an
+        # a-posteriori state of its row of its time's stack, with the
+        # block's entropy; a conditioned one of its row of the states
+        for col, t in enumerate(block.times):
+            state = rec.aposteriori[t]
+            assert np.array_equal(state.matrix, block.posteriors[col][block.aposteriori[row, col]])
+            assert state.entropy == rec.entropy[t] and state.matrix.base is None
+        for col, pair in enumerate(block.pairs):
+            state = rec.conditioned[pair]
+            assert np.array_equal(state.matrix, states.matrices(conditioned[col]))
+            assert state.entropy == rec.cond_entropy[pair] and state.matrix.base is None
         assert [key for key, _ in rec.conditioned.items()] == list(block.pairs)
+
+    @pytest.mark.parametrize("mode", ["enumerate", "sample"])
+    def test_states_are_objects_on_lookup_only(self, monkeypatch, mode):
+        # the walk, the report and the consistency checks keep states as
+        # rows: the a-priori tracks of the walk and of the checks are the
+        # only DensityOperators they make, and a lookup makes one
+        built = []
+        init = DensityOperator.__init__
+
+        def counting(self, *args):
+            built.append(None)
+            init(self, *args)
+
+        monkeypatch.setattr(DensityOperator, "__init__", counting)
+        model = random_model(2, dim=3, n_outcomes=3, horizon=4)
+        grid = full_grid(model)
+        acc, builder = ConsistencyAccumulator(model, grid), EntropyReportBuilder(grid, mode)
+        if mode == "enumerate":
+            records = list(enumerate_trajectories(model, grid))
+        else:
+            records = list(sample_trajectories(model, grid, 40, seed=1))
+        builder.add(records)
+        acc.add(records)
+        acc.finalize()
+        assert len(built) == 2 * len(grid.record_times)
+        records[-1].aposteriori[2], records[-1].conditioned[(1, 3)]
+        assert len(built) == 2 * len(grid.record_times) + 2
 
 
 class TestSample:
@@ -803,7 +863,10 @@ class TestConsistency:
             value = value + scale
         corrupted = list(records)
         corrupted[index] = with_entry(rec, field, key, value)
-        report = consistency_checks(model, grid, records=corrupted)
+        # a table row's state is its pushed matrix over its mass, a complex
+        # division that numpy flags as invalid when the mass is NaN
+        with np.errstate(invalid="ignore" if field == "incr_prob" else "warn"):
+            report = consistency_checks(model, grid, records=corrupted)
         assert check in {c.name for c in report.failures()}
 
 
