@@ -10,9 +10,9 @@ Subcommands:
 
 Exit codes: 0 success; 1 the model document is invalid (syntax, shape or
 numeric validation); 2 a consistency check or bound fails at tolerance;
-3 bad arguments, I/O, enumeration-budget or numeric-range errors. Progress
-and diagnostics go to stderr; results go to files in the output directory
-only.
+3 bad arguments, I/O, enumeration- or report-budget or numeric-range
+errors. Progress and diagnostics go to stderr; results go to files in the
+output directory only.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Optional
 
 from .engine import (
+    DEFAULT_LEAF_BUDGET,
     ConsistencyAccumulator,
     enumerate_trajectories,
     format_outcomes,
@@ -38,6 +39,7 @@ from .engine import (
 from .entropics import (
     EntropyReportBuilder,
     check_bounds,
+    report_size,
     report_to_json_dict,
     write_bounds_csv,
 )
@@ -215,6 +217,13 @@ def run_pipeline(args: argparse.Namespace) -> int:
                 records = enumerate_trajectories(model, grid, stats=stats)
             else:
                 records = sample_trajectories(model, grid, args.samples, args.seed, stats)
+            audit = args.command == "check"
+            pure = audit and is_pure_preserving(model)
+            size = report_size(grid, bounds=audit, pure_preserving=pure)
+            if size > DEFAULT_LEAF_BUDGET:
+                what = "report entries and bound rows" if audit else "report entries"
+                budget = f"the budget of {DEFAULT_LEAF_BUDGET}"
+                raise _Failure(EXIT_IO, f"report refused: {size} {what} exceed {budget}")
             builder = EntropyReportBuilder(grid, mode=args.mode)
             consumers = [builder, consistency] if consistency else [builder]
             with dump as stream:
@@ -268,7 +277,7 @@ def run_pipeline(args: argparse.Namespace) -> int:
         _say(f"wrote {report_path}")
 
         if args.command == "check":
-            bounds = check_bounds(report, tol=args.tol, pure_preserving=is_pure_preserving(model))
+            bounds = check_bounds(report, tol=args.tol, pure_preserving=pure)
             bounds_path = out_dir / "bounds.csv"
             with _output(bounds_path) as stream:
                 write_bounds_csv(bounds, stream, units=args.units)

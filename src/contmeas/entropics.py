@@ -86,28 +86,28 @@ class EntropyReportBuilder:
         self.count = 0  # draws added (the se sample size)
         times = grid.record_times
         pairs = grid.pairs()
-        keys = []
-        for (s, t) in pairs:
-            keys += [("Ic", s, t), ("chi_bar", s, t)]
-        keys += [("chi_at", t) for t in times]
-        for i, s in enumerate(times):
-            keys += [("Iq", s, t) for t in times[i:]]
+        # the keys kind by kind, Ic and chi_bar interleaved: the columns of
+        # each kind are one slice
+        keys = [(kind, s, t) for s, t in pairs for kind in ("Ic", "chi_bar")]
+        self._cols = {"Ic": slice(0, len(keys), 2), "chi_bar": slice(1, len(keys), 2)}
+        iq = [(s, t) for i, s in enumerate(times) for t in times[i:]]
+        iq_cond = []
         for r in grid.reference_times:
             laters = [t for t in times if t >= r]
-            for i, s in enumerate(laters):
-                keys += [("Iq_cond", r, s, t) for t in laters[i:]]
+            iq_cond += [(r, s, t) for i, s in enumerate(laters) for t in laters[i:]]
+        for kind, family in (("chi_at", [(t,) for t in times]), ("Iq", iq), ("Iq_cond", iq_cond)):
+            self._cols[kind] = slice(len(keys), len(keys) + len(family))
+            keys += [(kind,) + entry for entry in family]
         self.keys = tuple(keys)
         self._times = times
         self._pairs = pairs
-        kinds = np.array([key[0] for key in keys])
-        self._cols = {kind: np.flatnonzero(kinds == kind) for kind in KINDS}
         # indices into the per-record time and pair vectors, in column order
         at = {t: i for i, t in enumerate(times)}
         pair_at = {p: i for i, p in enumerate(pairs)}
         self._ic_src = _index_rows([(at[t], at[s], pair_at[(s, t)]) for s, t in pairs], 3)
-        self._iq_src = _index_rows([(at[k[1]], at[k[2]]) for k in keys if k[0] == "Iq"], 2)
+        self._iq_src = _index_rows([(at[s], at[t]) for s, t in iq], 2)
         self._iq_cond_src = _index_rows(
-            [(pair_at[k[1:3]], pair_at[(k[1], k[3])]) for k in keys if k[0] == "Iq_cond"], 2
+            [(pair_at[(r, s)], pair_at[(r, t)]) for r, s, t in iq_cond], 2
         )
         n = len(keys)
         self.total_weight = np.zeros(n)
@@ -344,6 +344,27 @@ def check_bounds(
             )
 
     return CheckReport(checks=tuple(checks))
+
+
+def report_size(grid: TimeGrid, bounds: bool = False, pure_preserving: bool = False) -> int:
+    """The number of report entries, plus the rows check_bounds makes when
+    ``bounds``, worked out from the grid's times without listing a key."""
+    times, refs = grid.record_times, grid.reference_times
+    n = len(times)
+    # per reference time, the number of record times at or after it
+    later = (n - np.searchsorted(times, refs)).tolist()
+    pairs = sum(later)
+    triples = sum(math.comb(m + 1, 2) for m in later)  # (r, s, t), r <= s <= t
+    size = 2 * pairs + n + math.comb(n + 1, 2) + triples
+    if bounds:
+        # B1, B2 and B5 per triple, B3 per pair, B4, and B6 per (r, s, t)
+        # and per (u, r, s, t)
+        size += 3 * triples + pairs + n * (0 in refs) + math.comb(n + 2, 3)
+        size += sum(math.comb(m + 2, 3) for m in later)
+        if pure_preserving:
+            # B7-mono per (u, r) and adjacent times after r; B7-nonneg, B7-zero
+            size += sum(math.comb(m, 2) for m in later) + (n + 1) * (0 in refs)
+    return size
 
 
 # ---------------------------------------------------------------------------

@@ -151,16 +151,27 @@ class TestCheck:
         assert code == 3
 
     def test_refused_before_report_builder(self, tmp_path, capsys, monkeypatch):
-        # 2 x 2**120 leaves, 121 record times: refused before the builder
-        # makes its O(|grid|^3) keys
+        # refused before the builder makes its O(|grid|^3) keys: 2 x 2**120
+        # leaves, 121 record times, too many leaves to key; and two samples
+        # on 401 record times, 11,069,605 report entries and about 1.1e9
+        # bound rows
         def unbuilt(*args, **kwargs):
             raise AssertionError("the report builder was built")
 
         monkeypatch.setattr(cli, "EntropyReportBuilder", unbuilt)
-        args = ["check", "--scenario", "qubit-weak", "--horizon", "120"]
-        assert run_cli([*args, "--out", tmp_path / "o"]) == 3
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err[-1].startswith("error: enumeration refused: ")
+        cases = [
+            (["--scenario", "qubit-weak", "--horizon", "120"], "enumeration"),
+            (
+                ["--scenario", "damped-qubit", "--horizon", "400", "--mode", "sample"]
+                + ["--samples", "2"],
+                "report",
+            ),
+        ]
+        for args, refused in cases:
+            assert run_cli(["check", *args, "--out", tmp_path / "o"]) == 3
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err[-1].startswith(f"error: {refused} refused: ")
+            assert sum(line.startswith("error:") for line in err) == 1
 
     def test_table_keys_overflow_exit_3(self, tmp_path, capsys):
         # 2 x 2**62 leaves: too many to key the consistency tables in int64

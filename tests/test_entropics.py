@@ -13,6 +13,7 @@ from contmeas.entropics import (
     build_entropy_report,
     check_bounds,
     mutual_entropy_hybrid,
+    report_size,
     report_to_json_dict,
     write_bounds_csv,
 )
@@ -425,6 +426,28 @@ class TestCheckBounds:
         assert bounds.find("B4", (0, 1)).passed
         # finite chi_at(1) against finite chi_bar(1,1) still checked normally
         assert bounds.find("B3", (1, 1)).passed
+
+    @pytest.mark.parametrize(
+        "name, times",
+        [
+            ("pure-preserving-random", None),
+            ("pure-preserving-random", ([0, 1, 3, 4], [0, 3])),
+            ("pure-preserving-random", ([0, 2, 3, 4], [2, 3])),
+            ("damped-qubit", ([0, 1, 2, 4], [1, 4])),
+        ],
+    )
+    def test_report_size_counts_entries_and_rows(self, name, times):
+        # the closed form counts the keys and the bound rows that are made
+        model = builtin_scenario(name, horizon=4)
+        grid = full_grid(model) if times is None else TimeGrid.make(4, *times)
+        pure = is_pure_preserving(model)
+        assert pure == (name == "pure-preserving-random")
+        report = build_entropy_report(enumerate_trajectories(model, grid), grid)
+        keys = len(EntropyReportBuilder(grid).keys)
+        assert report_size(grid) == keys
+        for pure_preserving in {False, pure}:
+            rows = len(check_bounds(report, pure_preserving=pure_preserving).checks)
+            assert report_size(grid, True, pure_preserving) == keys + rows
 
     def test_failing_margin_detected(self):
         grid = TimeGrid.make(1)
