@@ -89,8 +89,7 @@ def _first_false(ok: np.ndarray) -> int:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class DensityOperator:
-    """Positive semidefinite unit-trace matrix with its entropy. Slotted:
-    trajectory records hold hundreds of these each."""
+    """Positive semidefinite unit-trace matrix with its entropy."""
 
     matrix: np.ndarray
     entropy: float  # von Neumann entropy in nats
