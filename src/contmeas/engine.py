@@ -205,7 +205,8 @@ class RecordRow(Mapping):
         self._index = block.index[name not in _TIME_COLUMNS]
 
     def __getitem__(self, key):
-        block, name, col, states = self._block, self._name, self._index[key], self._block.states
+        block, name, col = self._block, self._name, self._index[key]
+        states = block.states
         value = getattr(block, "conditioned" if name in _STATE_FACTS else name).item(self._row, col)
         if name == "aposteriori":
             matrix = block.posteriors[col][value].copy()
