@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -65,6 +66,8 @@ EXIT_OK = 0
 EXIT_INVALID_MODEL = 1
 EXIT_VIOLATION = 2
 EXIT_IO = 3
+# stderr names at most this many failing bound rows; bounds.csv has them all
+_SHOWN_FAILURES = 10
 
 _SCENARIO_BLURBS = {
     "identity": "no-op instrument; nothing is ever learned",
@@ -133,13 +136,7 @@ def _load_model(model_path, scenario, horizon, seed) -> MeasurementModel:
             raise _Failure(
                 EXIT_IO, "--horizon can only override models with a single instrument"
             )
-        model = MeasurementModel(
-            dim=model.dim,
-            horizon=horizon,
-            ensemble=model.ensemble,
-            steps=tuple([model.steps[0]] * horizon),
-            homogeneous=True,
-        )
+        model = dataclasses.replace(model, horizon=horizon, steps=(model.steps[0],) * horizon)
     return model
 
 
@@ -289,8 +286,12 @@ def run_pipeline(args: argparse.Namespace) -> int:
                 worst = CheckReport(tuple(checks)).worst()
                 _say(f"bound {family}: smallest margin {worst.margin:.3e} at {worst.label}")
             if not bounds.passed:
-                for check in bounds.failures():
+                failures = bounds.failures()
+                for check in failures[:_SHOWN_FAILURES]:
                     _say(f"bound failure: {check}")
+                if len(failures) > _SHOWN_FAILURES:
+                    more = len(failures) - _SHOWN_FAILURES
+                    _say(f"bound failure: {more} more rows fail (see bounds.csv)")
                 violations.append("bounds")
 
         if violations:

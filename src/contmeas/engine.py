@@ -228,9 +228,7 @@ class TrajectoryRecord:
     ``count``, its number of draws (1 in enumeration): row ``row`` of a
     block of leaves. Each field reads as a read-only mapping of this row,
     keyed by time or by (s, t) pair: ``rec.prob_at[t]``,
-    ``rec.incr_prob[(s, t)]`` (see RecordBlock and RecordRow). The
-    entropic terms are cached so that report building never re-decomposes
-    a matrix."""
+    ``rec.incr_prob[(s, t)]`` (see RecordBlock and RecordRow)."""
 
     letter: int
     outcomes: tuple
@@ -497,21 +495,20 @@ def enumerate_trajectories(
                 pending.append((t + 1, children[part], child_rows[part], child))
 
 
-def _draw_paths(model: MeasurementModel, n_samples: int, seed: int) -> list:
-    """The (letter, outcomes) paths of ``n_samples`` draws, in draw order:
-    the letter from the prior, then each outcome with probability equal to
-    the trace its Kraus map leaves on the current state. Drawn in arrays of
-    _DRAW_ROWS paths, with the bits of one draw at a time: the uniforms as
-    one block of the same stream, the weights clipped at 0 and summed in
-    outcome order. Raises NumericRangeError for the first draw whose weights
-    at a step sum below the smallest normal float."""
+def _draw_paths(model: MeasurementModel, n_samples: int, seed: int) -> Iterator[tuple]:
+    """The (letter, outcomes) paths of ``n_samples`` draws, yielded in draw
+    order: the letter from the prior, then each outcome with probability
+    equal to the trace its Kraus map leaves on the current state. Drawn in
+    arrays of _DRAW_ROWS paths, with the bits of one draw at a time: the
+    uniforms as one block of the same stream, the weights clipped at 0 and
+    summed in outcome order. Raises NumericRangeError for the first draw
+    whose weights at a step sum below the smallest normal float."""
     rng = np.random.default_rng(seed)
     prior = model.ensemble.prior
     prior_cum = np.cumsum(prior / prior.sum())
     roots = np.array(_letter_roots(model))
     steps = [model.instrument_at(t) for t in range(1, model.horizon + 1)]
     effects = [[km.normalization() for km in instrument.maps] for instrument in steps]
-    paths = []
     for start in range(0, n_samples, _DRAW_ROWS):
         draws = rng.random((min(_DRAW_ROWS, n_samples - start), 1 + model.horizon))
         letters = np.minimum(np.searchsorted(prior_cum, draws[:, 0], side="right"), len(prior) - 1)
@@ -535,15 +532,15 @@ def _draw_paths(model: MeasurementModel, n_samples: int, seed: int) -> list:
             for v in np.unique(picks).tolist():
                 group = picks == v
                 mains[group] = instrument.maps[v].apply(mains[group])
-        paths.extend(zip(letters.tolist(), _outcomes(model, codes)))
+        paths = list(zip(letters.tolist(), _outcomes(model, codes)))
         if failed:
             t, total = failed[min(failed)]
-            letter, outcomes = paths[start + min(failed)]
+            letter, outcomes = paths[min(failed)]
             raise NumericRangeError(
                 f"{_path_name(letter, outcomes[:t], t)}: outcome weights sum to {total!r}, "
                 "below the smallest normal float"
             )
-    return paths
+        yield from paths
 
 
 def sample_trajectories(
@@ -557,14 +554,15 @@ def sample_trajectories(
 
     Records carry the same attached states as enumeration, with prob_at
     holding the true path probability (not the 1/N estimator weight). A
-    record is a pure function of its path, so all paths are drawn first
-    (``_draw_paths``), and each distinct path is replayed once and yielded
-    once, in first-draw order, as a record whose ``count`` is its number of
-    draws; the counts sum to ``n_samples``. The generator holds no record
-    once it yields the next. ``stats``, when given, counts the "distinct
-    paths" and the states decomposed, as in enumerate_trajectories. Raises
-    NumericRangeError when the outcome weights or a path's mass fall below
-    the smallest normal float.
+    record is a pure function of its path, so all paths are drawn and
+    counted first (``_draw_paths``, a chunk at a time, so that memory grows
+    with the distinct paths, not the draws), and each distinct path is
+    replayed once and yielded once, in first-draw order, as a record whose
+    ``count`` is its number of draws; the counts sum to ``n_samples``. The
+    generator holds no record once it yields the next. ``stats``, when
+    given, counts the "distinct paths" and the states decomposed, as in
+    enumerate_trajectories. Raises NumericRangeError when the outcome
+    weights or a path's mass fall below the smallest normal float.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -665,38 +663,12 @@ class _Table:
 
 def _group_sums(groups, count, probs, matrices, rows) -> np.ndarray:
     """Sum of probs[i] * matrices[rows[i]] per group index ``groups[i]``,
-    each group added up from 0 in input order, with the bits of np.add.at.
-    The terms are sorted by group (stably) and summed a window of ranks
-    (positions within a group) at a time: a (groups, 1 + width) array whose
-    first column carries each group's running sum and whose short groups
-    are padded with zeros, reduced along its second axis, which numpy adds
-    in order. A window holds at most _SLICE_ROWS groups and about
-    _SLICE_ROWS terms (one per group when more groups than that are left)."""
+    each group added up from 0 in input order (np.add.at), _SLICE_ROWS
+    terms at a time."""
     out = np.zeros((count,) + matrices.shape[1:], dtype=complex)
-    order = np.argsort(groups, kind="stable")
-    probs, rows = probs.take(order), rows.take(order)
-    sizes = np.bincount(groups, minlength=count)
-    starts = np.cumsum(sizes) - sizes
-    rank = 0
-    while rank < sizes.max(initial=0):
-        live = np.flatnonzero(sizes > rank)
-        width = max(1, _SLICE_ROWS // len(live))
-        ranks = np.arange(rank, rank + width)
-        for i in range(0, len(live), _SLICE_ROWS):
-            part = live[i : i + _SLICE_ROWS]
-            present = ranks < sizes[part, np.newaxis]
-            index = (starts[part, np.newaxis] + ranks)[present]
-            terms = probs.take(index)[:, None, None] * matrices.take(rows.take(index), axis=0)
-            if width == 1:
-                out[part] += terms  # one term per group
-                continue
-            window = np.zeros((len(part), 1 + width) + matrices.shape[1:], dtype=complex)
-            window[:, 0] = out[part]
-            window[:, 1:][present] = terms
-            # as floats, real and imaginary parts innermost: the ranks are
-            # never the innermost axis, which numpy would add pairwise
-            out[part] = window.view(float).sum(axis=1).view(complex)
-        rank += width
+    for i in range(0, len(probs), _SLICE_ROWS):
+        part = slice(i, i + _SLICE_ROWS)
+        np.add.at(out, groups[part], probs[part, None, None] * matrices.take(rows[part], axis=0))
     return out
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import itertools
 import json
@@ -206,6 +207,21 @@ class TestCheck:
         )
         assert code == 3
 
+    def test_horizon_override_of_model_file(self, tmp_path):
+        # a one-instrument model file lengthened by --horizon reports what
+        # the scenario built at that horizon reports
+        path = tmp_path / "qubit-weak-h2.json"
+        path.write_text(serialize_model(builtin_scenario("qubit-weak", horizon=2)))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli(["check", "--model", path, "--horizon", "4", "--out", a]) == 0
+        assert run_cli(["check", "--scenario", "qubit-weak", "--horizon", "4", "--out", b]) == 0
+        reports = [read_report(out) for out in (a, b)]
+        assert reports[0]["config"].pop("source") == str(path)
+        assert reports[1]["config"].pop("source") == "qubit-weak"
+        assert reports[0]["config"]["horizon"] == 4
+        assert reports[0] == reports[1]
+        assert (a / "bounds.csv").read_bytes() == (b / "bounds.csv").read_bytes()
+
     def test_bad_grid_exit_3(self, tmp_path):
         code = run_cli(
             [
@@ -374,6 +390,31 @@ class TestStderrSummary:
                 row.startswith(f'{family},"{times}",') and float(row.rsplit(",", 2)[1]) == smallest
                 for row in rows
             )
+
+    @pytest.mark.parametrize(
+        "args, failing",
+        [
+            # --tol=-1 fails every one of the 72 rows
+            (["--scenario", "qubit-weak", "--horizon", "2", "--tol=-1"], 72),
+            # Monte-Carlo noise: exactly as many failing rows as are shown
+            (["--scenario", "damped-qubit", "--horizon", "3", "--mode", "sample",
+              "--samples", "500", "--seed", "1"], 10),
+        ],
+        ids=["all-rows-fail", "ten-rows-fail"],
+    )
+    def test_bound_failures_capped(self, tmp_path, capsys, args, failing):
+        # stderr names the first 10 failing rows of bounds.csv, then counts
+        # the rest in one line
+        out = tmp_path / "o"
+        assert run_cli(["check", *args, "--out", out]) == 2
+        lines = [line for line in capsys.readouterr().err.splitlines() if "bound failure" in line]
+        with (out / "bounds.csv").open() as stream:
+            rows = [row for row in csv.reader(stream) if row[-1] == "false"]
+        assert len(rows) == failing
+        shown = [line.split("] ", 1)[1].split(":")[0] for line in lines[:10]]
+        assert shown == [f"{name}({times})" for name, times, *_ in rows[:10]]
+        more = [f"bound failure: {failing - 10} more rows fail (see bounds.csv)"]
+        assert lines[10:] == (more if failing > 10 else [])
 
     def test_stderr_summary_leaves_outputs_unchanged(self, tmp_path, capsys):
         args = ["check", "--scenario", "damped-qubit", "--horizon", "2"]

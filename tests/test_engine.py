@@ -620,7 +620,7 @@ class TestArrayDraws:
     def test_same_paths_as_scalar_loop(self, case):
         make, n, seed = self.CASES[case]
         model = make()
-        paths = _draw_paths(model, n, seed)
+        paths = list(_draw_paths(model, n, seed))
         assert paths == scalar_draws(model, n, seed)
         assert all(type(label) is str for _, outcomes in paths[:5] for label in outcomes)
 
@@ -633,6 +633,26 @@ class TestArrayDraws:
         assert pairs == list(Counter(scalar_draws(model, 500, 1)).items())
         assert 1 < len(pairs) < 500
 
+    def test_memory_bounded_by_distinct_paths(self):
+        # three distinct paths: the draws are counted as they come, so the
+        # peak does not grow with the number of draws (the whole list of
+        # 80k paths alone would take about 9 MB)
+        model = builtin_scenario("qubit-projective", horizon=3)
+        grid = full_grid(model)
+
+        def peak(n_samples):
+            tracemalloc.start()
+            try:
+                records = list(sample_trajectories(model, grid, n_samples, 1))
+                return tracemalloc.get_traced_memory()[1], len(records)
+            finally:
+                tracemalloc.stop()
+
+        peak(1000)  # warm-up: first-call caches are not the sampler's
+        small, big = peak(10_000), peak(80_000)
+        assert small[1] == big[1] == 3
+        assert big[0] <= 2 * small[0]
+
     def test_same_underflow_error(self):
         # the configuration of test_cli's underflow run: every draw's weights
         # fall short, those of draws 1 and 2 at earlier steps than draw 0's;
@@ -643,7 +663,7 @@ class TestArrayDraws:
         with pytest.raises(NumericRangeError) as scalar:
             scalar_draws(model, 3, 1)
         with pytest.raises(NumericRangeError) as arrays:
-            _draw_paths(model, 3, 1)
+            list(_draw_paths(model, 3, 1))
         assert str(arrays.value) == str(scalar.value)
         assert "letter " in str(arrays.value) and "e-30" in str(arrays.value)
 
