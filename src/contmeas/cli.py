@@ -21,12 +21,11 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import itertools
+import functools
 import json
 import math
 import sys
 from collections import Counter
-from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -35,6 +34,7 @@ from .engine import (
     ConsistencyAccumulator,
     enumerate_trajectories,
     format_outcomes,
+    runs,
     sample_trajectories,
 )
 from .entropics import (
@@ -66,7 +66,7 @@ EXIT_OK = 0
 EXIT_INVALID_MODEL = 1
 EXIT_VIOLATION = 2
 EXIT_IO = 3
-# stderr names at most this many failing bound rows; bounds.csv has them all
+# stderr names at most this many failing checks of a kind; bounds.csv has all rows
 _SHOWN_FAILURES = 10
 
 _SCENARIO_BLURBS = {
@@ -160,19 +160,27 @@ def _output(path: Path):
         raise _Failure(EXIT_IO, f"cannot write {path}: {exc}") from exc
 
 
-def _fold(records, consumers, writer) -> None:
-    """Add ``records`` to each of ``consumers`` a run of one block at a
-    time, and write a trajectories.csv row per draw when ``writer`` is
-    given (a sampled path's rows are adjacent). No run outlives the call."""
-    for _, run in itertools.groupby(records, key=attrgetter("block")):
-        run = list(run)
-        for consumer in consumers:
-            consumer.add(run)
+def _fold(records, builder, consistency, writer) -> None:
+    """Add each run of ``records`` to ``builder`` and ``consistency`` (when
+    given), and write a trajectories.csv row per draw from the block's
+    columns when ``writer`` is given. No run outlives the call."""
+    for block, rows, counts in runs(records):
+        builder.add(block, rows, counts)
+        if consistency:
+            consistency.add(block, rows)
         if writer:
-            for rec in run:
-                row = [rec.letter, format_outcomes(rec.outcomes), repr(rec.prob)]
-                row += [repr(entropy) for entropy in rec.entropy.values()]
-                writer.writerows([row] * rec.count)
+            for row, count in zip(rows.tolist(), counts.tolist()):
+                line = [block.letter, format_outcomes(block.path(row))]
+                line += map(repr, [block.prob_at.item(row, -1)] + block.entropy[row].tolist())
+                writer.writerows([line] * count)
+
+
+def _say_failures(kind: str, failures: list, more: str) -> None:
+    """A line each for the first _SHOWN_FAILURES, then one for the rest."""
+    for check in failures[:_SHOWN_FAILURES]:
+        _say(f"{kind} failure: {check}")
+    if len(failures) > _SHOWN_FAILURES:
+        _say(f"{kind} failure: {len(failures) - _SHOWN_FAILURES} more {more}")
 
 
 def run_pipeline(args: argparse.Namespace) -> int:
@@ -222,13 +230,12 @@ def run_pipeline(args: argparse.Namespace) -> int:
                 budget = f"the budget of {DEFAULT_LEAF_BUDGET}"
                 raise _Failure(EXIT_IO, f"report refused: {size} {what} exceed {budget}")
             builder = EntropyReportBuilder(grid, mode=args.mode)
-            consumers = [builder, consistency] if consistency else [builder]
             with dump as stream:
                 writer = csv.writer(stream, lineterminator="\n") if stream else None
                 if writer:
                     names = [f"S_{t}" for t in grid.record_times]
                     writer.writerow(["letter", "outcomes", "prob"] + names)
-                _fold(records, consumers, writer)
+                _fold(records, builder, consistency, writer)
         except BudgetExceeded as exc:
             raise _Failure(EXIT_IO, f"enumeration refused: {exc}") from exc
         except NumericRangeError as exc:
@@ -244,8 +251,7 @@ def run_pipeline(args: argparse.Namespace) -> int:
         if consistency is not None:
             consistency_report = consistency.finalize()
             if not consistency_report.passed:
-                for check in consistency_report.failures():
-                    _say(f"consistency failure: {check}")
+                _say_failures("consistency", consistency_report.failures(), "checks fail")
                 violations.append("consistency")
             else:
                 worst = consistency_report.worst()
@@ -286,12 +292,7 @@ def run_pipeline(args: argparse.Namespace) -> int:
                 worst = CheckReport(tuple(checks)).worst()
                 _say(f"bound {family}: smallest margin {worst.margin:.3e} at {worst.label}")
             if not bounds.passed:
-                failures = bounds.failures()
-                for check in failures[:_SHOWN_FAILURES]:
-                    _say(f"bound failure: {check}")
-                if len(failures) > _SHOWN_FAILURES:
-                    more = len(failures) - _SHOWN_FAILURES
-                    _say(f"bound failure: {more} more rows fail (see bounds.csv)")
+                _say_failures("bound", bounds.failures(), "rows fail (see bounds.csv)")
                 violations.append("bounds")
 
         if violations:
@@ -349,6 +350,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="contmeas",

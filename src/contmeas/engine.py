@@ -12,9 +12,10 @@ per record time: enumeration keeps the tracks once per (s, increment
 string), in an increment trie shared by all letters and prefixes; a
 replayed path (and so the sampler) pushes them with its own state, seeded
 with the a-priori state when it passes depth s, and copies them into rows
-of a table of its own at each record time. A node's path is its row of
-outcome codes. The sampler draws its paths in arrays and replays each
-distinct path once, into one record that carries its number of draws.
+of a table of its own at each record time. A record is a row of its
+block, and a path is a row of outcome codes from the draw to the record;
+labels are made only at the edges. The sampler draws its paths in arrays
+and replays each distinct path once, into one record with its draw count.
 
 All probabilities are plain probabilities under the physical law; the
 uniform reference-measure densities differ from them by constant factors
@@ -161,19 +162,20 @@ class RecordBlock:
     ``states`` of the state given the outcomes s+1..t alone, which holds
     its mass from the a-priori state at s and its entropy; and chi_term,
     the relative entropy of aposteriori[t] against it. ``codes`` holds each
-    node's outcome index at each step: its path, which names the node's
-    records and errors. A column not reached yet holds NaN (-1 for rows)."""
+    node's outcome index at each step: its path, whose ``labels`` name the
+    node's records and errors. A column not reached yet holds NaN (-1 for
+    rows)."""
 
-    __slots__ = ("letter", "times", "pairs", "index", "states", "posteriors", "codes")
+    __slots__ = ("letter", "times", "pairs", "index", "states", "posteriors", "codes", "labels")
     __slots__ += _TIME_COLUMNS + _PAIR_COLUMNS
 
-    def __init__(self, letter, times, pairs, index, states, horizon):
+    def __init__(self, letter, times, pairs, index, states, labels):
         """The one-row block of a letter's root; ``index`` maps each time and
         each pair to its column."""
         self.letter, self.times, self.pairs, self.states = letter, times, pairs, states
-        self.index = index
+        self.index, self.labels = index, labels
         self.posteriors = [None] * len(times)
-        self.codes = np.zeros((1, horizon), dtype=np.int64)
+        self.codes = np.zeros((1, len(labels)), dtype=np.int64)
         for name in _TIME_COLUMNS + _PAIR_COLUMNS:
             width = len(times) if name in _TIME_COLUMNS else len(pairs)
             fill = -1 if name in ("aposteriori", "conditioned") else np.nan
@@ -190,6 +192,10 @@ class RecordBlock:
     def check_grid(self, times, pairs) -> None:
         if self.times != tuple(times) or self.pairs != tuple(pairs):
             raise GridMiss("the records were made on another time grid")
+
+    def path(self, row, t=None) -> tuple:
+        """The outcome labels of row ``row`` at steps 1..t (by default all)."""
+        return tuple(step[code] for step, code in zip(self.labels, self.codes[row, :t].tolist()))
 
 
 class RecordRow(Mapping):
@@ -226,15 +232,15 @@ class RecordRow(Mapping):
 class TrajectoryRecord:
     """One enumerated trajectory, or one distinct sampled path with
     ``count``, its number of draws (1 in enumeration): row ``row`` of a
-    block of leaves. Each field reads as a read-only mapping of this row,
-    keyed by time or by (s, t) pair: ``rec.prob_at[t]``,
-    ``rec.incr_prob[(s, t)]`` (see RecordBlock and RecordRow)."""
+    block of leaves, which holds its letter and outcomes. Each field reads as
+    a read-only mapping of this row, keyed by time or by (s, t) pair:
+    ``rec.prob_at[t]``, ``rec.incr_prob[(s, t)]`` (see RecordBlock)."""
 
-    letter: int
-    outcomes: tuple
     block: RecordBlock
     row: int
     count: int = 1
+    letter = property(lambda rec: rec.block.letter)
+    outcomes = property(lambda rec: rec.block.path(rec.row))
 
     def __getattr__(self, name):
         if name not in _TIME_COLUMNS + _PAIR_COLUMNS + tuple(_STATE_FACTS):
@@ -257,13 +263,12 @@ def _path_name(letter, outcomes, t) -> str:
     return f"trajectory (letter {letter}, outcomes {format_outcomes(outcomes)!r}, time {t})"
 
 
-def _outcomes(model: MeasurementModel, codes) -> list:
-    """The outcome labels of each row of ``codes`` (n, k), the outcome
-    indices of steps 1..k, as one tuple per row."""
-    labels = np.empty(codes.shape, dtype=object)
-    for t in range(codes.shape[1]):
-        labels[:, t] = np.array(model.instrument_at(t + 1).outcomes, dtype=object)[codes[:, t]]
-    return list(map(tuple, labels.tolist()))
+def runs(records: Iterable[TrajectoryRecord]) -> Iterator[tuple]:
+    """The runs of consecutive records of one block in a stream, in order,
+    as (block, rows, counts) with arrays of their rows and draw counts."""
+    for block, run in itertools.groupby(records, key=attrgetter("block")):
+        rows, counts = zip(*[(rec.row, rec.count) for rec in run])
+        yield block, np.array(rows), np.array(counts)
 
 
 def _letter_roots(model: MeasurementModel) -> list:
@@ -329,6 +334,7 @@ class _Walk:
 
     def __init__(self, model: MeasurementModel, grid: TimeGrid, stats=None):
         self.model = model
+        self.labels = tuple(model.instrument_at(t).outcomes for t in range(1, model.horizon + 1))
         self.eta = compute_a_priori(model, grid)
         self.roots = _letter_roots(model)
         # states decomposed: "path states" (main states), "increment states"
@@ -355,7 +361,7 @@ class _Walk:
         default a table of their own."""
         if states is None:
             states = IncrementTrie(self.eta.batch)
-        return RecordBlock(letter, self.times, self.pairs, self.index, states, self.model.horizon)
+        return RecordBlock(letter, self.times, self.pairs, self.index, states, self.labels)
 
     def visit(self, t, stacks, block, rows):
         """Seed the reference track of time t in every node of a block and
@@ -381,7 +387,7 @@ class _Walk:
                 try:
                     _node_states(np.concatenate([stacks[i : i + 1], states.pushed[own[i]]]))
                 except (NotPositiveSemidefinite, NumericRangeError) as exc:
-                    path = _outcomes(self.model, block.codes[i : i + 1, :t])[0]
+                    path = block.path(i, t)
                     raise type(exc)(f"{_path_name(block.letter, path, t)}: {exc}") from exc
             raise
         states.write(new, masses[n:], batch, n)
@@ -413,14 +419,15 @@ class _Walk:
         if seeded is not None:
             block.conditioned[:, seeded], block.chi_term[:, seeded] = col, chis[:, 0]
 
-    def replay(self, letter, outcomes, count=1) -> TrajectoryRecord:
+    def replay(self, letter, codes, count=1) -> TrajectoryRecord:
         """Rebuild the full record for a known path (no randomness involved),
-        drawn ``count`` times, as a one-node walk: its stack carries the
-        tracks after the main state, seeded with eta_s at depth s and pushed
-        with it, and each record time copies them into new rows of the
-        record's own table."""
+        its outcome ``codes``, drawn ``count`` times, as a one-node walk: its
+        stack carries the tracks after the main state, seeded with eta_s at
+        depth s and pushed with it, and each record time copies them into
+        new rows of the record's own table."""
         stacks = self.roots[letter][np.newaxis, np.newaxis]
         block = self.root(letter)
+        block.codes[0] = codes
         states = block.states
         free = states.reserve(len(self.pairs) - len(self.refs))
         for t in range(self.model.horizon + 1):
@@ -433,10 +440,8 @@ class _Walk:
                 stacks = np.concatenate([stacks, seed], axis=1)
             if t == self.model.horizon:
                 break
-            instrument = self.model.instrument_at(t + 1)
-            block.codes[0, t] = code = instrument.outcomes.index(outcomes[t])
-            stacks = instrument.maps[code].apply(stacks)
-        return TrajectoryRecord(letter, outcomes, block, 0, count)
+            stacks = self.model.instrument_at(t + 1).maps[codes[t]].apply(stacks)
+        return TrajectoryRecord(block, 0, count)
 
 
 def enumerate_trajectories(
@@ -473,8 +478,8 @@ def enumerate_trajectories(
             t, stacks, rows, block = pending.pop()
             rows = walk.visit(t, stacks, block, rows)
             if t == horizon:
-                for row, outcomes in enumerate(_outcomes(model, block.codes)):
-                    yield TrajectoryRecord(letter, outcomes, block, row)
+                for row in range(len(block.codes)):
+                    yield TrajectoryRecord(block, row)
                 continue
             instrument = model.instrument_at(t + 1)
             n_out = instrument.n_outcomes
@@ -496,13 +501,14 @@ def enumerate_trajectories(
 
 
 def _draw_paths(model: MeasurementModel, n_samples: int, seed: int) -> Iterator[tuple]:
-    """The (letter, outcomes) paths of ``n_samples`` draws, yielded in draw
-    order: the letter from the prior, then each outcome with probability
-    equal to the trace its Kraus map leaves on the current state. Drawn in
-    arrays of _DRAW_ROWS paths, with the bits of one draw at a time: the
-    uniforms as one block of the same stream, the weights clipped at 0 and
-    summed in outcome order. Raises NumericRangeError for the first draw
-    whose weights at a step sum below the smallest normal float."""
+    """The (letter, outcome codes) paths of ``n_samples`` draws, the codes a
+    tuple of ints, yielded in draw order: the letter from the prior, then
+    each outcome with probability equal to the trace its Kraus map leaves on
+    the current state. Drawn in arrays of _DRAW_ROWS paths, with the bits of
+    one draw at a time: the uniforms as one block of the same stream, the
+    weights clipped at 0 and summed in outcome order. Raises
+    NumericRangeError for the first draw whose weights at a step sum below
+    the smallest normal float."""
     rng = np.random.default_rng(seed)
     prior = model.ensemble.prior
     prior_cum = np.cumsum(prior / prior.sum())
@@ -532,15 +538,15 @@ def _draw_paths(model: MeasurementModel, n_samples: int, seed: int) -> Iterator[
             for v in np.unique(picks).tolist():
                 group = picks == v
                 mains[group] = instrument.maps[v].apply(mains[group])
-        paths = list(zip(letters.tolist(), _outcomes(model, codes)))
         if failed:
-            t, total = failed[min(failed)]
-            letter, outcomes = paths[min(failed)]
+            first = min(failed)
+            t, total = failed[first]
+            path = [step.outcomes[code] for step, code in zip(steps, codes[first, :t].tolist())]
             raise NumericRangeError(
-                f"{_path_name(letter, outcomes[:t], t)}: outcome weights sum to {total!r}, "
+                f"{_path_name(int(letters[first]), path, t)}: outcome weights sum to {total!r}, "
                 "below the smallest normal float"
             )
-        yield from paths
+        yield from zip(letters.tolist(), map(tuple, codes.tolist()))
 
 
 def sample_trajectories(
@@ -710,42 +716,37 @@ class ConsistencyAccumulator:
         """The number of outcome strings of steps s+1..t."""
         return self._count[t] // self._count[s]
 
-    def add(self, records: Iterable[TrajectoryRecord]) -> None:
-        """Check ``records`` in order, the rows of a run of records of one
-        block together; holds none of them once it returns."""
-        for block, run in itertools.groupby(records, key=attrgetter("block")):
-            block.check_grid(self.grid.record_times, self._pairs)
-            rows = []
-            for rec in run:
-                rows.append(rec.row)
-                if rec.letter not in self._rechecked:
-                    self._rechecked.add(rec.letter)
-                    self._recheck(rec)
-            prob_at = block.prob_at[rows]
-            # added one by one, as the records came
-            self.total_prob = float(np.cumsum(np.append(self.total_prob, prob_at[:, -1]))[-1])
-            codes = block.codes[rows]
-            strings = np.zeros((len(rows), len(self._radix)), dtype=np.int64)
-            for k in range(1, len(self._radix)):
-                strings[:, k] = strings[:, k - 1] * self._radix[k] + codes[:, k - 1]
-            prefixes = block.letter * self._count[self._times] + strings[:, self._times]
-            # the a-posteriori rows of every column, as rows of one stack
-            offsets = np.cumsum([0] + [len(stack) for stack in block.posteriors[:-1]])
-            matrices = np.concatenate(block.posteriors)
-            sources = block.aposteriori[rows] + offsets
-            self.prefix.hold(prefixes, prob_at, sources, matrices.__getitem__)
-            increments = strings[:, self._t] - strings[:, self._s] * self._spans
-            if self._states is None:
-                self._states = weakref.ref(block.states)
-            states, sources = block.states, block.conditioned[rows]
-            shared = states is self._states()
-            self.incr.hold(increments, states.mass[sources], sources, states.matrices, shared)
+    def add(self, block: RecordBlock, rows) -> None:
+        """Check the rows ``rows`` of ``block``, a run of records, in order;
+        holds none of the block once it returns."""
+        block.check_grid(self.grid.record_times, self._pairs)
+        if block.letter not in self._rechecked:
+            self._rechecked.add(block.letter)
+            self._recheck(block, rows[0])
+        prob_at = block.prob_at[rows]
+        # added one by one, as the records came
+        self.total_prob = float(np.cumsum(np.append(self.total_prob, prob_at[:, -1]))[-1])
+        codes = block.codes[rows]
+        strings = np.zeros((len(rows), len(self._radix)), dtype=np.int64)
+        for k in range(1, len(self._radix)):
+            strings[:, k] = strings[:, k - 1] * self._radix[k] + codes[:, k - 1]
+        prefixes = block.letter * self._count[self._times] + strings[:, self._times]
+        # the a-posteriori rows of every column, as rows of one stack
+        offsets = np.cumsum([0] + [len(stack) for stack in block.posteriors[:-1]])
+        matrices = np.concatenate(block.posteriors)
+        sources = block.aposteriori[rows] + offsets
+        self.prefix.hold(prefixes, prob_at, sources, matrices.__getitem__)
+        increments = strings[:, self._t] - strings[:, self._s] * self._spans
+        if self._states is None:
+            self._states = weakref.ref(block.states)
+        states, sources = block.states, block.conditioned[rows]
+        shared = states is self._states()
+        self.incr.hold(increments, states.mass[sources], sources, states.matrices, shared)
 
-    def _recheck(self, rec: TrajectoryRecord) -> None:
-        """Fold into ``increment-dependence`` the deviation of a record's
-        increment masses and conditioned states from each eta_s pushed along
-        the record's own outcomes, one Kraus application per step."""
-        block, row = rec.block, rec.row
+    def _recheck(self, block: RecordBlock, row: int) -> None:
+        """Fold into ``increment-dependence`` the deviation of a row's increment
+        masses and conditioned states from each eta_s pushed along the row's
+        own outcomes, one Kraus application per step."""
         codes, records = block.codes[row].tolist(), set(self.grid.record_times)
         pushed = []  # in pair order
         for s in self.grid.reference_times:
@@ -763,12 +764,13 @@ class ConsistencyAccumulator:
         gaps = np.abs(block.states.mass[conditioned] - masses)
         self.incr.deviation = _worst(_norms(mine - theirs), _worst(gaps, self.incr.deviation))
 
-    def _pushed(self, table, parents, keys, s, t, weighted):
-        """The entries ``parents`` of ``table`` (strings ending at s), the
-        parents of the keys (strings ending at t), times their probabilities
-        when ``weighted``, each pushed through the outcome maps of steps
-        s+1..t along the digits of its key: one Kraus application per
-        (step, outcome) group of up to _SLICE_ROWS rows."""
+    def _pushed(self, table, col, keys, s, t, weighted):
+        """The entries of ``table`` in column ``col`` (strings ending at s)
+        that are the parents of ``keys`` (strings ending at t), times their
+        probabilities when ``weighted``, each pushed through the outcome
+        maps of steps s+1..t along the digits of its key: one Kraus
+        application per (step, outcome) group of up to _SLICE_ROWS rows."""
+        parents = table.rows(keys // self._span(s, t), col)
         stack = table.matrices[parents]
         if weighted:
             stack *= table.probs[parents, None, None]
@@ -783,24 +785,17 @@ class ConsistencyAccumulator:
 
     def _composition_residuals(self):
         """Conditioning r -> s, rescaling, then s -> t must match r -> t:
-        one residual per increment-table entry that has a parent. The
-        entries of every reference time r <= s are pushed s -> t together."""
+        one residual per increment-table entry that has a parent."""
         col = {pair: i for i, pair in enumerate(self._pairs)}
         times = self.grid.record_times
         residuals = [np.zeros(0)]
         for s, t in zip(times, times[1:]):
-            parts = []
             for r in self.grid.reference_times:
                 if r <= s:
                     keys, rows = self.incr.column(col[(r, t)])
-                    parents = self.incr.rows(keys // self._span(s, t), col[(r, s)])
-                    parts.append((keys, parents, rows))
-            if not parts:
-                continue
-            keys, parents, rows = (np.concatenate(part) for part in zip(*parts))
-            via = self._pushed(self.incr, parents, keys, s, t, weighted=True)
-            via -= self.incr.probs[rows, None, None] * self.incr.matrices[rows]
-            residuals.append(_norms(via))
+                    via = self._pushed(self.incr, col[(r, s)], keys, s, t, weighted=True)
+                    via -= self.incr.probs[rows, None, None] * self.incr.matrices[rows]
+                    residuals.append(_norms(via))
         return np.concatenate(residuals)
 
     def _recursion_residuals(self):
@@ -810,8 +805,7 @@ class ConsistencyAccumulator:
         residuals = [np.zeros(0)]
         for i, (s, t) in enumerate(zip(times, times[1:])):
             keys, rows = self.prefix.column(i + 1)
-            parents = self.prefix.rows(keys // self._span(s, t), i)
-            pushed = self._pushed(self.prefix, parents, keys, s, t, weighted=False)
+            pushed = self._pushed(self.prefix, i, keys, s, t, weighted=False)
             trace = np.trace(pushed, axis1=1, axis2=2).real
             positive = ~(trace <= 0.0)
             pushed /= np.where(positive, trace, 1.0)[:, None, None]
@@ -869,5 +863,8 @@ def consistency_checks(
     enumerate_trajectories when ``records`` is omitted (which requires
     enumeration to be feasible within DEFAULT_LEAF_BUDGET)."""
     acc = ConsistencyAccumulator(model, grid, tol=tol)
-    acc.add(enumerate_trajectories(model, grid) if records is None else records)
+    if records is None:
+        records = enumerate_trajectories(model, grid)
+    for block, rows, _ in runs(records):
+        acc.add(block, rows)
     return acc.finalize()

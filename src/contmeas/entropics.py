@@ -23,15 +23,13 @@ per time tuple; infinities are compared in the extended reals.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
 
-from .engine import TrajectoryRecord
+from .engine import RecordBlock, TrajectoryRecord, runs
 from .errors import GridMiss
 from .model import Check, CheckReport, TimeGrid
 from .quantum import HybridRelativeEntropy, hybrid_relative_entropy
@@ -72,10 +70,9 @@ class EntropyReportBuilder:
     unit updates in exact arithmetic) with an infinity flag for diverging
     relative-entropy contributions, which weigh 0 in their column. The
     entries are kept as columns in ``keys`` order and updated together, a
-    run of records of one block at a time (see ``add``). ``count`` counts
-    draws in sample mode and records in enumerate mode, weight 0 or not.
-    ``add`` takes the records of a stream in order, any number at a time,
-    and holds none of them once it returns.
+    run of records of one block at a time (see ``add`` and engine.runs).
+    ``count`` counts draws in sample mode and records in enumerate mode,
+    weight 0 or not. ``add`` holds none of a run once it returns.
     """
 
     def __init__(self, grid: TimeGrid, mode: str = "enumerate"):
@@ -133,43 +130,41 @@ class EntropyReportBuilder:
         values[:, cols["Iq_cond"]] = cond_entropy[:, a] - cond_entropy[:, b]
         return values
 
-    def add(self, records: Iterable[TrajectoryRecord]) -> None:
-        """Fold ``records`` in order, a run of records of one block at a
-        time: the run's weight, weighted mean and M2 per column are merged
-        into the report's (Chan, Golub & LeVeque 1979, in West's form). A
-        one-row run, as every sampled record is, merges with M2 0: West's
-        update of its row, bit for bit."""
-        for block, run in itertools.groupby(records, key=attrgetter("block")):
-            rows, counts = map(np.array, zip(*[(rec.row, rec.count) for rec in run]))
-            self.count += int(counts.sum())
-            weights = block.prob_at[rows, -1] if self.mode == "enumerate" else counts * 1.0
-            positive = weights > 0.0
-            if not positive.any():
-                continue
-            rows, weights = rows[positive], weights[positive]
-            values = self._values(block)[rows]
-            infinite = np.isinf(values)
-            self.infinite |= infinite.any(axis=0)
-            # an infinite entry weighs 0 in its column
-            weights = np.where(infinite, 0.0, weights[:, np.newaxis])
-            if len(rows) == 1:
-                run_weight, run_mean, run_m2 = weights[0], values[0], np.zeros(len(self.keys))
-            else:
-                values = np.where(infinite, 0.0, values)
-                run_weight = weights.sum(axis=0)
-                run_mean = (weights * values).sum(axis=0)
-                run_mean /= np.where(run_weight > 0.0, run_weight, 1.0)
-                run_m2 = (weights * (values - run_mean) ** 2).sum(axis=0)
-            # a column the run gives no weight keeps its entries
-            cols = run_weight > 0.0
-            weight, run_mean = run_weight[cols], run_mean[cols]
-            total = self.total_weight[cols] + weight
-            mean = self.mean[cols]
-            delta = run_mean - mean
-            mean = mean + (weight / total) * delta
-            self.m2[cols] += weight * delta * (run_mean - mean) + run_m2[cols]
-            self.mean[cols] = mean
-            self.total_weight[cols] = total
+    def add(self, block: RecordBlock, rows: np.ndarray, counts: np.ndarray) -> None:
+        """Fold a run of records, the rows ``rows`` of ``block`` with draw
+        counts ``counts``: the run's weight, weighted mean and M2 per column
+        are merged into the report's (Chan, Golub & LeVeque 1979, in West's
+        form). A one-row run, as every sampled record is, merges with M2 0:
+        West's update of its row, bit for bit."""
+        self.count += int(counts.sum())
+        weights = block.prob_at[rows, -1] if self.mode == "enumerate" else counts * 1.0
+        positive = weights > 0.0
+        if not positive.any():
+            return
+        rows, weights = rows[positive], weights[positive]
+        values = self._values(block)[rows]
+        infinite = np.isinf(values)
+        self.infinite |= infinite.any(axis=0)
+        # an infinite entry weighs 0 in its column
+        weights = np.where(infinite, 0.0, weights[:, np.newaxis])
+        if len(rows) == 1:
+            run_weight, run_mean, run_m2 = weights[0], values[0], np.zeros(len(self.keys))
+        else:
+            values = np.where(infinite, 0.0, values)
+            run_weight = weights.sum(axis=0)
+            run_mean = (weights * values).sum(axis=0)
+            run_mean /= np.where(run_weight > 0.0, run_weight, 1.0)
+            run_m2 = (weights * (values - run_mean) ** 2).sum(axis=0)
+        # a column the run gives no weight keeps its entries
+        cols = run_weight > 0.0
+        weight, run_mean = run_weight[cols], run_mean[cols]
+        total = self.total_weight[cols] + weight
+        mean = self.mean[cols]
+        delta = run_mean - mean
+        mean = mean + (weight / total) * delta
+        self.m2[cols] += weight * delta * (run_mean - mean) + run_m2[cols]
+        self.mean[cols] = mean
+        self.total_weight[cols] = total
 
     def finalize(self) -> EntropyReport:
         means = np.where(self.infinite, math.inf, self.mean).tolist()
@@ -202,7 +197,8 @@ def build_entropy_report(
     records: Iterable[TrajectoryRecord], grid: TimeGrid, mode: str = "enumerate"
 ) -> EntropyReport:
     builder = EntropyReportBuilder(grid, mode=mode)
-    builder.add(records)
+    for run in runs(records):
+        builder.add(*run)
     return builder.finalize()
 
 
@@ -223,13 +219,13 @@ def mutual_entropy_hybrid(records, r: int, s: int) -> HybridRelativeEntropy:
     dim = None
     try:
         for rec in records:
-            prob_at, state = rec.prob_at, rec.aposteriori[s]
+            prob_at, state, outcomes = rec.prob_at, rec.aposteriori[s], rec.outcomes
             dim = state.dim
-            joint_key = (rec.letter, rec.outcomes[:s])
+            joint_key = (rec.letter, outcomes[:s])
             if joint_key not in joint:
                 joint[joint_key] = prob_at[s] * state.matrix
-            marginal[(rec.letter, rec.outcomes[:r])] = prob_at[r]
-            increments[rec.outcomes[r:s]] = (
+            marginal[(rec.letter, outcomes[:r])] = prob_at[r]
+            increments[outcomes[r:s]] = (
                 rec.incr_prob[(r, s)],
                 rec.conditioned[(r, s)].matrix,
             )
@@ -408,14 +404,7 @@ def write_bounds_csv(report: CheckReport, stream, units: str = "nats") -> int:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["bound_id", "times", "lhs", "rhs", "margin", "pass"])
     for c in report.checks:
-        writer.writerow(
-            [
-                c.name,
-                ",".join(str(t) for t in c.times),
-                repr(c.lhs * scale if not math.isinf(c.lhs) else c.lhs),
-                repr(c.rhs * scale if not math.isinf(c.rhs) else c.rhs),
-                repr(c.margin * scale if not math.isinf(c.margin) else c.margin),
-                "true" if c.passed else "false",
-            ]
-        )
+        times = ",".join(str(t) for t in c.times)
+        sides = [repr(value * scale) for value in (c.lhs, c.rhs, c.margin)]
+        writer.writerow([c.name, times, *sides, "true" if c.passed else "false"])
     return len(report.checks)

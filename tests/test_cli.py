@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contmeas import cli
-from contmeas.cli import _parse_times, main
+from contmeas.cli import _parse_times, build_parser, main
 from contmeas.engine import _draw_paths, consistency_checks, format_outcomes
 from contmeas.model import TimeGrid, builtin_scenario, random_model, serialize_model
 
@@ -285,6 +285,20 @@ class TestCheck:
         assert errors == [err[-1]] and fragment in err[-1]
         assert list(tmp_path.iterdir()) == []
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # the parser is built once per process; a usage error, a validation
+        # and a check parse in turn, and a usage error after them still exits 3
+        assert build_parser() is build_parser()
+        assert main(["check", "--bogus"]) == 3
+        assert run_cli(["validate", "--scenario", "qubit-weak"]) == 0
+        args = ["check", "--scenario", "qubit-weak", "--horizon", "2", "--out", tmp_path]
+        assert run_cli(args) == 0 and (tmp_path / "bounds.csv").exists()
+        assert main(["check", "--mode", "foo"]) == 3
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 2
+        assert errors[0] == "contmeas: error: unrecognized arguments: --bogus"
+        assert errors[1].startswith("contmeas check: error: argument --mode: invalid choice")
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["check", "--help"])
@@ -416,6 +430,20 @@ class TestStderrSummary:
         more = [f"bound failure: {failing - 10} more rows fail (see bounds.csv)"]
         assert lines[10:] == (more if failing > 10 else [])
 
+    def test_consistency_failures_capped(self, tmp_path, capsys):
+        # --tol=-1 fails all 19 consistency checks: stderr names the first
+        # 10 in check order, then counts the rest in one line
+        args = ["check", "--scenario", "qubit-weak", "--horizon", "2", "--tol=-1"]
+        assert run_cli(args + ["--out", tmp_path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        lines = [line for line in err if line.startswith("consistency")]
+        model = builtin_scenario("qubit-weak", horizon=2)
+        failures = consistency_checks(model, TimeGrid.make(2), tol=-1.0).failures()
+        assert len(failures) == 19
+        shown = [f"consistency failure: {check}" for check in failures[:10]]
+        assert lines == shown + ["consistency failure: 9 more checks fail"]
+        assert err[-1] == "FAIL: consistency, bounds"
+
     def test_stderr_summary_leaves_outputs_unchanged(self, tmp_path, capsys):
         args = ["check", "--scenario", "damped-qubit", "--horizon", "2"]
         assert run_cli(args + ["--out", tmp_path / "a"]) == 0
@@ -465,8 +493,12 @@ class TestRun:
         lines = (out / "trajectories.csv").read_text().splitlines()
         assert lines[0] == "letter,outcomes,prob,S_0,S_1,S_2,S_3"
         runs = [(row, len(list(group))) for row, group in itertools.groupby(lines[1:])]
-        draws = Counter(_draw_paths(builtin_scenario("qubit-weak", horizon=3), 50, 1))
-        expected = [((str(letter), format_outcomes(xs)), n) for (letter, xs), n in draws.items()]
+        model = builtin_scenario("qubit-weak", horizon=3)
+        draws = Counter(_draw_paths(model, 50, 1))
+        expected = []
+        for (letter, codes), n in draws.items():
+            labels = [model.instrument_at(k + 1).outcomes[c] for k, c in enumerate(codes)]
+            expected.append(((str(letter), format_outcomes(labels)), n))
         assert [(tuple(row.split(",")[:2]), n) for row, n in runs] == expected
 
     def test_long_horizon_underflow_exit_3(self, tmp_path, capsys):

@@ -31,6 +31,7 @@ from contmeas.engine import (
     consistency_checks,
     enumerate_trajectories,
     format_outcomes,
+    runs,
     sample_trajectories,
 )
 from contmeas.entropics import EntropyReportBuilder
@@ -44,6 +45,22 @@ KET1 = np.array([[0.0, 0.0], [0.0, 1.0]])
 
 def full_grid(model):
     return TimeGrid.make(model.horizon)
+
+
+def labelled(model, codes):
+    """The outcome labels of the outcome ``codes`` of steps 1, 2, ..."""
+    return tuple(model.instrument_at(k + 1).outcomes[code] for k, code in enumerate(codes))
+
+
+def fold(records, builder=None, acc=None):
+    """Add each run of ``records`` to the report ``builder`` and to the
+    consistency ``acc``, as the pipeline does; holds no run once it
+    returns."""
+    for block, rows, counts in runs(records):
+        if builder is not None:
+            builder.add(block, rows, counts)
+        if acc is not None:
+            acc.add(block, rows)
 
 
 def with_entry(rec, field, key, value):
@@ -75,7 +92,7 @@ def with_entry(rec, field, key, value):
     else:
         labels = block.pairs if isinstance(key, tuple) else block.times
         getattr(block, field)[0, labels.index(key)] = value
-    return TrajectoryRecord(rec.letter, rec.outcomes, block, 0)
+    return TrajectoryRecord(block, 0)
 
 
 class TestAPriori:
@@ -268,7 +285,7 @@ class TestBlocks:
         if case == "zero-prior":
             assert {rec.letter for rec in records} == {0, 2}
         for rec in records:
-            one = walk.replay(rec.letter, rec.outcomes)
+            one = walk.replay(rec.letter, rec.block.codes[rec.row])
             for field in SCALAR_FIELDS:
                 assert getattr(rec, field) == getattr(one, field), field
             for field in ("aposteriori", "conditioned"):
@@ -369,7 +386,8 @@ class TestIncrementTrie:
         grid = full_grid(model) if times is None else TimeGrid.make(model.horizon, *times)
         eta = compute_a_priori(model, grid)
         records = list(enumerate_trajectories(model, grid))
-        replayed = _Walk(model, grid).replay(records[7].letter, records[7].outcomes)
+        rec = records[7]
+        replayed = _Walk(model, grid).replay(rec.letter, rec.block.codes[rec.row])
         for states in (records[0].block.states, replayed.block.states):
             assert states.size >= len(grid.record_times)
             for row, t in enumerate(grid.record_times):
@@ -467,6 +485,20 @@ class TestRecordRow:
             assert state.entropy == rec.cond_entropy[pair] and state.matrix.base is None
         assert [key for key, _ in rec.conditioned.items()] == list(block.pairs)
 
+    def test_record_is_a_row_of_its_block(self):
+        # a record stores its block, its row and its count only; its letter
+        # and its outcome labels are read from the block's letter and codes
+        model = random_model(8, dim=2, n_outcomes=2, horizon=3)
+        rec = list(enumerate_trajectories(model, full_grid(model)))[5]
+        assert [field.name for field in dataclasses.fields(rec)] == ["block", "row", "count"]
+        assert vars(rec) == {"block": rec.block, "row": rec.row, "count": 1}
+        block, row = rec.block, rec.row
+        assert rec.letter == block.letter
+        assert rec.outcomes == labelled(model, block.codes[row].tolist()) == block.path(row)
+        assert block.path(row, 2) == rec.outcomes[:2] and block.path(row, 0) == ()
+        block.codes[row, 0] = 1 - block.codes[row, 0]
+        assert rec.outcomes == labelled(model, block.codes[row].tolist())
+
     @pytest.mark.parametrize("mode", ["enumerate", "sample"])
     def test_states_are_objects_on_lookup_only(self, monkeypatch, mode):
         # the walk, the report and the consistency checks keep states as
@@ -487,12 +519,44 @@ class TestRecordRow:
             records = list(enumerate_trajectories(model, grid))
         else:
             records = list(sample_trajectories(model, grid, 40, seed=1))
-        builder.add(records)
-        acc.add(records)
+        fold(records, builder, acc)
         acc.finalize()
         assert len(built) == 2 * len(grid.record_times)
         records[-1].aposteriori[2], records[-1].conditioned[(1, 3)]
         assert len(built) == 2 * len(grid.record_times) + 2
+
+
+class TestRuns:
+    def test_one_row_block_in_the_middle_splits_a_run(self):
+        # an enumeration's runs are its blocks of leaves; when record k, in
+        # the middle of a block, is moved to a one-row block of its own,
+        # that block's run splits in three around it
+        model = random_model(1, dim=3, n_outcomes=3, horizon=4)
+        records = list(enumerate_trajectories(model, full_grid(model)))
+        clean = list(runs(records))
+        assert len(clean) > 2 and len({id(block) for block, _, _ in clean}) == len(clean)
+        for block, rows, counts in clean:
+            assert rows.tolist() == list(range(len(block.codes)))
+            assert counts.tolist() == [1] * len(rows)
+        assert sum(len(rows) for _, rows, _ in clean) == len(records)
+        j = 1
+        block, rows, _ = clean[j]
+        assert len(rows) > 3
+        k = sum(len(rows) for _, rows, _ in clean[:j]) + 2
+        assert records[k].block is block and records[k].row == 2
+        one = block.take([2])
+        records[k] = TrajectoryRecord(one, 0, 5)
+        found = [(b, r.tolist(), c.tolist()) for b, r, c in runs(records)]
+        n = len(rows)
+        expected = [(b, r.tolist(), c.tolist()) for b, r, c in clean]
+        expected[j : j + 1] = [
+            (block, [0, 1], [1, 1]),
+            (one, [0], [5]),
+            (block, list(range(3, n)), [1] * (n - 3)),
+        ]
+        assert len(found) == len(expected) == len(clean) + 2
+        for (b, r, c), (eb, er, ec) in zip(found, expected):
+            assert b is eb and (r, c) == (er, ec)
 
 
 class TestSample:
@@ -564,7 +628,9 @@ class TestSample:
 
 def scalar_draws(model, n_samples, seed):
     """The draw loop, one path and one outcome at a time, scalar weights
-    and a running sum: the reference for the array draws of _draw_paths."""
+    and a running sum: the reference for the array draws of _draw_paths.
+    Returns the (letter, outcome codes) of each draw; an error names the
+    path by its outcome labels."""
     rng = np.random.default_rng(seed)
     prior = model.ensemble.prior
     prior_cum = np.cumsum(prior / prior.sum())
@@ -578,7 +644,7 @@ def scalar_draws(model, n_samples, seed):
         letter = int(np.searchsorted(prior_cum, rng.random(), side="right"))
         letter = min(letter, len(prior) - 1)
         main = roots[letter]
-        outcomes = ()
+        outcomes, codes = (), ()
         for t in range(model.horizon):
             instrument = model.instrument_at(t + 1)
             weights = [max(0.0, float(np.trace(main @ e).real)) for e in effects[t]]
@@ -598,7 +664,8 @@ def scalar_draws(model, n_samples, seed):
                     break
             main = instrument.maps[pick].apply(main)
             outcomes = outcomes + (instrument.outcomes[pick],)
-        paths.append((letter, outcomes))
+            codes = codes + (pick,)
+        paths.append((letter, codes))
     return paths
 
 
@@ -622,7 +689,25 @@ class TestArrayDraws:
         model = make()
         paths = list(_draw_paths(model, n, seed))
         assert paths == scalar_draws(model, n, seed)
-        assert all(type(label) is str for _, outcomes in paths[:5] for label in outcomes)
+        assert all(type(codes) is tuple for _, codes in paths)
+        assert all(type(code) is int for _, codes in paths[:5] for code in codes)
+
+    def test_yields_codes_not_labels(self):
+        # a path stays its outcome codes from the draw to the record; labels
+        # are made from them only for the record's outcomes
+        base = random_model(3, dim=2, n_outcomes=3, horizon=3)
+        names = ("dn", "mid", "up")
+        steps = tuple(dataclasses.replace(inst, outcomes=names) for inst in base.steps)
+        model = dataclasses.replace(base, steps=steps)
+        paths = list(_draw_paths(model, 300, 4))
+        assert paths == scalar_draws(model, 300, 4)
+        assert {code for _, codes in paths for code in codes} == {0, 1, 2}
+        records = list(sample_trajectories(model, full_grid(model), 300, 4))
+        assert [(rec.letter, rec.block.codes[rec.row].tolist()) for rec in records] == [
+            (letter, list(codes)) for letter, codes in dict.fromkeys(paths)
+        ]
+        for rec in records:
+            assert rec.outcomes == tuple(names[code] for code in rec.block.codes[rec.row])
 
     def test_records_come_in_draw_order(self):
         # one record per distinct path, in first-draw order, with its draws
@@ -630,7 +715,8 @@ class TestArrayDraws:
         grid = full_grid(model)
         records = sample_trajectories(model, grid, 500, 1)
         pairs = [((rec.letter, rec.outcomes), rec.count) for rec in records]
-        assert pairs == list(Counter(scalar_draws(model, 500, 1)).items())
+        draws = Counter(scalar_draws(model, 500, 1)).items()
+        assert pairs == [((letter, labelled(model, codes)), n) for (letter, codes), n in draws]
         assert 1 < len(pairs) < 500
 
     def test_memory_bounded_by_distinct_paths(self):
@@ -830,7 +916,7 @@ class TestConsistency:
         block = rec.block.take([rec.row])
         block.conditioned[0, col] = other.block.conditioned[other.row, col]
         corrupted = list(records)
-        corrupted[1] = TrajectoryRecord(rec.letter, rec.outcomes, block, 0)
+        corrupted[1] = TrajectoryRecord(block, 0)
         report = consistency_checks(model, grid, records=corrupted)
         assert "increment-dependence" in {c.name for c in report.failures()}
 
@@ -907,7 +993,7 @@ class TestConsistencyTables:
         grid = full_grid(model)
         acc = ConsistencyAccumulator(model, grid)
         refs = []
-        acc.add(watched(enumerate_trajectories(model, grid), refs))
+        fold(watched(enumerate_trajectories(model, grid), refs), acc=acc)
         assert len(refs) == model.leaf_count()
         assert all(ref() is None for pair in refs for ref in pair)
         assert acc.finalize().passed
@@ -932,7 +1018,7 @@ class TestConsistencyTables:
             records = sample_trajectories(model, grid, 40, seed=1)
         builder = EntropyReportBuilder(grid, mode)
         refs = []
-        builder.add(watched(records, refs))
+        fold(watched(records, refs), builder)
         assert len(refs) > 1 and all(ref() is None for pair in refs for ref in pair)
         assert builder.count == (model.leaf_count() if mode == "enumerate" else 40)
 

@@ -18,7 +18,14 @@ from contmeas.entropics import (
     write_bounds_csv,
 )
 from contmeas.errors import GridMiss
-from contmeas.model import TimeGrid, builtin_scenario, is_pure_preserving, random_model
+from contmeas.model import (
+    Check,
+    CheckReport,
+    TimeGrid,
+    builtin_scenario,
+    is_pure_preserving,
+    random_model,
+)
 from contmeas.quantum import chi_quantity
 
 IC_01 = 0.21576155433883565  # H(3/4,1/4) - (1/2) ln 2
@@ -287,13 +294,13 @@ class TestColumnBuilder:
         block = rec.block.take(np.arange(len(rec.block.codes)))
         col = block.pairs.index((0, 2))
         block.chi_term[rec.row + 1, col] = math.inf
-        run = [TrajectoryRecord(r.letter, r.outcomes, block, r.row) for r in records[:20]]
         assert all(r.block is rec.block for r in records[:20])
+        rows, counts = np.array([r.row for r in records[:20]]), np.ones(20, dtype=int)
         merged = EntropyReportBuilder(grid)
-        merged.add(run)
+        merged.add(block, rows, counts)
         by_row = EntropyReportBuilder(grid)
-        for one in run:
-            by_row.add([one])
+        for one in rows:
+            by_row.add(block, np.array([one]), np.ones(1, dtype=int))
         assert math.isinf(merged.finalize().chi_bar[(0, 2)])
         assert np.array_equal(merged.infinite, by_row.infinite)
         assert merged.infinite.sum() == 1
@@ -310,7 +317,7 @@ class TestColumnBuilder:
         rec = records[7]
         block = rec.block.take([rec.row])
         block.chi_term[0, block.pairs.index((0, 2))] = math.inf
-        records[7] = TrajectoryRecord(rec.letter, rec.outcomes, block, 0, rec.count)
+        records[7] = TrajectoryRecord(block, 0, rec.count)
         return grid, records
 
     def test_sample_with_inf_bit_for_bit(self, sampled_with_inf):
@@ -521,6 +528,37 @@ class TestSerialization:
         assert lines[0] == "bound_id,times,lhs,rhs,margin,pass"
         assert n == len(lines) - 1
         assert any(line.startswith('B3,"1,2"') for line in lines)
+
+    @pytest.mark.parametrize(
+        "units, sides",
+        [
+            ("nats", ["-0.0,1.5,0.25", "0.5,inf,inf"]),
+            ("bits", ["-0.0,2.164042561333445,0.36067376022224085", "0.7213475204444817,inf,inf"]),
+        ],
+    )
+    def test_bounds_csv_extended_reals(self, units, sides):
+        # infinite, NaN and signed-zero sides are written as they are, in
+        # both units; finite ones are scaled
+        inf, nan = math.inf, math.nan
+        report = CheckReport(
+            (
+                Check("B1", -inf, 1e-9, (0, 1), inf, -0.0),
+                Check("B2", nan, 1e-9, (0, 1, 2), nan, -inf),
+                Check("B3", 0.25, 1e-9, (1, 2), -0.0, 1.5),
+                Check("B4", inf, 1e-9, (0, 2), 0.5, inf),
+                Check("B7-zero", -0.0, 1e-9, (0, 0, 0), -0.0, 0.0),
+            )
+        )
+        buf = io.StringIO()
+        assert write_bounds_csv(report, buf, units=units) == 5
+        assert buf.getvalue().splitlines() == [
+            "bound_id,times,lhs,rhs,margin,pass",
+            'B1,"0,1",inf,-0.0,-inf,false',
+            'B2,"0,1,2",nan,-inf,nan,false',
+            f'B3,"1,2",{sides[0]},true',
+            f'B4,"0,2",{sides[1]},true',
+            'B7-zero,"0,0,0",-0.0,0.0,-0.0,true',
+        ]
 
 
 class TestMeanAccumulator:
