@@ -32,7 +32,6 @@ import copy
 import itertools
 import math
 import sys
-import weakref
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -58,8 +57,8 @@ PRUNE_REL_TOL = 1e-14
 BLOCK_NODES = 64
 # Cap on letters x outcome strings for exhaustive enumeration.
 DEFAULT_LEAF_BUDGET = 10**7
-# The consistency checks form their (m, d, d) temporaries at most this many
-# rows at a time, so that finalize's peak memory stays near the walk's.
+# The consistency checks apply Kraus maps, take norms and add group sums at
+# most this many rows at a time; the stacks they work on are whole columns.
 _SLICE_ROWS = 256
 # The sampler draws at most this many paths as one set of arrays.
 _DRAW_ROWS = 1024
@@ -580,7 +579,7 @@ def sample_trajectories(
 
 
 # ---------------------------------------------------------------------------
-# Consistency checks over the enumerated table
+# Consistency checks over one enumeration
 # ---------------------------------------------------------------------------
 
 
@@ -599,72 +598,44 @@ def _norms(stack) -> np.ndarray:
     return out
 
 
-class _Table:
-    """The first (prob, matrix) entry of each key of one family, prefixes or
-    increment strings, over all its columns (record times or pairs): a key
-    is the string's number times ``width`` plus the column. Entries are
-    kept in first-seen order, in arrays that grow by doubling; ``origins``
-    holds the row of states an entry was copied from (-1 when none)."""
+class _Prefixes:
+    """The first (probability, state) entry of each prefix (letter, outcomes
+    up to t) at each record time t, with its number and its time's column,
+    in arrays that grow by doubling; ``last`` holds each column's last entry
+    and ``last_keys`` its number (-1 before the first)."""
 
-    ARRAYS = ("keys", "probs", "matrices", "origins")
+    ARRAYS = ("keys", "cols", "probs", "matrices")
 
     def __init__(self, width, dim):
-        self.width = width
-        self.index = {}  # key -> row
-        self.keys = np.zeros(0, dtype=np.int64)
-        self.probs = np.zeros(0)
-        self.matrices = np.zeros((0, dim, dim), dtype=complex)
-        self.origins = np.zeros(0, dtype=np.int64)
-        self.deviation = 0.0  # of later entries from the held ones
+        self.size, self.deviation = 0, 0.0  # of later rows from the first of their prefix
+        self.last, self.last_keys = np.full(width, -1), np.full(width, -1)
+        self.keys, self.cols = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        self.probs, self.matrices = np.zeros(0), np.zeros((0, dim, dim), dtype=complex)
 
-    def hold(self, strings, probs, sources, matrix_of, shared=False) -> None:
-        """Hold the first entry of each key and fold the deviation of every
-        other one; (n, width) arrays, a row per record in the order the
-        records came. ``sources`` identify the entries' matrices, which
-        ``matrix_of`` returns. When ``shared``, the sources are rows of the
-        one table of states of the run: an entry from the row its held entry
-        came from has its matrix, and only its probability is compared."""
-        n = len(strings)
-        # down a column, a run of rows with one key and one entry (records
-        # of one subtree share their states) takes one lookup and comparison
-        start = np.ones(strings.shape, dtype=bool)
-        start[1:] = (strings[1:] != strings[:-1]) | (sources[1:] != sources[:-1])
-        start[1:] |= probs[1:] != probs[:-1]
-        firsts = np.flatnonzero(start.T)
-        keys = strings.T.ravel()[firsts] * self.width + firsts // n
-        probs, sources = probs.T.ravel()[firsts], sources.T.ravel()[firsts]
-        size = len(self.index)
-        rows = np.array([self.index.setdefault(key, len(self.index)) for key in keys.tolist()])
-        # a new row first shows above every row before it
-        new = rows > np.maximum.accumulate(np.append(size - 1, rows[:-1]))
-        n = len(self.index)
-        if n > size:
-            _grow(self, self.ARRAYS, n)
-            self.keys[size:n], self.probs[size:n] = keys[new], probs[new]
-            self.matrices[size:n] = matrix_of(sources[new])
-            self.origins[size:n] = sources[new] if shared else -1
-        later = np.flatnonzero(~new)
-        if len(later):
-            held = rows[later]
-            self.deviation = _worst(np.abs(self.probs[held] - probs[later]), self.deviation)
-            if shared:
-                other = self.origins[held] != sources[later]
-                held, later = held[other], later[other]
-            if len(later):
-                diffs = self.matrices[held] - matrix_of(sources[later])
-                self.deviation = _worst(_norms(diffs), self.deviation)
-
-    def column(self, col):
-        """String numbers and rows of one column's entries, in first-seen
-        order."""
-        rows = np.flatnonzero(self.keys[: len(self.index)] % self.width == col)
-        return self.keys[rows] // self.width, rows
-
-    def rows(self, strings, col) -> np.ndarray:
-        """Rows of the entries of ``strings`` in column ``col``, all of
-        which are held."""
-        keys = (strings * self.width + col).tolist()
-        return np.array([self.index[key] for key in keys], dtype=np.int64)
+    def hold(self, keys, probs, sources, stack) -> None:
+        """Hold the prefixes of a run's rows, column by column: (n, width)
+        arrays of their numbers, probabilities and states (rows ``sources``
+        of ``stack``), in emission order, where a column's numbers only grow.
+        A row whose number differs from the one before it (across runs too)
+        is new; any other is compared with the first of its prefix, unless
+        it has the state row and probability of the row before it."""
+        before = np.vstack([self.last_keys, keys[:-1]])
+        if (keys < before).any():
+            raise ValueError("prefix numbers fall: the records are not in emission order")
+        new = keys != before
+        counts = np.cumsum(new, axis=0)
+        starts = self.size + np.cumsum(counts[-1]) - counts[-1]
+        held = np.where(counts > 0, starts + counts - 1, self.last)
+        rows = slice(self.size, self.size + int(counts[-1].sum()))
+        _grow(self, self.ARRAYS, rows.stop)
+        self.keys[rows], self.cols[rows] = keys.T[new.T], np.nonzero(new.T)[0]
+        self.probs[rows], self.matrices[rows] = probs.T[new.T], stack[sources.T[new.T]]
+        self.size, self.last, self.last_keys = rows.stop, held[-1], keys[-1]
+        later = ~new
+        later[1:] &= (sources[1:] != sources[:-1]) | (probs[1:] != probs[:-1])
+        held, probs, sources = held[later], probs[later], sources[later]
+        gaps = _worst(np.abs(self.probs[held] - probs), self.deviation)
+        self.deviation = _worst(_norms(self.matrices[held] - stack[sources]), gaps)
 
 
 def _group_sums(groups, count, probs, matrices, rows) -> np.ndarray:
@@ -679,37 +650,34 @@ def _group_sums(groups, count, probs, matrices, rows) -> np.ndarray:
 
 
 class ConsistencyAccumulator:
-    """Streaming verifier of the structural identities of the enumerated
-    table: probability conservation, martingale marginals, measurability of
-    the outcome-only states, a-priori averaging, map composition, the
-    normalized-state recursion and the agreement of records that share a
-    prefix or an increment string.
+    """Streaming verifier of the structural identities of one enumeration,
+    whose runs ``add`` takes in emission order: probability conservation,
+    martingale marginals, measurability of the outcome-only states,
+    a-priori averaging, map composition, the normalized-state recursion and
+    the agreement of records that share a prefix or an increment string.
 
-    ``add`` checks the rows of a run of records of one block together. A
-    prefix (letter, outcomes up to t) or an increment string (outcomes
-    s+1..t) is numbered in mixed radix, outcome indices as digits.
-    Records of one increment string share one trie row, so ``_recheck``
-    compares the first record of each letter with an independent route,
-    eta_s pushed along its outcomes from the accumulator's own a-priori
-    track."""
+    Prefixes (letter, outcomes up to t) and increment strings (outcomes
+    s+1..t) are numbered in mixed radix. A prefix's first entry is copied;
+    an increment string is its row of the run's trie, found through the
+    links, which ``_recheck`` checks on an independent route."""
 
     def __init__(self, model, grid, tol: float = 1e-9):
-        self._pairs = tuple(grid.pairs())
-        width = max(len(grid.record_times), len(self._pairs))
-        if model.leaf_count() * width > np.iinfo(np.int64).max:
+        if model.leaf_count() > np.iinfo(np.int64).max:
             raise BudgetExceeded(f"{model.leaf_count()} leaves are too many to key the tables")
         self.model, self.grid, self.tol = model, grid, tol
         self.eta = compute_a_priori(model, grid)
         self.total_prob = 0.0
         self._radix = [1] + [model.instrument_at(k).n_outcomes for k in range(1, model.horizon + 1)]
         self._count = np.cumprod(self._radix)  # outcome strings up to each time
-        # the record times, and each pair's times and number of increment strings
-        self._times = np.array(grid.record_times)
-        self._s, self._t = np.array(self._pairs, dtype=np.int64).reshape(-1, 2).T
-        self._spans = self._span(self._s, self._t)
-        self.prefix = _Table(len(grid.record_times), model.dim)
-        self.incr = _Table(len(self._pairs), model.dim)
-        self._states = None  # a weak reference to the first block's states: the run's trie
+        self._width = max(self._radix)  # links per trie row; a replayed path's table has 1
+        times, refs, self._pairs = grid.record_times, grid.reference_times, tuple(grid.pairs())
+        self._times = np.array(times)
+        # the row of eta_s of each reference time s, and each pair's t and s
+        self._roots = np.array([times.index(s) for s in refs], dtype=np.int64)
+        self._t = np.array([t for _, t in self._pairs], dtype=np.int64)
+        self._ref_of = np.array([refs.index(s) for s, _ in self._pairs], dtype=np.int64)
+        self.prefix = _Prefixes(len(times), model.dim)
+        self._trie, self._incr_deviation = None, 0.0  # the first block's table of states
         self._rechecked = set()  # letters whose first record was re-checked
 
     def _span(self, s, t):
@@ -718,8 +686,14 @@ class ConsistencyAccumulator:
 
     def add(self, block: RecordBlock, rows) -> None:
         """Check the rows ``rows`` of ``block``, a run of records, in order;
-        holds none of the block once it returns."""
+        holds none of the block once it returns. Raises ValueError for
+        records not of one enumeration or out of emission order."""
         block.check_grid(self.grid.record_times, self._pairs)
+        states = block.states
+        if self._trie is None and states.children.shape[1] == self._width:
+            self._trie = states
+        if states is not self._trie:
+            raise ValueError("records of another table of states than the enumeration's trie")
         if block.letter not in self._rechecked:
             self._rechecked.add(block.letter)
             self._recheck(block, rows[0])
@@ -733,15 +707,21 @@ class ConsistencyAccumulator:
         prefixes = block.letter * self._count[self._times] + strings[:, self._times]
         # the a-posteriori rows of every column, as rows of one stack
         offsets = np.cumsum([0] + [len(stack) for stack in block.posteriors[:-1]])
-        matrices = np.concatenate(block.posteriors)
         sources = block.aposteriori[rows] + offsets
-        self.prefix.hold(prefixes, prob_at, sources, matrices.__getitem__)
-        increments = strings[:, self._t] - strings[:, self._s] * self._spans
-        if self._states is None:
-            self._states = weakref.ref(block.states)
-        states, sources = block.states, block.conditioned[rows]
-        shared = states is self._states()
-        self.incr.hold(increments, states.mass[sources], sources, states.matrices, shared)
+        self.prefix.hold(prefixes, prob_at, sources, np.concatenate(block.posteriors))
+        # each eta_s row walked down the trie's links along the codes, a gather
+        # a step: a record that points at another row deviates from this one
+        found = [np.tile(self._roots, (len(rows), 1))]
+        for t in range(1, self.model.horizon + 1):
+            walk = states.children[found[-1], codes[:, t - 1, None]]
+            found.append(np.where(self._times[self._roots] < t, walk, found[-1]))
+            if (found[-1] < 0).any():
+                raise ValueError("a record's increment string has no row in the trie")
+        found = np.stack(found, axis=1)[:, self._t, self._ref_of]
+        given = block.conditioned[rows]
+        given, found = given[given != found], found[given != found]
+        gaps = _worst(np.abs(states.mass[given] - states.mass[found]), self._incr_deviation)
+        self._incr_deviation = _worst(_norms(states.matrices(given) - states.matrices(found)), gaps)
 
     def _recheck(self, block: RecordBlock, row: int) -> None:
         """Fold into ``increment-dependence`` the deviation of a row's increment
@@ -762,18 +742,26 @@ class ConsistencyAccumulator:
         conditioned = block.conditioned[row]
         mine = block.states.matrices(conditioned)
         gaps = np.abs(block.states.mass[conditioned] - masses)
-        self.incr.deviation = _worst(_norms(mine - theirs), _worst(gaps, self.incr.deviation))
+        self._incr_deviation = _worst(_norms(mine - theirs), _worst(gaps, self._incr_deviation))
 
-    def _pushed(self, table, col, keys, s, t, weighted):
-        """The entries of ``table`` in column ``col`` (strings ending at s)
-        that are the parents of ``keys`` (strings ending at t), times their
-        probabilities when ``weighted``, each pushed through the outcome
-        maps of steps s+1..t along the digits of its key: one Kraus
+    def _increments(self, children) -> dict:
+        """String numbers and trie rows of each pair's increment strings, in
+        string order: a breadth-first walk of the links from each eta_s."""
+        columns = {}
+        for s, root in zip(self.grid.reference_times, self._roots):
+            columns[(s, s)] = keys, rows = np.zeros(1, dtype=np.int64), root[np.newaxis]
+            for t in range(s + 1, self.model.horizon + 1):
+                rows, digits = children[rows, : self._radix[t]], np.arange(self._radix[t])
+                keys = (keys[:, np.newaxis] * len(digits) + digits)[rows >= 0]
+                rows = rows[rows >= 0]
+                if t in self.grid.record_times:
+                    columns[(s, t)] = keys, rows
+        return columns
+
+    def _pushed(self, stack, keys, s, t):
+        """``stack``, a matrix per key (a string ending at t), pushed in place
+        through the maps of steps s+1..t along the key's digits: one Kraus
         application per (step, outcome) group of up to _SLICE_ROWS rows."""
-        parents = table.rows(keys // self._span(s, t), col)
-        stack = table.matrices[parents]
-        if weighted:
-            stack *= table.probs[parents, None, None]
         for step in range(s + 1, t + 1):
             labels = keys // self._span(step, t) % self._radix[step]
             for v, kraus in enumerate(self.model.instrument_at(step).maps):
@@ -783,29 +771,31 @@ class ConsistencyAccumulator:
                     stack[rows] = kraus.apply(stack[rows])
         return stack
 
-    def _composition_residuals(self):
+    def _composition_residuals(self, trie, incr):
         """Conditioning r -> s, rescaling, then s -> t must match r -> t:
-        one residual per increment-table entry that has a parent."""
-        col = {pair: i for i, pair in enumerate(self._pairs)}
+        one residual per increment string that has a parent."""
         times = self.grid.record_times
         residuals = [np.zeros(0)]
         for s, t in zip(times, times[1:]):
             for r in self.grid.reference_times:
                 if r <= s:
-                    keys, rows = self.incr.column(col[(r, t)])
-                    via = self._pushed(self.incr, col[(r, s)], keys, s, t, weighted=True)
-                    via -= self.incr.probs[rows, None, None] * self.incr.matrices[rows]
+                    (keys, rows), (starts, parents) = incr[(r, t)], incr[(r, s)]
+                    parents = parents[np.searchsorted(starts, keys // self._span(s, t))]
+                    via = trie.matrices(parents) * trie.mass[parents, None, None]
+                    via = self._pushed(via, keys, s, t)
+                    via -= trie.mass[rows, None, None] * trie.matrices(rows)
                     residuals.append(_norms(via))
         return np.concatenate(residuals)
 
-    def _recursion_residuals(self):
+    def _recursion_residuals(self, columns):
         """The state at s pushed to t and normalized must be the state at t,
-        per prefix-table entry; a pushed trace <= 0 gives residual 1."""
+        per prefix; a pushed trace <= 0 gives residual 1."""
         times = self.grid.record_times
         residuals = [np.zeros(0)]
         for i, (s, t) in enumerate(zip(times, times[1:])):
-            keys, rows = self.prefix.column(i + 1)
-            pushed = self._pushed(self.prefix, i, keys, s, t, weighted=False)
+            (starts, _, above), (keys, _, rows) = columns[i : i + 2]
+            parents = above[np.searchsorted(starts, keys // self._span(s, t))]
+            pushed = self._pushed(self.prefix.matrices[parents], keys, s, t)
             trace = np.trace(pushed, axis1=1, axis2=2).real
             positive = ~(trace <= 0.0)
             pushed /= np.where(positive, trace, 1.0)[:, None, None]
@@ -814,42 +804,46 @@ class ConsistencyAccumulator:
         return np.concatenate(residuals)
 
     def finalize(self) -> CheckReport:
-        """One check per identity; each margin is minus its residual."""
+        """One check per identity; each margin is minus its residual. Lets go
+        of the trie, but for its links, masses and pushed matrices."""
+        trie = copy.copy(self._trie or IncrementTrie(self.eta.batch, self._width))
+        self._trie = None
+        del trie.eigenvalues, trie.eigenvectors
+        incr = self._increments(trie.children)
         times = self.grid.record_times
-        prefix, incr = self.prefix, self.incr
+        prefix = self.prefix
+        held = [np.flatnonzero(prefix.cols[: prefix.size] == col) for col in range(len(times))]
+        columns = [(prefix.keys[rows], prefix.probs[rows], rows) for rows in held]
         checks = [Check("total-probability", -abs(self.total_prob - 1.0), self.tol)]
-        columns = [prefix.column(i) for i in range(len(times))]
         for i, s in enumerate(times):
-            for j, t in enumerate(times[i + 1 :], start=i + 1):
-                keys_t, rows_t = columns[j]
+            starts, probs_s, _ = columns[i]
+            for t, (keys_t, probs_t, _) in zip(times[i + 1 :], columns[i + 1 :]):
                 groups, inverse = np.unique(keys_t // self._span(s, t), return_inverse=True)
-                totals = np.bincount(inverse, prefix.probs[rows_t], len(groups))
-                residual = _worst(np.abs(totals - prefix.probs[prefix.rows(groups, i)]))
+                totals = np.bincount(inverse, probs_t, len(groups))
+                residual = _worst(np.abs(totals - probs_s[np.searchsorted(starts, groups)]))
                 checks.append(Check("martingale", -residual, self.tol, (s, t)))
-        for col, (s, t) in enumerate(self._pairs):
-            total = sum(incr.probs[incr.column(col)[1]].tolist())
+        for (s, t), (strings, rows) in incr.items():
+            total = sum(trie.mass[rows].tolist())
             checks.append(Check("increment-total", -abs(total - 1.0), self.tol, (s, t)))
-            keys_t, rows_t = columns[times.index(t)]
-            probs_t = prefix.probs[rows_t]
+            keys_t, probs_t, rows_t = columns[times.index(t)]
             groups, inverse = np.unique(keys_t % self._span(s, t), return_inverse=True)
             mass = np.bincount(inverse, probs_t, len(groups))
             mean = _group_sums(inverse, len(groups), probs_t, prefix.matrices, rows_t)
-            rows_z = incr.rows(groups, col)
+            rows_z = rows[np.searchsorted(strings, groups)]
             positive = mass > 0.0
             mean /= np.where(positive, mass, 1.0)[:, None, None]
-            mean -= incr.matrices[rows_z]
-            residual = _worst(_norms(mean)[positive], _worst(np.abs(mass - incr.probs[rows_z])))
+            mean -= trie.matrices(rows_z)
+            residual = _worst(_norms(mean)[positive], _worst(np.abs(mass - trie.mass[rows_z])))
             checks.append(Check("measurability", -residual, self.tol, (s, t)))
-        for t, (_, rows_t) in zip(times, columns):
-            probs_t = prefix.probs[rows_t]
+        for t, (_, probs_t, rows_t) in zip(times, columns):
             groups = np.zeros(len(probs_t), dtype=int)
             acc = _group_sums(groups, 1, probs_t, prefix.matrices, rows_t)
             residual = _worst(_norms(acc - self.eta[t].matrix))
             checks.append(Check("apriori-mean", -residual, self.tol, (t,)))
         checks.append(Check("prefix-dependence", -prefix.deviation, 1e-12))
-        checks.append(Check("increment-dependence", -incr.deviation, 1e-12))
-        checks.append(Check("composition", -_worst(self._composition_residuals()), 1e-12))
-        checks.append(Check("state-recursion", -_worst(self._recursion_residuals()), 1e-10))
+        checks.append(Check("increment-dependence", -self._incr_deviation, 1e-12))
+        checks.append(Check("composition", -_worst(self._composition_residuals(trie, incr)), 1e-12))
+        checks.append(Check("state-recursion", -_worst(self._recursion_residuals(columns)), 1e-10))
         return CheckReport(checks=tuple(checks))
 
 
@@ -859,9 +853,9 @@ def consistency_checks(
     records: Optional[Iterable[TrajectoryRecord]] = None,
     tol: float = 1e-9,
 ) -> CheckReport:
-    """Run all structural checks over the enumerated table, the records of
-    enumerate_trajectories when ``records`` is omitted (which requires
-    enumeration to be feasible within DEFAULT_LEAF_BUDGET)."""
+    """Run all structural checks over the records of one enumeration, in
+    emission order: by default those of enumerate_trajectories (which
+    requires enumeration to be feasible within DEFAULT_LEAF_BUDGET)."""
     acc = ConsistencyAccumulator(model, grid, tol=tol)
     if records is None:
         records = enumerate_trajectories(model, grid)

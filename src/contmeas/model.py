@@ -215,20 +215,26 @@ class CheckReport:
         return "\n".join(str(c) for c in self.checks)
 
 
+def _shortfall(x: float) -> float:
+    """max(0.0, -x), but a NaN stays NaN (the builtin max drops it) and fails."""
+    return 0.0 if x >= 0.0 else -x
+
+
 def validate_model(model: MeasurementModel) -> CheckReport:
     """Numeric validation: instrument completeness, state positivity and
     normalization, prior normalization. Never raises; the report carries
     one named residual per check."""
     checks = []
     prior = model.ensemble.prior
-    checks.append(Check("prior:nonnegative", -max(0.0, -float(np.min(prior))), PRIOR_SUM_TOL))
+    checks.append(Check("prior:nonnegative", -_shortfall(float(np.min(prior))), PRIOR_SUM_TOL))
     checks.append(Check("prior:sum", -abs(float(np.sum(prior)) - 1.0), PRIOR_SUM_TOL))
     for i, state in enumerate(model.ensemble.states):
         herm = float(hermiticity_residual(state))
         checks.append(Check(f"state[{i}]:hermitian", -herm, HERMITICITY_TOL))
         sym = (state + state.conj().T) / 2.0
-        lam_min = float(np.linalg.eigvalsh(sym)[0])
-        checks.append(Check(f"state[{i}]:psd", -max(0.0, -lam_min), -EIGENVALUE_FLOOR))
+        # LAPACK can return finite eigenvalues for a matrix that holds a NaN
+        lam_min = float(np.linalg.eigvalsh(sym)[0]) if np.isfinite(sym).all() else math.nan
+        checks.append(Check(f"state[{i}]:psd", -_shortfall(lam_min), -EIGENVALUE_FLOOR))
         checks.append(Check(f"state[{i}]:trace", -abs(float(np.trace(sym).real) - 1.0), TRACE_TOL))
     if model.homogeneous:
         residual = model.steps[0].completeness_residual()

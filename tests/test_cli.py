@@ -81,6 +81,22 @@ class TestValidate:
         if digits == 400:
             assert err[0].endswith("ensemble[0].p: an integer too large for a float")
 
+    @pytest.mark.parametrize("name", ["prior:nonnegative", "state[0]:psd"])
+    def test_nan_input_fails_its_check(self, tmp_path, capsys, name):
+        # the builtin max(0.0, nan) is 0.0, and LAPACK finds finite
+        # eigenvalues of a matrix with a NaN on its diagonal: neither may
+        # pass a NaN prior or state entry
+        doc = json.loads(serialize_model(builtin_scenario("qubit-projective")))
+        if name == "prior:nonnegative":
+            doc["ensemble"][0]["p"] = math.nan
+        else:
+            doc["ensemble"][0]["state"][0][0][0] = math.nan
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["validate", "--model", bad]) == 1
+        lines = [line for line in capsys.readouterr().err.splitlines() if f" {name}: " in line]
+        assert len(lines) == 1 and lines[0].startswith(f"[FAIL] {name}: margin nan")
+
     def test_missing_file(self, tmp_path):
         assert run_cli(["validate", "--model", tmp_path / "absent.json"]) == 3
 

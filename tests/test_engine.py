@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import sys
 import tracemalloc
@@ -21,6 +22,7 @@ from contmeas.engine import (
     BLOCK_NODES,
     ConsistencyAccumulator,
     IncrementTrie,
+    RecordBlock,
     TrajectoryRecord,
     _draw_paths,
     _group_sums,
@@ -519,7 +521,9 @@ class TestRecordRow:
             records = list(enumerate_trajectories(model, grid))
         else:
             records = list(sample_trajectories(model, grid, 40, seed=1))
-        fold(records, builder, acc)
+        # the consistency checks take one enumeration: sampled records go
+        # to the builder only
+        fold(records, builder, acc if mode == "enumerate" else None)
         acc.finalize()
         assert len(built) == 2 * len(grid.record_times)
         records[-1].aposteriori[2], records[-1].conditioned[(1, 3)]
@@ -941,7 +945,7 @@ class TestConsistency:
         [
             ("aposteriori", 1, 1, 1e-6, "prefix-dependence"),
             ("conditioned", (1, 2), 1, 1e-6, "increment-dependence"),
-            ("conditioned", (0, 2), 0, 1e-6, "composition"),
+            ("conditioned", (0, 2), 0, 1e-6, "increment-dependence"),
             ("aposteriori", 3, 0, 1e-6, "state-recursion"),
             ("conditioned", (1, 2), 1, math.nan, "increment-dependence"),
             ("aposteriori", 1, 1, math.nan, "prefix-dependence"),
@@ -975,6 +979,37 @@ class TestConsistency:
             report = consistency_checks(model, grid, records=corrupted)
         assert check in {c.name for c in report.failures()}
 
+    def test_corrupted_trie_row_fails(self):
+        # the trie row of record 0's (0, 2) string holds another state of the
+        # same mass, in place: every record of the string points at it, and
+        # conditioning 0 -> 1 -> 2 no longer composes to it
+        model = random_model(3, dim=2, n_outcomes=2, horizon=3)
+        grid = full_grid(model)
+        records = list(enumerate_trajectories(model, grid))
+        rec, states = records[0], records[0].block.states
+        row = rec.block.conditioned[rec.row, grid.pairs().index((0, 2))]
+        states.pushed[row] += 1e-6 * states.mass[row] * np.diag([1.0, -1.0])
+        report = consistency_checks(model, grid, records=records)
+        assert "composition" in {c.name for c in report.failures()}
+
+    def test_sampled_records_refused(self):
+        # each sampled record has a table of states of its own, not linked
+        # as an enumeration's trie is
+        model = random_model(3, dim=2, n_outcomes=2, horizon=3)
+        grid = full_grid(model)
+        records = list(sample_trajectories(model, grid, 40, seed=1))
+        with pytest.raises(ValueError, match="another table of states"):
+            consistency_checks(model, grid, records=records)
+
+    def test_reversed_enumeration_refused(self):
+        # the prefixes are held in emission order, where their numbers grow
+        model = random_model(3, dim=2, n_outcomes=2, horizon=3)
+        grid = full_grid(model)
+        records = list(enumerate_trajectories(model, grid))
+        assert consistency_checks(model, grid, records=records).passed
+        with pytest.raises(ValueError, match="emission order"):
+            consistency_checks(model, grid, records=records[::-1])
+
 
 def watched(records, refs):
     """``records``, appending weak references to each record and to its
@@ -985,27 +1020,66 @@ def watched(records, refs):
         yield rec
 
 
+def array_bytes(obj, skip, seen=None) -> int:
+    """Bytes of the numpy arrays reachable from ``obj`` through attributes,
+    containers and dict values, each counted once, except through ``skip``."""
+    seen = set() if seen is None else seen
+    if obj is skip or id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        obj = list(vars(obj).values())
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return sum(array_bytes(item, skip, seen) for item in obj)
+    return 0
+
+
 class TestConsistencyTables:
     def test_tables_hold_copies_not_records(self):
-        # each held entry is a copy of one record's probability and matrix,
-        # never a reference to a record's state or block
+        # each held prefix entry is a copy of one record's probability and
+        # matrix, never a reference to a record's state or block; the
+        # increment strings are rows of the run's trie, which finalize lets go
         model = random_model(2, dim=3, n_outcomes=3, horizon=4)
         grid = full_grid(model)
         acc = ConsistencyAccumulator(model, grid)
         refs = []
         fold(watched(enumerate_trajectories(model, grid), refs), acc=acc)
         assert len(refs) == model.leaf_count()
-        assert all(ref() is None for pair in refs for ref in pair)
+        assert all(rec() is None for rec, _ in refs)
+        trie = refs[0][1]()
+        assert trie is not None and all(states() is trie for _, states in refs)
+        assert not [o for o in gc.get_objects() if isinstance(o, RecordBlock) and o.states is trie]
+        del trie
         assert acc.finalize().passed
-        for table in (acc.prefix, acc.incr):
-            n = len(table.index)
-            assert n > 2 * BLOCK_NODES and table.matrices.base is None
-            assert table.probs.shape[0] >= n and table.matrices.shape[1:] == (3, 3)
+        assert refs[0][1]() is None
+        table, n = acc.prefix, acc.prefix.size
+        assert n > 2 * BLOCK_NODES and table.matrices.base is None
+        assert table.probs.shape[0] >= n and table.matrices.shape[1:] == (3, 3)
         # the first entry of the last leaf's full prefix is that leaf's own state
         last = list(enumerate_trajectories(model, grid))[-1]
-        row = acc.prefix.column(len(grid.record_times) - 1)[1][-1]
-        assert np.array_equal(acc.prefix.matrices[row], last.aposteriori[4].matrix)
-        assert acc.prefix.matrices[row] is not last.aposteriori[4].matrix
+        row = np.flatnonzero(table.cols[:n] == len(grid.record_times) - 1)[-1]
+        assert np.array_equal(table.matrices[row], last.aposteriori[4].matrix)
+        assert table.matrices[row] is not last.aposteriori[4].matrix
+
+    def test_holds_no_array_sized_by_increment_strings(self):
+        # the same prefixes with and without reference times: the arrays the
+        # accumulator holds after a fold, outside the run's trie, differ by a
+        # few numbers per pair, not by a state per increment string
+        model = random_model(2, dim=3, n_outcomes=3, horizon=4)
+        held, strings = [], []
+        for refs in (None, ()):
+            grid = TimeGrid.make(model.horizon, None, refs)
+            acc, stats = ConsistencyAccumulator(model, grid), Counter()
+            records = list(enumerate_trajectories(model, grid, stats))
+            fold(records, acc=acc)
+            held.append(array_bytes(acc, skip=records[0].block.states))
+            strings.append(stats["increment states"])
+        assert strings[0] > 100 and strings[1] == 0
+        assert 0 <= held[0] - held[1] <= 4 * 8 * len(TimeGrid.make(model.horizon).pairs())
 
     @pytest.mark.parametrize("mode", ["enumerate", "sample"])
     def test_report_add_keeps_no_block(self, mode):
