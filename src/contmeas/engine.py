@@ -590,11 +590,21 @@ def _worst(residuals, worst=0.0) -> float:
     return float(np.max(residuals, initial=worst))
 
 
-def _norms(stack) -> np.ndarray:
-    """Frobenius norm of each matrix of a (m, d, d) stack, a slice at a time."""
+def _worst_by(segments, count, residuals) -> list:
+    """The _worst of the residuals of each segment index 0..count-1, 0.0 for
+    an empty segment; np.maximum keeps a NaN."""
+    worst = np.zeros(count)
+    np.maximum.at(worst, segments, residuals)
+    return worst.tolist()
+
+
+def _norms(stack, minus=None) -> np.ndarray:
+    """Frobenius norm of each matrix of a (m, d, d) stack, less the matching
+    matrix of ``minus(part)`` when given, a slice ``part`` at a time."""
     out = np.empty(len(stack))
     for i in range(0, len(stack), _SLICE_ROWS):
-        out[i : i + _SLICE_ROWS] = np.linalg.norm(stack[i : i + _SLICE_ROWS], axis=(1, 2))
+        part = slice(i, i + _SLICE_ROWS)
+        out[part] = np.linalg.norm(stack[part] if minus is None else stack[part] - minus(part), axis=(1, 2))
     return out
 
 
@@ -633,20 +643,64 @@ class _Prefixes:
         self.size, self.last, self.last_keys = rows.stop, held[-1], keys[-1]
         later = ~new
         later[1:] &= (sources[1:] != sources[:-1]) | (probs[1:] != probs[:-1])
-        held, probs, sources = held[later], probs[later], sources[later]
-        gaps = _worst(np.abs(self.probs[held] - probs), self.deviation)
-        self.deviation = _worst(_norms(self.matrices[held] - stack[sources]), gaps)
+        if later.any():
+            held, probs, sources = held[later], probs[later], sources[later]
+            gaps = _worst(np.abs(self.probs[held] - probs), self.deviation)
+            self.deviation = _worst(_norms(self.matrices[held] - stack[sources]), gaps)
+
+    def columns(self, span, times) -> tuple:
+        """The held entries by column, each column in prefix order: their
+        rows of the table, numbers and probabilities, the start of each
+        column (and the end), and the position of each entry's prefix at the
+        record time before its own (of itself in the first column)."""
+        order = np.argsort(self.cols[: self.size], kind="stable")
+        bounds = np.searchsorted(self.cols[order], np.arange(len(times) + 1))
+        keys = self.keys[order]
+        up = np.arange(len(order))
+        for c in range(1, len(times)):
+            a, b, e = bounds[c - 1 : c + 2].tolist()
+            up[b:e] = a + np.searchsorted(keys[a:b], keys[b:e] // span(times[c - 1], times[c]))
+        return order, keys, self.probs[order], bounds.tolist(), up
 
 
-def _group_sums(groups, count, probs, matrices, rows) -> np.ndarray:
-    """Sum of probs[i] * matrices[rows[i]] per group index ``groups[i]``,
-    each group added up from 0 in input order (np.add.at), _SLICE_ROWS
-    terms at a time."""
-    out = np.zeros((count,) + matrices.shape[1:], dtype=complex)
-    for i in range(0, len(probs), _SLICE_ROWS):
-        part = slice(i, i + _SLICE_ROWS)
-        np.add.at(out, groups[part], probs[part, None, None] * matrices.take(rows[part], axis=0))
-    return out
+def _group_sums(groups, count, terms, out=None) -> np.ndarray:
+    """Sum of the (m, d, d) ``terms`` per group index ``groups[i]``, each
+    group added up from 0 in input order, as np.add.at adds (into ``out``
+    when given). The k-th term of each group is row k of a (rank, group)
+    tile, which np.add.reduce adds up along the rank axis, one row after the
+    other, from 0. Groups that run 0..count-1 over and over (every prefix
+    with every string) make the terms that tile as they come. Otherwise the
+    groups are laid out by falling size, and each tile, one rank row or at
+    most _SLICE_ROWS cells, stops before its narrowest group runs out, so no
+    cell is padding; its first row is the sums carried from the tiles before
+    it."""
+    shape = terms.shape[1:]
+    if count and len(groups) % count == 0 and (groups.reshape(-1, count) == np.arange(count)).all():
+        return np.add.reduce(terms.reshape((-1, count) + shape), axis=0, initial=0.0, out=out)
+    sizes = np.bincount(groups, minlength=count)
+    layout = np.argsort(-sizes, kind="stable")
+    slot = np.empty(count, dtype=np.int64)
+    slot[layout] = np.arange(count)
+    order = np.argsort(groups, kind="stable")
+    rank = np.arange(len(groups)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    order = order[np.argsort(rank * count + slot[groups[order]])]  # by (rank, slot)
+    del rank
+    falling = -sizes[layout]  # negated, so rising
+    sums = np.zeros((count,) + shape, dtype=complex)
+    depth = start = 0
+    while True:
+        width = int(np.searchsorted(falling, -depth))  # the groups with a term at rank `depth`
+        if width == 0:
+            break
+        rows = max(1, min(_SLICE_ROWS // width, int(-falling[width - 1]) - depth))
+        tile = np.empty((1 + rows, width) + shape, dtype=complex)
+        tile[0] = sums[:width]
+        stop = start + rows * width
+        np.take(terms, order[start:stop], axis=0, out=tile[1:].reshape((-1,) + shape), mode="clip")
+        np.add.reduce(tile, axis=0, out=sums[:width])
+        del tile
+        depth, start = depth + rows, stop
+    return np.take(sums, slot, axis=0, out=out, mode="clip")
 
 
 class ConsistencyAccumulator:
@@ -672,9 +726,21 @@ class ConsistencyAccumulator:
         self._width = max(self._radix)  # links per trie row; a replayed path's table has 1
         times, refs, self._pairs = grid.record_times, grid.reference_times, tuple(grid.pairs())
         self._times = np.array(times)
-        # the row of eta_s of each reference time s, and each pair's t and s
+        # a prefix's number at record time t is letter * _count_at + codes @
+        # _digits: the outcome of step k weighs the strings of steps k+1..t
+        self._count_at = self._count[self._times]
+        steps = np.arange(1, model.horizon + 1)[:, np.newaxis]
+        weights = self._count_at // self._count[np.minimum(steps, self._times)]
+        self._digits = np.where(steps <= self._times, weights, 0)
+        # the row of eta_s of each reference time s; per step, the reference
+        # times before it (whose walks move) and its record-time column; per
+        # pair (s, t), the columns of t and of s among the reference times
         self._roots = np.array([times.index(s) for s in refs], dtype=np.int64)
-        self._t = np.array([t for _, t in self._pairs], dtype=np.int64)
+        self._steps = [
+            (t, sum(s < t for s in refs), times.index(t) if t in times else None)
+            for t in range(model.horizon + 1)
+        ]
+        self._t_col = np.array([times.index(t) for _, t in self._pairs], dtype=np.int64)
         self._ref_of = np.array([refs.index(s) for s, _ in self._pairs], dtype=np.int64)
         self.prefix = _Prefixes(len(times), model.dim)
         self._trie, self._incr_deviation = None, 0.0  # the first block's table of states
@@ -697,31 +763,36 @@ class ConsistencyAccumulator:
         if block.letter not in self._rechecked:
             self._rechecked.add(block.letter)
             self._recheck(block, rows[0])
-        prob_at = block.prob_at[rows]
-        # added one by one, as the records came
-        self.total_prob = float(np.cumsum(np.append(self.total_prob, prob_at[:, -1]))[-1])
-        codes = block.codes[rows]
-        strings = np.zeros((len(rows), len(self._radix)), dtype=np.int64)
-        for k in range(1, len(self._radix)):
-            strings[:, k] = strings[:, k - 1] * self._radix[k] + codes[:, k - 1]
-        prefixes = block.letter * self._count[self._times] + strings[:, self._times]
+        prob_at, codes = block.prob_at[rows], block.codes[rows]
+        total = self.total_prob
+        for prob in prob_at[:, -1].tolist():  # one by one, as the records came
+            total += prob
+        self.total_prob = total
+        prefixes = block.letter * self._count_at + codes @ self._digits
         # the a-posteriori rows of every column, as rows of one stack
         offsets = np.cumsum([0] + [len(stack) for stack in block.posteriors[:-1]])
         sources = block.aposteriori[rows] + offsets
         self.prefix.hold(prefixes, prob_at, sources, np.concatenate(block.posteriors))
         # each eta_s row walked down the trie's links along the codes, a gather
-        # a step: a record that points at another row deviates from this one
-        found = [np.tile(self._roots, (len(rows), 1))]
-        for t in range(1, self.model.horizon + 1):
-            walk = states.children[found[-1], codes[:, t - 1, None]]
-            found.append(np.where(self._times[self._roots] < t, walk, found[-1]))
-            if (found[-1] < 0).any():
-                raise ValueError("a record's increment string has no row in the trie")
-        found = np.stack(found, axis=1)[:, self._t, self._ref_of]
+        # a step (row -1 of the links is the last row), and read at each record
+        # time: a record that points at another row deviates from this one
+        links = states.children[: states.size]
+        walked = np.repeat(self._roots[np.newaxis], len(rows), axis=0)
+        seen = np.empty((len(rows), len(self._times), len(self._roots)), dtype=np.int64)
+        for step, moving, col in self._steps:
+            if moving:
+                walked[:, :moving] = links[walked[:, :moving], codes[:, step - 1, None]]
+            if col is not None:
+                seen[:, col] = walked
+        found = seen[:, self._t_col, self._ref_of]
+        if (found < 0).any():
+            raise ValueError("a record's increment string has no row in the trie")
         given = block.conditioned[rows]
-        given, found = given[given != found], found[given != found]
-        gaps = _worst(np.abs(states.mass[given] - states.mass[found]), self._incr_deviation)
-        self._incr_deviation = _worst(_norms(states.matrices(given) - states.matrices(found)), gaps)
+        other = given != found
+        if other.any():
+            given, found = given[other], found[other]
+            gaps = _worst(np.abs(states.mass[given] - states.mass[found]), self._incr_deviation)
+            self._incr_deviation = _worst(_norms(states.matrices(given) - states.matrices(found)), gaps)
 
     def _recheck(self, block: RecordBlock, row: int) -> None:
         """Fold into ``increment-dependence`` the deviation of a row's increment
@@ -744,19 +815,30 @@ class ConsistencyAccumulator:
         gaps = np.abs(block.states.mass[conditioned] - masses)
         self._incr_deviation = _worst(_norms(mine - theirs), _worst(gaps, self._incr_deviation))
 
-    def _increments(self, children) -> dict:
-        """String numbers and trie rows of each pair's increment strings, in
-        string order: a breadth-first walk of the links from each eta_s."""
-        columns = {}
-        for s, root in zip(self.grid.reference_times, self._roots):
-            columns[(s, s)] = keys, rows = np.zeros(1, dtype=np.int64), root[np.newaxis]
-            for t in range(s + 1, self.model.horizon + 1):
-                rows, digits = children[rows, : self._radix[t]], np.arange(self._radix[t])
-                keys = (keys[:, np.newaxis] * len(digits) + digits)[rows >= 0]
-                rows = rows[rows >= 0]
-                if t in self.grid.record_times:
-                    columns[(s, t)] = keys, rows
-        return columns
+    def _strings(self, children) -> Iterator[tuple]:
+        """At each record time t, the increment strings of steps s+1..t of
+        every reference time s < t, in (s, string) order: a breadth-first
+        walk of the links from each eta_s, one gather a step for all s.
+        Yields their numbers, trie rows and the index of their s, and the
+        position of their string at the record time before t among the
+        strings yielded there and then eta's row of that time."""
+        refs, records = self.grid.reference_times, set(self.grid.record_times)
+        keys = rows = origins = of = np.zeros(0, dtype=np.int64)
+        for t in range(self.model.horizon + 1):
+            if t:
+                width = self._radix[t]
+                below = children[rows, :width]
+                kept = below >= 0
+                counts = kept.sum(axis=1)
+                keys = (keys[:, np.newaxis] * width + np.arange(width))[kept]
+                rows, origins, of = below[kept], np.repeat(origins, counts), np.repeat(of, counts)
+            if t in records:
+                yield keys, rows, of, origins
+                origins = np.arange(len(rows))
+            if t in refs:
+                j = refs.index(t)
+                keys, rows = np.append(keys, 0), np.append(rows, self._roots[j])
+                origins, of = np.append(origins, len(rows) - 1), np.append(of, j)
 
     def _pushed(self, stack, keys, s, t):
         """``stack``, a matrix per key (a string ending at t), pushed in place
@@ -771,79 +853,106 @@ class ConsistencyAccumulator:
                     stack[rows] = kraus.apply(stack[rows])
         return stack
 
-    def _composition_residuals(self, trie, incr):
-        """Conditioning r -> s, rescaling, then s -> t must match r -> t:
-        one residual per increment string that has a parent."""
-        times = self.grid.record_times
-        residuals = [np.zeros(0)]
-        for s, t in zip(times, times[1:]):
-            for r in self.grid.reference_times:
-                if r <= s:
-                    (keys, rows), (starts, parents) = incr[(r, t)], incr[(r, s)]
-                    parents = parents[np.searchsorted(starts, keys // self._span(s, t))]
-                    via = trie.matrices(parents) * trie.mass[parents, None, None]
-                    via = self._pushed(via, keys, s, t)
-                    via -= trie.mass[rows, None, None] * trie.matrices(rows)
-                    residuals.append(_norms(via))
-        return np.concatenate(residuals)
-
-    def _recursion_residuals(self, columns):
-        """The state at s pushed to t and normalized must be the state at t,
-        per prefix; a pushed trace <= 0 gives residual 1."""
-        times = self.grid.record_times
-        residuals = [np.zeros(0)]
-        for i, (s, t) in enumerate(zip(times, times[1:])):
-            (starts, _, above), (keys, _, rows) = columns[i : i + 2]
-            parents = above[np.searchsorted(starts, keys // self._span(s, t))]
-            pushed = self._pushed(self.prefix.matrices[parents], keys, s, t)
-            trace = np.trace(pushed, axis1=1, axis2=2).real
-            positive = ~(trace <= 0.0)
-            pushed /= np.where(positive, trace, 1.0)[:, None, None]
-            pushed -= self.prefix.matrices[rows]
-            residuals.append(np.where(positive, _norms(pushed), 1.0))
-        return np.concatenate(residuals)
+    def _martingale(self, keys, probs, bounds, up) -> dict:
+        """Residual per pair (s, t) of record times s < t: per prefix at s,
+        its probability against the sum of those of its prefixes at t, added
+        up in prefix order (np.bincount adds in input order); one pass per s
+        over the prefixes of every later time, which are grouped by time and
+        then by their prefix at s."""
+        times, out = self.grid.record_times, {}
+        above = np.arange(len(keys))  # each entry's prefix at the time being checked
+        time_of = np.repeat(np.arange(len(times)), np.diff(bounds))
+        for i in reversed(range(len(times) - 1)):
+            start = bounds[i + 1]
+            above[start:] = up[above[start:]]
+            parents, time = above[start:], time_of[start:]
+            new = np.ones(len(parents), dtype=bool)
+            new[1:] = (parents[1:] != parents[:-1]) | (time[1:] != time[:-1])
+            totals = np.bincount(np.cumsum(new) - 1, probs[start:])
+            gaps = np.abs(totals - probs[parents[new]])
+            worst = _worst_by(time[new] - (i + 1), len(times) - i - 1, gaps)
+            out.update(((times[i], t), w) for t, w in zip(times[i + 1 :], worst))
+        return out
 
     def finalize(self) -> CheckReport:
         """One check per identity; each margin is minus its residual. Lets go
-        of the trie, but for its links, masses and pushed matrices."""
+        of the trie, but for its links, masses and pushed matrices. Works a
+        record time t at a time: the prefixes at t, weighted once, are summed
+        per increment string of each s <= t; composition pushes the strings
+        of every s < t from the record time before t at once, from their
+        normalized matrices there; the recursion pushes the prefixes. At most
+        a column of prefixes and the strings' matrices of two record times
+        are held at once; everything else goes a slice at a time."""
         trie = copy.copy(self._trie or IncrementTrie(self.eta.batch, self._width))
         self._trie = None
         del trie.eigenvalues, trie.eigenvectors
-        incr = self._increments(trie.children)
-        times = self.grid.record_times
-        prefix = self.prefix
-        held = [np.flatnonzero(prefix.cols[: prefix.size] == col) for col in range(len(times))]
-        columns = [(prefix.keys[rows], prefix.probs[rows], rows) for rows in held]
-        checks = [Check("total-probability", -abs(self.total_prob - 1.0), self.tol)]
-        for i, s in enumerate(times):
-            starts, probs_s, _ = columns[i]
-            for t, (keys_t, probs_t, _) in zip(times[i + 1 :], columns[i + 1 :]):
-                groups, inverse = np.unique(keys_t // self._span(s, t), return_inverse=True)
-                totals = np.bincount(inverse, probs_t, len(groups))
-                residual = _worst(np.abs(totals - probs_s[np.searchsorted(starts, groups)]))
-                checks.append(Check("martingale", -residual, self.tol, (s, t)))
-        for (s, t), (strings, rows) in incr.items():
-            total = sum(trie.mass[rows].tolist())
-            checks.append(Check("increment-total", -abs(total - 1.0), self.tol, (s, t)))
-            keys_t, probs_t, rows_t = columns[times.index(t)]
-            groups, inverse = np.unique(keys_t % self._span(s, t), return_inverse=True)
-            mass = np.bincount(inverse, probs_t, len(groups))
-            mean = _group_sums(inverse, len(groups), probs_t, prefix.matrices, rows_t)
-            rows_z = rows[np.searchsorted(strings, groups)]
+        times, refs, prefix = self.grid.record_times, self.grid.reference_times, self.prefix
+        order, keys, probs, bounds, up = prefix.columns(self._span, times)
+        measurability, totals, apriori = {}, {}, []
+        composition, recursion = [np.zeros(0)], [np.zeros(0)]
+        for i, (t, (strings, rows, of, origins)) in enumerate(zip(times, self._strings(trie.children))):
+            a, b = bounds[i : i + 2]
+            entries, keys_t, probs_t = order[a:b], keys[a:b], probs[a:b]
+            # the strings of each s < t, by the last t - s digits of a prefix,
+            # then one of all prefixes at t, the string of (t, t): eta_t's row
+            # (not in ``strings``, so every prefix finds position 0)
+            rows = np.append(rows, i)
+            starts = np.searchsorted(of, np.arange(len(refs) + 1)).tolist()
+            weighted = prefix.matrices[entries]
+            weighted *= probs_t[:, None, None]
+            sums = np.empty((len(rows),) + weighted.shape[1:], dtype=complex)
+            mass, sizes = np.empty(len(rows)), np.empty(len(rows), dtype=np.int64)
+            segments = [(s, j, k) for s, j, k in zip(refs, starts, starts[1:]) if s < t]
+            for s, j, k in segments + [(t, len(strings), len(rows))]:
+                z = np.searchsorted(strings[j:k], keys_t % self._span(s, t))
+                _group_sums(z, k - j, weighted, out=sums[j:k])
+                mass[j:k], sizes[j:k] = np.bincount(z, probs_t, k - j), np.bincount(z, minlength=k - j)
+            del weighted
+            apriori.append(_worst(_norms(sums[-1:] - self.eta[t].matrix)))
+            masses = trie.mass[rows]
+            matrices = np.empty_like(sums)
+            for j in range(0, len(rows), _SLICE_ROWS):
+                matrices[j : j + _SLICE_ROWS] = trie.matrices(rows[j : j + _SLICE_ROWS])
             positive = mass > 0.0
-            mean /= np.where(positive, mass, 1.0)[:, None, None]
-            mean -= trie.matrices(rows_z)
-            residual = _worst(_norms(mean)[positive], _worst(np.abs(mass - trie.mass[rows_z])))
-            checks.append(Check("measurability", -residual, self.tol, (s, t)))
-        for t, (_, probs_t, rows_t) in zip(times, columns):
-            groups = np.zeros(len(probs_t), dtype=int)
-            acc = _group_sums(groups, 1, probs_t, prefix.matrices, rows_t)
-            residual = _worst(_norms(acc - self.eta[t].matrix))
+            sums /= np.where(positive, mass, 1.0)[:, None, None]
+            gaps = np.where(positive, _norms(sums, matrices.__getitem__), 0.0)
+            del sums
+            gaps = np.maximum(gaps, np.abs(mass - masses))
+            gaps[sizes == 0] = 0.0
+            segment = np.append(of, refs.index(t) if t in refs else len(refs))
+            worst = _worst_by(segment, len(refs) + 1, gaps)
+            total = np.bincount(segment, masses, len(refs) + 1).tolist()
+            for j, s in enumerate(refs):
+                if s <= t:
+                    measurability[(s, t)], totals[(s, t)] = worst[j], total[j]
+            if i:
+                s = times[i - 1]
+                via = before[origins]
+                via *= before_masses[origins, None, None]
+                via = self._pushed(via, strings, s, t)
+                mine = masses[:-1, None, None], matrices[:-1]
+                composition.append(_norms(via, lambda part: mine[0][part] * mine[1][part]))
+                del via, before
+                pushed = self._pushed(prefix.matrices[order[up[a:b]]], keys_t, s, t)
+                trace = np.trace(pushed, axis1=1, axis2=2).real
+                positive = ~(trace <= 0.0)
+                pushed /= np.where(positive, trace, 1.0)[:, None, None]
+                own = lambda part: prefix.matrices[entries[part]]  # noqa: E731
+                recursion.append(np.where(positive, _norms(pushed, own), 1.0))
+                del pushed
+            before, before_masses = matrices, masses
+        checks = [Check("total-probability", -abs(self.total_prob - 1.0), self.tol)]
+        for (s, t), residual in sorted(self._martingale(keys, probs, bounds, up).items()):
+            checks.append(Check("martingale", -residual, self.tol, (s, t)))
+        for pair in self._pairs:
+            checks.append(Check("increment-total", -abs(totals[pair] - 1.0), self.tol, pair))
+            checks.append(Check("measurability", -measurability[pair], self.tol, pair))
+        for t, residual in zip(times, apriori):
             checks.append(Check("apriori-mean", -residual, self.tol, (t,)))
         checks.append(Check("prefix-dependence", -prefix.deviation, 1e-12))
         checks.append(Check("increment-dependence", -self._incr_deviation, 1e-12))
-        checks.append(Check("composition", -_worst(self._composition_residuals(trie, incr)), 1e-12))
-        checks.append(Check("state-recursion", -_worst(self._recursion_residuals(columns)), 1e-10))
+        checks.append(Check("composition", -_worst(np.concatenate(composition)), 1e-12))
+        checks.append(Check("state-recursion", -_worst(np.concatenate(recursion)), 1e-10))
         return CheckReport(checks=tuple(checks))
 
 
@@ -861,4 +970,6 @@ def consistency_checks(
         records = enumerate_trajectories(model, grid)
     for block, rows, _ in runs(records):
         acc.add(block, rows)
+    # the last run's block holds the trie, spectra and all, which finalize lets go
+    block = rows = None
     return acc.finalize()

@@ -760,36 +760,53 @@ class TestArrayDraws:
 
 @st.composite
 def grouped_terms(draw):
-    """Arguments of _group_sums: group sizes from 0 (an empty group) to
-    beyond _SLICE_ROWS, the group ids in random order, probabilities of
-    mixed magnitudes (some 0) and matrices with some -0.0 entries."""
+    """Arguments of _group_sums: either group sizes from 0 (an empty group)
+    to beyond _SLICE_ROWS, the group ids in random order, or every group once
+    a round, as the prefixes of a full tree meet their strings; the terms
+    are p * rho, with probabilities of mixed magnitudes (some 0) and
+    matrices with some -0.0 entries."""
     dim = draw(st.integers(2, 4))
-    sizes = draw(
-        st.lists(
-            st.one_of(st.integers(0, 3), st.integers(_SLICE_ROWS - 2, _SLICE_ROWS + 40)),
-            min_size=1,
-            max_size=40,
-        )
-    )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    groups = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    if draw(st.booleans()):
+        count = draw(st.integers(1, 40))
+        groups = np.tile(np.arange(count), draw(st.integers(0, _SLICE_ROWS + 40)))
+    else:
+        sizes = draw(
+            st.lists(
+                st.one_of(st.integers(0, 3), st.integers(_SLICE_ROWS - 2, _SLICE_ROWS + 40)),
+                min_size=1,
+                max_size=40,
+            )
+        )
+        count = len(sizes)
+        groups = rng.permutation(np.repeat(np.arange(count), sizes))
     probs = rng.random(len(groups)) * 10.0 ** rng.integers(-12, 2, len(groups))
     probs[rng.random(len(groups)) < 0.05] = 0.0
     shape = (20, dim, dim)
     matrices = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     matrices[rng.random(shape) < 0.1] = -0.0
     rows = rng.integers(0, len(matrices), len(groups))
-    return groups, len(sizes), probs, matrices, rows
+    return groups, count, probs[:, None, None] * matrices[rows]
 
 
 @settings(max_examples=200, deadline=None)
 @given(grouped_terms())
 def test_group_sums_add_each_group_in_order(args):
-    groups, count, probs, matrices, rows = args
-    expected = np.zeros((count,) + matrices.shape[1:], dtype=complex)
-    for g, p, row in zip(groups, probs, rows):
-        expected[g] = expected[g] + p * matrices[row]
+    groups, count, terms = args
+    expected = np.zeros((count,) + terms.shape[1:], dtype=complex)
+    for g, term in zip(groups, terms):
+        expected[g] = expected[g] + term
     assert _group_sums(*args).tobytes() == expected.tobytes()
+    out = np.full_like(expected, np.nan)
+    assert _group_sums(*args, out=out) is out and out.tobytes() == expected.tobytes()
+
+
+def skewed_groups(rng, count, scale):
+    """Group ids of a pruned tree's prefixes by string, prefix by prefix:
+    group k has scale // (k + 1) terms (at least one), so a few strings
+    follow most prefixes and most strings only the first few."""
+    sizes = np.maximum(1, scale // np.arange(1, count + 1))
+    return np.concatenate([np.flatnonzero(sizes > rank) for rank in range(sizes[0])])
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -800,17 +817,27 @@ def test_group_sums_memory_stays_near_slice_rows(dim):
     groups = np.concatenate([np.zeros(big, dtype=np.int64), np.arange(1, count)])
     rng = np.random.default_rng(dim)
     groups = rng.permutation(groups)
-    probs = rng.random(len(groups))
-    matrices = rng.standard_normal((50, dim, dim)) + 0j
-    rows = rng.integers(0, 50, len(groups))
+    terms = rng.standard_normal((len(groups), dim, dim)) + 0j
+    matrix = 16 * dim * dim
     tracemalloc.start()
     try:
-        _group_sums(groups, count, probs, matrices, rows)
+        _group_sums(groups, count, terms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    matrix = 16 * dim * dim
     assert peak <= 4 * (_SLICE_ROWS + count) * matrix
+    # a pruned tree's skewed groups, in prefix order: 500 strings, 6,569
+    # terms; the layout sorts a few integers per term
+    groups = skewed_groups(rng, 500, 1000)
+    terms = rng.standard_normal((len(groups), dim, dim)) + 0j
+    tracemalloc.start()
+    try:
+        _group_sums(groups, 500, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(groups) == 6569
+    assert peak <= 4 * (_SLICE_ROWS + 500) * matrix + 8 * 8 * len(groups)
 
 
 def reference_sums(grid, records, eta):
@@ -1064,6 +1091,27 @@ class TestConsistencyTables:
         row = np.flatnonzero(table.cols[:n] == len(grid.record_times) - 1)[-1]
         assert np.array_equal(table.matrices[row], last.aposteriori[4].matrix)
         assert table.matrices[row] is not last.aposteriori[4].matrix
+
+    def test_trie_dead_inside_finalize(self, monkeypatch):
+        # consistency_checks lets go of its last run before finalize, so the
+        # walk's trie, spectra and all, is dead once finalize has let go of
+        # it (by the pushes of composition and recursion)
+        model = random_model(2, dim=3, n_outcomes=3, horizon=4)
+        tries, dead = [], []
+        add, pushed = ConsistencyAccumulator.add, ConsistencyAccumulator._pushed
+
+        def watching_add(self, block, rows):
+            tries.append(weakref.ref(block.states))
+            add(self, block, rows)
+
+        def watching_pushed(self, *args):
+            dead.append(tries[-1]() is None)
+            return pushed(self, *args)
+
+        monkeypatch.setattr(ConsistencyAccumulator, "add", watching_add)
+        monkeypatch.setattr(ConsistencyAccumulator, "_pushed", watching_pushed)
+        assert consistency_checks(model, full_grid(model)).passed
+        assert len(tries) > 1 and dead and all(dead)
 
     def test_holds_no_array_sized_by_increment_strings(self):
         # the same prefixes with and without reference times: the arrays the
