@@ -629,7 +629,7 @@ class _Prefixes:
         A row whose number differs from the one before it (across runs too)
         is new; any other is compared with the first of its prefix, unless
         it has the state row and probability of the row before it."""
-        before = np.vstack([self.last_keys, keys[:-1]])
+        before = np.concatenate([self.last_keys[np.newaxis], keys[:-1]])
         if (keys < before).any():
             raise ValueError("prefix numbers fall: the records are not in emission order")
         new = keys != before
@@ -645,8 +645,10 @@ class _Prefixes:
         later[1:] &= (sources[1:] != sources[:-1]) | (probs[1:] != probs[:-1])
         if later.any():
             held, probs, sources = held[later], probs[later], sources[later]
-            gaps = _worst(np.abs(self.probs[held] - probs), self.deviation)
-            self.deviation = _worst(_norms(self.matrices[held] - stack[sources]), gaps)
+            self.deviation = _worst(np.abs(self.probs[held] - probs), self.deviation)
+            gaps = self.matrices[held] - stack[sources]
+            if gaps.any():  # else every norm is 0
+                self.deviation = _worst(_norms(gaps), self.deviation)
 
     def columns(self, span, times) -> tuple:
         """The held entries by column, each column in prefix order: their
@@ -820,8 +822,8 @@ class ConsistencyAccumulator:
         every reference time s < t, in (s, string) order: a breadth-first
         walk of the links from each eta_s, one gather a step for all s.
         Yields their numbers, trie rows and the index of their s, and the
-        position of their string at the record time before t among the
-        strings yielded there and then eta's row of that time."""
+        position of each one's string at the record time before t in what
+        was yielded there, followed by that time's row of eta."""
         refs, records = self.grid.reference_times, set(self.grid.record_times)
         keys = rows = origins = of = np.zeros(0, dtype=np.int64)
         for t in range(self.model.horizon + 1):
