@@ -600,11 +600,14 @@ def _worst_by(segments, count, residuals) -> list:
 
 def _norms(stack, minus=None) -> np.ndarray:
     """Frobenius norm of each matrix of a (m, d, d) stack, less the matching
-    matrix of ``minus(part)`` when given, a slice ``part`` at a time."""
+    matrix of ``minus(part)`` when given, a slice ``part`` at a time, as
+    np.linalg.norm takes it (the square root of the sum of |a|^2 as
+    conj(a) * a), without its argument checks."""
     out = np.empty(len(stack))
     for i in range(0, len(stack), _SLICE_ROWS):
         part = slice(i, i + _SLICE_ROWS)
-        out[part] = np.linalg.norm(stack[part] if minus is None else stack[part] - minus(part), axis=(1, 2))
+        diff = stack[part] if minus is None else stack[part] - minus(part)
+        np.sqrt(np.add.reduce((diff.conj() * diff).real, axis=(1, 2)), out=out[part])
     return out
 
 
@@ -736,14 +739,28 @@ class ConsistencyAccumulator:
         self._digits = np.where(steps <= self._times, weights, 0)
         # the row of eta_s of each reference time s; per step, the reference
         # times before it (whose walks move) and its record-time column; per
-        # pair (s, t), the columns of t and of s among the reference times
+        # pair (s, t), its place among the (record time, reference time)s
         self._roots = np.array([times.index(s) for s in refs], dtype=np.int64)
         self._steps = [
             (t, sum(s < t for s in refs), times.index(t) if t in times else None)
             for t in range(model.horizon + 1)
         ]
-        self._t_col = np.array([times.index(t) for _, t in self._pairs], dtype=np.int64)
-        self._ref_of = np.array([refs.index(s) for s, _ in self._pairs], dtype=np.int64)
+        self._pair_at = np.array(
+            [times.index(t) * len(refs) + refs.index(s) for s, t in self._pairs], dtype=np.int64
+        )
+        # the pair (s, s) of each reference time, and each later pair (s, t),
+        # whose string extends that of the pair before it, (s, t') at the
+        # record time t' before t, by the steps t'+1..t: per hop, the code
+        # column of each one's step and whether it still has one (None: all)
+        pairs = self._pairs
+        self._seeds = np.array([pairs.index((s, s)) for s in refs], dtype=np.int64)
+        self._later = np.array([col for col, (s, t) in enumerate(pairs) if t > s], dtype=np.int64)
+        spans = [(pairs[col - 1][1], pairs[col][1]) for col in self._later.tolist()]
+        self._hops = []
+        for hop in range(max((t - u for u, t in spans), default=0)):
+            active = np.array([u + hop < t for u, t in spans])
+            cols = np.array([u + hop if u + hop < t else 0 for u, t in spans], dtype=np.int64)
+            self._hops.append((cols, None if active.all() else active))
         self.prefix = _Prefixes(len(times), model.dim)
         self._trie, self._incr_deviation = None, 0.0  # the first block's table of states
         self._rechecked = set()  # letters whose first record was re-checked
@@ -775,41 +792,56 @@ class ConsistencyAccumulator:
         offsets = np.cumsum([0] + [len(stack) for stack in block.posteriors[:-1]])
         sources = block.aposteriori[rows] + offsets
         self.prefix.hold(prefixes, prob_at, sources, np.concatenate(block.posteriors))
-        # each eta_s row walked down the trie's links along the codes, a gather
-        # a step (row -1 of the links is the last row), and read at each record
-        # time: a record that points at another row deviates from this one
-        links = states.children[: states.size]
-        walked = np.repeat(self._roots[np.newaxis], len(rows), axis=0)
-        seen = np.empty((len(rows), len(self._times), len(self._roots)), dtype=np.int64)
-        for step, moving, col in self._steps:
-            if moving:
-                walked[:, :moving] = links[walked[:, :moving], codes[:, step - 1, None]]
-            if col is not None:
-                seen[:, col] = walked
-        found = seen[:, self._t_col, self._ref_of]
+        # a record points at the right trie rows if its row of each (s, s) is
+        # eta_s's and its row of each later (s, t) is the one its row of
+        # (s, t') reaches down the links along its outcomes: by induction,
+        # each is then the row that eta_s reaches along them (row -1 of the
+        # links is the last row); else the rows are walked from eta_s, and a
+        # record that points at another row deviates from it
+        links, given = states.children[: states.size], block.conditioned[rows]
+        reached = given[:, self._later - 1]
+        for cols, active in self._hops:
+            step = links[reached, codes[:, cols]]
+            reached = step if active is None else np.where(active, step, reached)
+        if (given[:, self._seeds] == self._roots).all() and (reached == given[:, self._later]).all():
+            found = given
+        else:
+            found = self._walk(links, codes)
         if (found < 0).any():
             raise ValueError("a record's increment string has no row in the trie")
-        given = block.conditioned[rows]
         other = given != found
         if other.any():
             given, found = given[other], found[other]
             gaps = _worst(np.abs(states.mass[given] - states.mass[found]), self._incr_deviation)
             self._incr_deviation = _worst(_norms(states.matrices(given) - states.matrices(found)), gaps)
 
+    def _walk(self, links, codes) -> np.ndarray:
+        """The row of each pair (s, t) that eta_s reaches down the trie's
+        ``links`` along each row of ``codes``: one gather a step for every
+        reference time before it, read at each record time."""
+        walked = np.repeat(self._roots[np.newaxis], len(codes), axis=0)
+        seen = np.empty((len(codes), len(self._times), len(self._roots)), dtype=np.int64)
+        for step, moving, col in self._steps:
+            if moving:
+                walked[:, :moving] = links[walked[:, :moving], codes[:, step - 1, None]]
+            if col is not None:
+                seen[:, col] = walked
+        return seen.reshape(len(codes), -1)[:, self._pair_at]
+
     def _recheck(self, block: RecordBlock, row: int) -> None:
         """Fold into ``increment-dependence`` the deviation of a row's increment
         masses and conditioned states from each eta_s pushed along the row's
-        own outcomes, one Kraus application per step."""
-        codes, records = block.codes[row].tolist(), set(self.grid.record_times)
-        pushed = []  # in pair order
-        for s in self.grid.reference_times:
-            matrix = self.eta[s].matrix
-            for t in range(s, self.model.horizon + 1):
-                if t > s:
-                    matrix = self.model.instrument_at(t).maps[codes[t - 1]].apply(matrix)
-                if t in records:
-                    pushed.append(matrix)
-        pushed = np.array(pushed).reshape(-1, self.model.dim, self.model.dim)
+        own outcomes: one Kraus application per step, for every reference
+        time before it at once."""
+        codes, dim = block.codes[row].tolist(), self.model.dim
+        stack = np.array([self.eta[s].matrix for s in self.grid.reference_times]).reshape(-1, dim, dim)
+        seen = np.empty((len(self._times),) + stack.shape, dtype=complex)
+        for step, moving, col in self._steps:
+            if moving:
+                stack[:moving] = self.model.instrument_at(step).maps[codes[step - 1]].apply(stack[:moving])
+            if col is not None:
+                seen[col] = stack
+        pushed = seen.reshape(-1, dim, dim)[self._pair_at]  # in pair order
         masses = np.trace(pushed, axis1=1, axis2=2).real
         theirs = _hermitian_part(pushed / masses[:, np.newaxis, np.newaxis])
         conditioned = block.conditioned[row]
