@@ -590,24 +590,13 @@ def _worst(residuals, worst=0.0) -> float:
     return float(np.max(residuals, initial=worst))
 
 
-def _worst_by(segments, count, residuals) -> list:
-    """The _worst of the residuals of each segment index 0..count-1, 0.0 for
-    an empty segment; np.maximum keeps a NaN."""
-    worst = np.zeros(count)
-    np.maximum.at(worst, segments, residuals)
-    return worst.tolist()
-
-
-def _norms(stack, minus=None) -> np.ndarray:
-    """Frobenius norm of each matrix of a (m, d, d) stack, less the matching
-    matrix of ``minus(part)`` when given, a slice ``part`` at a time, as
-    np.linalg.norm takes it (the square root of the sum of |a|^2 as
-    conj(a) * a), without its argument checks."""
+def _norms(stack, minus=lambda part: 0.0) -> np.ndarray:
+    """Frobenius norm of each matrix of a (m, d, d) stack less ``minus(part)``,
+    a slice ``part`` at a time."""
     out = np.empty(len(stack))
     for i in range(0, len(stack), _SLICE_ROWS):
         part = slice(i, i + _SLICE_ROWS)
-        diff = stack[part] if minus is None else stack[part] - minus(part)
-        np.sqrt(np.add.reduce((diff.conj() * diff).real, axis=(1, 2)), out=out[part])
+        out[part] = np.linalg.norm(stack[part] - minus(part), axis=(1, 2))
     return out
 
 
@@ -646,66 +635,22 @@ class _Prefixes:
         self.size, self.last, self.last_keys = rows.stop, held[-1], keys[-1]
         later = ~new
         later[1:] &= (sources[1:] != sources[:-1]) | (probs[1:] != probs[:-1])
-        if later.any():
-            held, probs, sources = held[later], probs[later], sources[later]
-            self.deviation = _worst(np.abs(self.probs[held] - probs), self.deviation)
-            gaps = self.matrices[held] - stack[sources]
-            if gaps.any():  # else every norm is 0
-                self.deviation = _worst(_norms(gaps), self.deviation)
-
-    def columns(self, span, times) -> tuple:
-        """The held entries by column, each column in prefix order: their
-        rows of the table, numbers and probabilities, the start of each
-        column (and the end), and the position of each entry's prefix at the
-        record time before its own (of itself in the first column)."""
-        order = np.argsort(self.cols[: self.size], kind="stable")
-        bounds = np.searchsorted(self.cols[order], np.arange(len(times) + 1))
-        keys = self.keys[order]
-        up = np.arange(len(order))
-        for c in range(1, len(times)):
-            a, b, e = bounds[c - 1 : c + 2].tolist()
-            up[b:e] = a + np.searchsorted(keys[a:b], keys[b:e] // span(times[c - 1], times[c]))
-        return order, keys, self.probs[order], bounds.tolist(), up
+        held, probs, sources = held[later], probs[later], sources[later]
+        gaps = _worst(np.abs(self.probs[held] - probs), self.deviation)
+        self.deviation = _worst(_norms(self.matrices[held] - stack[sources]), gaps)
 
 
-def _group_sums(groups, count, terms, out=None) -> np.ndarray:
-    """Sum of the (m, d, d) ``terms`` per group index ``groups[i]``, each
-    group added up from 0 in input order, as np.add.at adds (into ``out``
-    when given). The k-th term of each group is row k of a (rank, group)
-    tile, which np.add.reduce adds up along the rank axis, one row after the
-    other, from 0. Groups that run 0..count-1 over and over (every prefix
-    with every string) make the terms that tile as they come. Otherwise the
-    groups are laid out by falling size, and each tile, one rank row or at
-    most _SLICE_ROWS cells, stops before its narrowest group runs out, so no
-    cell is padding; its first row is the sums carried from the tiles before
-    it."""
-    shape = terms.shape[1:]
-    if count and len(groups) % count == 0 and (groups.reshape(-1, count) == np.arange(count)).all():
-        return np.add.reduce(terms.reshape((-1, count) + shape), axis=0, initial=0.0, out=out)
-    sizes = np.bincount(groups, minlength=count)
-    layout = np.argsort(-sizes, kind="stable")
-    slot = np.empty(count, dtype=np.int64)
-    slot[layout] = np.arange(count)
-    order = np.argsort(groups, kind="stable")
-    rank = np.arange(len(groups)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    order = order[np.argsort(rank * count + slot[groups[order]])]  # by (rank, slot)
-    del rank
-    falling = -sizes[layout]  # negated, so rising
-    sums = np.zeros((count,) + shape, dtype=complex)
-    depth = start = 0
-    while True:
-        width = int(np.searchsorted(falling, -depth))  # the groups with a term at rank `depth`
-        if width == 0:
-            break
-        rows = max(1, min(_SLICE_ROWS // width, int(-falling[width - 1]) - depth))
-        tile = np.empty((1 + rows, width) + shape, dtype=complex)
-        tile[0] = sums[:width]
-        stop = start + rows * width
-        np.take(terms, order[start:stop], axis=0, out=tile[1:].reshape((-1,) + shape), mode="clip")
-        np.add.reduce(tile, axis=0, out=sums[:width])
-        del tile
-        depth, start = depth + rows, stop
-    return np.take(sums, slot, axis=0, out=out, mode="clip")
+def _group_sums(groups, count, terms, out) -> np.ndarray:
+    """``out``, the sums of the (m, d, d) ``terms`` by group, each from 0 in
+    input order: by np.add.reduce down the (prefix, group) tile when groups
+    run 0..count-1 over and over, else by np.add.at, _SLICE_ROWS at a time."""
+    if count and len(groups) % count == 0 and (groups.reshape(-1, count) == range(count)).all():
+        tile = terms.reshape((-1, count) + terms.shape[1:])
+        return np.add.reduce(tile, axis=0, initial=0.0, out=out)
+    out[...] = 0.0
+    for i in range(0, len(groups), _SLICE_ROWS):
+        np.add.at(out, groups[i : i + _SLICE_ROWS], terms[i : i + _SLICE_ROWS])
+    return out
 
 
 class ConsistencyAccumulator:
@@ -730,156 +675,101 @@ class ConsistencyAccumulator:
         self._count = np.cumprod(self._radix)  # outcome strings up to each time
         self._width = max(self._radix)  # links per trie row; a replayed path's table has 1
         times, refs, self._pairs = grid.record_times, grid.reference_times, tuple(grid.pairs())
-        self._times = np.array(times)
-        # a prefix's number at record time t is letter * _count_at + codes @
-        # _digits: the outcome of step k weighs the strings of steps k+1..t
-        self._count_at = self._count[self._times]
-        steps = np.arange(1, model.horizon + 1)[:, np.newaxis]
-        weights = self._count_at // self._count[np.minimum(steps, self._times)]
-        self._digits = np.where(steps <= self._times, weights, 0)
-        # the row of eta_s of each reference time s; per step, the reference
-        # times before it (whose walks move) and its record-time column; per
-        # pair (s, t), its place among the (record time, reference time)s
+        # prefix numbers are letter * _count_at + codes @ _digits, by record time
+        self._count_at, steps = self._count[list(times)], np.arange(1, model.horizon + 1)[:, None]
+        self._digits = (steps <= times) * (self._count_at // self._count[np.minimum(steps, times)])
+        # eta_s's row per reference time s; per step, the walks that move and its column
         self._roots = np.array([times.index(s) for s in refs], dtype=np.int64)
-        self._steps = [
-            (t, sum(s < t for s in refs), times.index(t) if t in times else None)
-            for t in range(model.horizon + 1)
-        ]
-        self._pair_at = np.array(
-            [times.index(t) * len(refs) + refs.index(s) for s, t in self._pairs], dtype=np.int64
-        )
-        # the pair (s, s) of each reference time, and each later pair (s, t),
-        # whose string extends that of the pair before it, (s, t') at the
-        # record time t' before t, by the steps t'+1..t: per hop, the code
-        # column of each one's step and whether it still has one (None: all)
-        pairs = self._pairs
-        self._seeds = np.array([pairs.index((s, s)) for s in refs], dtype=np.int64)
-        self._later = np.array([col for col, (s, t) in enumerate(pairs) if t > s], dtype=np.int64)
-        spans = [(pairs[col - 1][1], pairs[col][1]) for col in self._later.tolist()]
-        self._hops = []
-        for hop in range(max((t - u for u, t in spans), default=0)):
-            active = np.array([u + hop < t for u, t in spans])
-            cols = np.array([u + hop if u + hop < t else 0 for u, t in spans], dtype=np.int64)
-            self._hops.append((cols, None if active.all() else active))
+        self._steps = [(t, sum(s < t for s in refs), times.index(t) if t in times else None)
+                       for t in range(model.horizon + 1)]
+        self._pairing = np.array(times) >= np.array(refs, dtype=np.int64)[:, None]
         self.prefix = _Prefixes(len(times), model.dim)
         self._trie, self._incr_deviation = None, 0.0  # the first block's table of states
         self._rechecked = set()  # letters whose first record was re-checked
-
-    def _span(self, s, t):
-        """The number of outcome strings of steps s+1..t."""
-        return self._count[t] // self._count[s]
 
     def add(self, block: RecordBlock, rows) -> None:
         """Check the rows ``rows`` of ``block``, a run of records, in order;
         holds none of the block once it returns. Raises ValueError for
         records not of one enumeration or out of emission order."""
         block.check_grid(self.grid.record_times, self._pairs)
-        states = block.states
-        if self._trie is None and states.children.shape[1] == self._width:
-            self._trie = states
-        if states is not self._trie:
+        trie = block.states
+        if self._trie is None and trie.children.shape[1] == self._width:
+            self._trie = trie
+        if trie is not self._trie:
             raise ValueError("records of another table of states than the enumeration's trie")
         if block.letter not in self._rechecked:
             self._rechecked.add(block.letter)
             self._recheck(block, rows[0])
         prob_at, codes = block.prob_at[rows], block.codes[rows]
-        total = self.total_prob
-        for prob in prob_at[:, -1].tolist():  # one by one, as the records came
-            total += prob
-        self.total_prob = total
+        # added one by one, as the records came
+        self.total_prob = float(np.cumsum(np.append(self.total_prob, prob_at[:, -1]))[-1])
         prefixes = block.letter * self._count_at + codes @ self._digits
         # the a-posteriori rows of every column, as rows of one stack
         offsets = np.cumsum([0] + [len(stack) for stack in block.posteriors[:-1]])
         sources = block.aposteriori[rows] + offsets
         self.prefix.hold(prefixes, prob_at, sources, np.concatenate(block.posteriors))
-        # a record points at the right trie rows if its row of each (s, s) is
-        # eta_s's and its row of each later (s, t) is the one its row of
-        # (s, t') reaches down the links along its outcomes: by induction,
-        # each is then the row that eta_s reaches along them (row -1 of the
-        # links is the last row); else the rows are walked from eta_s, and a
-        # record that points at another row deviates from it
-        links, given = states.children[: states.size], block.conditioned[rows]
-        reached = given[:, self._later - 1]
-        for cols, active in self._hops:
-            step = links[reached, codes[:, cols]]
-            reached = step if active is None else np.where(active, step, reached)
-        if (given[:, self._seeds] == self._roots).all() and (reached == given[:, self._later]).all():
-            found = given
-        else:
-            found = self._walk(links, codes)
+        # each eta_s row walked down the trie's links along the codes (row -1 is
+        # the last row): a record that points at another row deviates from it
+        links, walked = trie.children[: trie.size], np.tile(self._roots, (len(rows), 1))
+        seen = np.empty((len(rows),) + self._pairing.shape, dtype=np.int64)
+        for step, moving, col in self._steps:
+            if moving:
+                walked[:, :moving] = links[walked[:, :moving], codes[:, step - 1, None]]
+            if col is not None:
+                seen[:, :, col] = walked
+        found, given = seen[:, self._pairing], block.conditioned[rows]
         if (found < 0).any():
             raise ValueError("a record's increment string has no row in the trie")
         other = given != found
         if other.any():
             given, found = given[other], found[other]
-            gaps = _worst(np.abs(states.mass[given] - states.mass[found]), self._incr_deviation)
-            self._incr_deviation = _worst(_norms(states.matrices(given) - states.matrices(found)), gaps)
-
-    def _walk(self, links, codes) -> np.ndarray:
-        """The row of each pair (s, t) that eta_s reaches down the trie's
-        ``links`` along each row of ``codes``: one gather a step for every
-        reference time before it, read at each record time."""
-        walked = np.repeat(self._roots[np.newaxis], len(codes), axis=0)
-        seen = np.empty((len(codes), len(self._times), len(self._roots)), dtype=np.int64)
-        for step, moving, col in self._steps:
-            if moving:
-                walked[:, :moving] = links[walked[:, :moving], codes[:, step - 1, None]]
-            if col is not None:
-                seen[:, col] = walked
-        return seen.reshape(len(codes), -1)[:, self._pair_at]
+            gaps = _worst(np.abs(trie.mass[given] - trie.mass[found]), self._incr_deviation)
+            self._incr_deviation = _worst(_norms(trie.matrices(given) - trie.matrices(found)), gaps)
 
     def _recheck(self, block: RecordBlock, row: int) -> None:
         """Fold into ``increment-dependence`` the deviation of a row's increment
         masses and conditioned states from each eta_s pushed along the row's
-        own outcomes: one Kraus application per step, for every reference
-        time before it at once."""
-        codes, dim = block.codes[row].tolist(), self.model.dim
-        stack = np.array([self.eta[s].matrix for s in self.grid.reference_times]).reshape(-1, dim, dim)
-        seen = np.empty((len(self._times),) + stack.shape, dtype=complex)
+        own outcomes, one Kraus application per step for all of them."""
+        codes, stack = block.codes[row].tolist(), self.eta.batch.matrices[self._roots]
+        seen = np.empty(self._pairing.shape + stack.shape[1:], dtype=complex)
         for step, moving, col in self._steps:
             if moving:
-                stack[:moving] = self.model.instrument_at(step).maps[codes[step - 1]].apply(stack[:moving])
+                kraus = self.model.instrument_at(step).maps[codes[step - 1]]
+                stack[:moving] = kraus.apply(stack[:moving])
             if col is not None:
-                seen[col] = stack
-        pushed = seen.reshape(-1, dim, dim)[self._pair_at]  # in pair order
+                seen[:, col] = stack
+        pushed = seen[self._pairing]  # in pair order
         masses = np.trace(pushed, axis1=1, axis2=2).real
         theirs = _hermitian_part(pushed / masses[:, np.newaxis, np.newaxis])
-        conditioned = block.conditioned[row]
-        mine = block.states.matrices(conditioned)
-        gaps = np.abs(block.states.mass[conditioned] - masses)
-        self._incr_deviation = _worst(_norms(mine - theirs), _worst(gaps, self._incr_deviation))
+        rows = block.conditioned[row]
+        gaps = _worst(np.abs(block.states.mass[rows] - masses), self._incr_deviation)
+        self._incr_deviation = _worst(_norms(block.states.matrices(rows) - theirs), gaps)
 
     def _strings(self, children) -> Iterator[tuple]:
-        """At each record time t, the increment strings of steps s+1..t of
-        every reference time s < t, in (s, string) order: a breadth-first
-        walk of the links from each eta_s, one gather a step for all s.
-        Yields their numbers, trie rows and the index of their s, and the
-        position of each one's string at the record time before t in what
-        was yielded there, followed by that time's row of eta."""
-        refs, records = self.grid.reference_times, set(self.grid.record_times)
-        keys = rows = origins = of = np.zeros(0, dtype=np.int64)
+        """Per record time t, by a breadth-first walk of the links: the numbers, rows and s
+        (its index) of the strings s+1..t of each reference time s < t in (s, string) order,
+        and each one's place at the record time before: in what was yielded there, then eta's."""
+        refs = self.grid.reference_times
+        keys = rows = of = origins = np.zeros(0, dtype=np.int64)
         for t in range(self.model.horizon + 1):
             if t:
-                width = self._radix[t]
-                below = children[rows, :width]
-                kept = below >= 0
-                counts = kept.sum(axis=1)
-                keys = (keys[:, np.newaxis] * width + np.arange(width))[kept]
-                rows, origins, of = below[kept], np.repeat(origins, counts), np.repeat(of, counts)
-            if t in records:
+                below = children[rows, : self._radix[t]]
+                kept, counts = below >= 0, (below >= 0).sum(axis=1)
+                keys = (keys[:, None] * self._radix[t] + np.arange(self._radix[t]))[kept]
+                rows, of, origins = below[kept], np.repeat(of, counts), np.repeat(origins, counts)
+            if t in self.grid.record_times:
                 yield keys, rows, of, origins
                 origins = np.arange(len(rows))
             if t in refs:
-                j = refs.index(t)
-                keys, rows = np.append(keys, 0), np.append(rows, self._roots[j])
-                origins, of = np.append(origins, len(rows) - 1), np.append(of, j)
+                eta = (0, self._roots[refs.index(t)], refs.index(t), len(rows))
+                keys, rows, of, origins = map(np.append, (keys, rows, of, origins), eta)
 
     def _pushed(self, stack, keys, s, t):
         """``stack``, a matrix per key (a string ending at t), pushed in place
         through the maps of steps s+1..t along the key's digits: one Kraus
         application per (step, outcome) group of up to _SLICE_ROWS rows."""
         for step in range(s + 1, t + 1):
-            labels = keys // self._span(step, t) % self._radix[step]
+            labels = keys // (self._count[t] // self._count[step]) % self._radix[step]
             for v, kraus in enumerate(self.model.instrument_at(step).maps):
                 group = np.flatnonzero(labels == v)
                 for i in range(0, len(group), _SLICE_ROWS):
@@ -887,106 +777,72 @@ class ConsistencyAccumulator:
                     stack[rows] = kraus.apply(stack[rows])
         return stack
 
-    def _martingale(self, keys, probs, bounds, up) -> dict:
-        """Residual per pair (s, t) of record times s < t: per prefix at s,
-        its probability against the sum of those of its prefixes at t, added
-        up in prefix order (np.bincount adds in input order); one pass per s
-        over the prefixes of every later time, which are grouped by time and
-        then by their prefix at s."""
-        times, out = self.grid.record_times, {}
-        above = np.arange(len(keys))  # each entry's prefix at the time being checked
-        time_of = np.repeat(np.arange(len(times)), np.diff(bounds))
-        for i in reversed(range(len(times) - 1)):
-            start = bounds[i + 1]
-            above[start:] = up[above[start:]]
-            parents, time = above[start:], time_of[start:]
-            new = np.ones(len(parents), dtype=bool)
-            new[1:] = (parents[1:] != parents[:-1]) | (time[1:] != time[:-1])
-            totals = np.bincount(np.cumsum(new) - 1, probs[start:])
-            gaps = np.abs(totals - probs[parents[new]])
-            worst = _worst_by(time[new] - (i + 1), len(times) - i - 1, gaps)
-            out.update(((times[i], t), w) for t, w in zip(times[i + 1 :], worst))
-        return out
-
     def finalize(self) -> CheckReport:
-        """One check per identity; each margin is minus its residual. Lets go
-        of the trie, but for its links, masses and pushed matrices. Works a
-        record time t at a time: the prefixes at t, weighted once, are summed
-        per increment string of each s <= t; composition pushes the strings
-        of every s < t from the record time before t at once, from their
-        normalized matrices there; the recursion pushes the prefixes. At most
-        a column of prefixes and the strings' matrices of two record times
-        are held at once; everything else goes a slice at a time."""
+        """One check per identity; each margin is minus its residual. Lets go of
+        the trie but its links, masses and pushed matrices (see README)."""
         trie = copy.copy(self._trie or IncrementTrie(self.eta.batch, self._width))
         self._trie = None
         del trie.eigenvalues, trie.eigenvectors
         times, refs, prefix = self.grid.record_times, self.grid.reference_times, self.prefix
-        order, keys, probs, bounds, up = prefix.columns(self._span, times)
-        measurability, totals, apriori = {}, {}, []
-        composition, recursion = [np.zeros(0)], [np.zeros(0)]
-        for i, (t, (strings, rows, of, origins)) in enumerate(zip(times, self._strings(trie.children))):
-            a, b = bounds[i : i + 2]
+        order = np.argsort(prefix.cols[: prefix.size], kind="stable")  # by column, in prefix order
+        bounds = np.searchsorted(prefix.cols[order], np.arange(len(times) + 1)).tolist()
+        keys, probs = prefix.keys[order], prefix.probs[order]
+        martingale, measurability, apriori, composition, recursion = {}, {}, [], 0.0, 0.0
+        for i, (t, level) in enumerate(zip(times, self._strings(trie.children))):
+            (strings, rows, of, origins), (a, b) = level, bounds[i : i + 2]
             entries, keys_t, probs_t = order[a:b], keys[a:b], probs[a:b]
-            # the strings of each s < t, by the last t - s digits of a prefix,
-            # then one of all prefixes at t, the string of (t, t): eta_t's row
-            # (not in ``strings``, so every prefix finds position 0)
-            rows = np.append(rows, i)
-            starts = np.searchsorted(of, np.arange(len(refs) + 1)).tolist()
+            for j, s in enumerate(times[:i]):  # the prefixes at t by their prefix at s
+                above = keys_t // (self._count[t] // self._count[s])
+                first = above != np.append(-1, above[:-1])
+                parents = bounds[j] + np.searchsorted(keys[bounds[j] : bounds[j + 1]], above)
+                sums = np.bincount(np.cumsum(first) - 1, probs_t)
+                martingale[(s, t)] = _worst(np.abs(sums - probs[parents[first]]))
+            # the prefixes at t, weighted once, summed per string of each s <= t (last t - s digits)
+            rows, starts = np.append(rows, i), np.searchsorted(of, range(len(refs) + 1)).tolist()
+            spans = [(s, j, k) for s, j, k in zip(refs, starts, starts[1:]) if s < t]
+            spans.append((t, len(strings), len(rows)))
             weighted = prefix.matrices[entries]
             weighted *= probs_t[:, None, None]
             sums = np.empty((len(rows),) + weighted.shape[1:], dtype=complex)
             mass, sizes = np.empty(len(rows)), np.empty(len(rows), dtype=np.int64)
-            segments = [(s, j, k) for s, j, k in zip(refs, starts, starts[1:]) if s < t]
-            for s, j, k in segments + [(t, len(strings), len(rows))]:
-                z = np.searchsorted(strings[j:k], keys_t % self._span(s, t))
-                _group_sums(z, k - j, weighted, out=sums[j:k])
-                mass[j:k], sizes[j:k] = np.bincount(z, probs_t, k - j), np.bincount(z, minlength=k - j)
+            for s, j, k in spans:
+                z = np.searchsorted(strings[j:k], keys_t % (self._count[t] // self._count[s]))
+                _group_sums(z, k - j, weighted, sums[j:k])
+                mass[j:k], sizes[j:k] = np.bincount(z, probs_t, k - j), np.bincount(z, None, k - j)
             del weighted
             apriori.append(_worst(_norms(sums[-1:] - self.eta[t].matrix)))
-            masses = trie.mass[rows]
-            matrices = np.empty_like(sums)
+            masses, matrices = trie.mass[rows], np.empty_like(sums)
             for j in range(0, len(rows), _SLICE_ROWS):
                 matrices[j : j + _SLICE_ROWS] = trie.matrices(rows[j : j + _SLICE_ROWS])
-            positive = mass > 0.0
-            sums /= np.where(positive, mass, 1.0)[:, None, None]
-            gaps = np.where(positive, _norms(sums, matrices.__getitem__), 0.0)
+            sums /= np.where(mass > 0.0, mass, 1.0)[:, None, None]
+            gaps = np.where(mass > 0.0, _norms(sums, matrices.__getitem__), 0.0)
+            gaps = np.where(sizes > 0, np.maximum(gaps, np.abs(mass - masses)), 0.0)
             del sums
-            gaps = np.maximum(gaps, np.abs(mass - masses))
-            gaps[sizes == 0] = 0.0
-            segment = np.append(of, refs.index(t) if t in refs else len(refs))
-            worst = _worst_by(segment, len(refs) + 1, gaps)
-            total = np.bincount(segment, masses, len(refs) + 1).tolist()
-            for j, s in enumerate(refs):
-                if s <= t:
-                    measurability[(s, t)], totals[(s, t)] = worst[j], total[j]
-            if i:
-                s = times[i - 1]
-                via = before[origins]
-                via *= before_masses[origins, None, None]
-                via = self._pushed(via, strings, s, t)
-                mine = masses[:-1, None, None], matrices[:-1]
-                composition.append(_norms(via, lambda part: mine[0][part] * mine[1][part]))
+            for s, j, k in spans:
+                measurability[(s, t)] = _worst(gaps[j:k]), sum(masses[j:k].tolist())
+            matrices *= masses[:, None, None]  # unnormalized, as composition compares them
+            if i:  # push the strings of each s < t, then the prefixes, from times[i - 1]
+                via = self._pushed(before[origins], strings, times[i - 1], t)
+                composition = _worst(_norms(via, matrices[:-1].__getitem__), composition)
                 del via, before
-                pushed = self._pushed(prefix.matrices[order[up[a:b]]], keys_t, s, t)
+                pushed = self._pushed(prefix.matrices[order[parents]], keys_t, times[i - 1], t)
                 trace = np.trace(pushed, axis1=1, axis2=2).real
                 positive = ~(trace <= 0.0)
                 pushed /= np.where(positive, trace, 1.0)[:, None, None]
-                own = lambda part: prefix.matrices[entries[part]]  # noqa: E731
-                recursion.append(np.where(positive, _norms(pushed, own), 1.0))
-                del pushed
-            before, before_masses = matrices, masses
+                residuals = _norms(pushed, lambda part: prefix.matrices[entries[part]])
+                recursion = _worst(np.where(positive, residuals, 1.0), recursion)
+            before, pushed = matrices, None
         checks = [Check("total-probability", -abs(self.total_prob - 1.0), self.tol)]
-        for (s, t), residual in sorted(self._martingale(keys, probs, bounds, up).items()):
-            checks.append(Check("martingale", -residual, self.tol, (s, t)))
+        checks += [Check("martingale", -r, self.tol, p) for p, r in sorted(martingale.items())]
         for pair in self._pairs:
-            checks.append(Check("increment-total", -abs(totals[pair] - 1.0), self.tol, pair))
-            checks.append(Check("measurability", -measurability[pair], self.tol, pair))
-        for t, residual in zip(times, apriori):
-            checks.append(Check("apriori-mean", -residual, self.tol, (t,)))
-        checks.append(Check("prefix-dependence", -prefix.deviation, 1e-12))
-        checks.append(Check("increment-dependence", -self._incr_deviation, 1e-12))
-        checks.append(Check("composition", -_worst(np.concatenate(composition)), 1e-12))
-        checks.append(Check("state-recursion", -_worst(np.concatenate(recursion)), 1e-10))
+            residual, total = measurability[pair]
+            checks.append(Check("increment-total", -abs(total - 1.0), self.tol, pair))
+            checks.append(Check("measurability", -residual, self.tol, pair))
+        checks += [Check("apriori-mean", -r, self.tol, (t,)) for t, r in zip(times, apriori)]
+        checks += [Check("prefix-dependence", -prefix.deviation, 1e-12),
+                   Check("increment-dependence", -self._incr_deviation, 1e-12),
+                   Check("composition", -composition, 1e-12),
+                   Check("state-recursion", -recursion, 1e-10)]
         return CheckReport(checks=tuple(checks))
 
 
@@ -1004,6 +860,5 @@ def consistency_checks(
         records = enumerate_trajectories(model, grid)
     for block, rows, _ in runs(records):
         acc.add(block, rows)
-    # the last run's block holds the trie, spectra and all, which finalize lets go
-    block = rows = None
+    block = rows = None  # the last run's block holds the trie, which finalize lets go
     return acc.finalize()

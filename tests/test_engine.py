@@ -796,12 +796,11 @@ def test_group_sums_add_each_group_in_order(args):
     expected = np.zeros((count,) + terms.shape[1:], dtype=complex)
     for g, term in zip(groups, terms):
         expected[g] = expected[g] + term
-    assert _group_sums(*args).tobytes() == expected.tobytes()
     out = np.full_like(expected, np.nan)
-    assert _group_sums(*args, out=out) is out and out.tobytes() == expected.tobytes()
+    assert _group_sums(*args, out) is out and out.tobytes() == expected.tobytes()
 
 
-def skewed_groups(rng, count, scale):
+def skewed_groups(count, scale):
     """Group ids of a pruned tree's prefixes by string, prefix by prefix:
     group k has scale // (k + 1) terms (at least one), so a few strings
     follow most prefixes and most strings only the first few."""
@@ -811,33 +810,21 @@ def skewed_groups(rng, count, scale):
 
 @pytest.mark.parametrize("dim", [2, 4])
 def test_group_sums_memory_stays_near_slice_rows(dim):
-    # one group of 5,000 terms beside 5,000 singletons: a (groups, width)
-    # layout of all of them would take 5,001 x 5,000 matrices
-    count, big = 5001, 5000
-    groups = np.concatenate([np.zeros(big, dtype=np.int64), np.arange(1, count)])
+    # one group of 5,000 terms beside 5,000 singletons, in random order, and
+    # a pruned tree's skewed groups in prefix order (500 strings, 6,569
+    # terms): a (groups, width) layout of either would take millions of
+    # matrices
     rng = np.random.default_rng(dim)
-    groups = rng.permutation(groups)
-    terms = rng.standard_normal((len(groups), dim, dim)) + 0j
-    matrix = 16 * dim * dim
-    tracemalloc.start()
-    try:
-        _group_sums(groups, count, terms)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * (_SLICE_ROWS + count) * matrix
-    # a pruned tree's skewed groups, in prefix order: 500 strings, 6,569
-    # terms; the layout sorts a few integers per term
-    groups = skewed_groups(rng, 500, 1000)
-    terms = rng.standard_normal((len(groups), dim, dim)) + 0j
-    tracemalloc.start()
-    try:
-        _group_sums(groups, 500, terms)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(groups) == 6569
-    assert peak <= 4 * (_SLICE_ROWS + 500) * matrix + 8 * 8 * len(groups)
+    one_big = rng.permutation(np.concatenate([np.zeros(5000, dtype=np.int64), np.arange(1, 5001)]))
+    for groups, count in ((one_big, 5001), (skewed_groups(500, 1000), 500)):
+        terms = rng.standard_normal((len(groups), dim, dim)) + 0j
+        tracemalloc.start()
+        try:
+            _group_sums(groups, count, terms, np.empty((count, dim, dim), dtype=complex))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (_SLICE_ROWS + count) * 16 * dim * dim
 
 
 def reference_sums(grid, records, eta):
