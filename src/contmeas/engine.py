@@ -584,9 +584,8 @@ def sample_trajectories(
 
 
 def _worst(residuals, worst=0.0) -> float:
-    """Largest of ``worst`` and the ``residuals``. Unlike the builtin ``max``
-    (``max(0.0, nan)`` is 0.0) np.max keeps a NaN, so that a NaN residual
-    fails its check."""
+    """Largest of ``worst`` and the ``residuals``. Unlike the builtin ``max`` (``max(0.0,
+    nan)`` is 0.0) np.max keeps a NaN, so that a NaN residual fails its check."""
     return float(np.max(residuals, initial=worst))
 
 
@@ -601,26 +600,42 @@ def _norms(stack, minus=lambda part: 0.0) -> np.ndarray:
 
 
 class _Prefixes:
-    """The first (probability, state) entry of each prefix (letter, outcomes
-    up to t) at each record time t, with its number and its time's column,
-    in arrays that grow by doubling; ``last`` holds each column's last entry
-    and ``last_keys`` its number (-1 before the first)."""
-
-    ARRAYS = ("keys", "cols", "probs", "matrices")
+    """The first (probability, state) entry of each prefix (letter, outcomes up to t) at
+    each record time t, with its number and its time's column, in arrays that grow by
+    doubling; ``last`` holds each column's last entry and ``last_keys`` its number (-1
+    before the first). ``add`` keeps a run's prefix numbers, rows and a-posteriori stacks,
+    not its block, until ``hold`` holds the runs kept, a few _SLICE_ROWS states at a
+    time; ``total`` sums the records' probabilities in their order."""
 
     def __init__(self, width, dim):
         self.size, self.deviation = 0, 0.0  # of later rows from the first of their prefix
+        self.runs, self.kept, self.total = [], 0, 0.0
         self.last, self.last_keys = np.full(width, -1), np.full(width, -1)
         self.keys, self.cols = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         self.probs, self.matrices = np.zeros(0), np.zeros((0, dim, dim), dtype=complex)
 
-    def hold(self, keys, probs, sources, stack) -> None:
-        """Hold the prefixes of a run's rows, column by column: (n, width)
-        arrays of their numbers, probabilities and states (rows ``sources``
-        of ``stack``), in emission order, where a column's numbers only grow.
-        A row whose number differs from the one before it (across runs too)
-        is new; any other is compared with the first of its prefix, unless
-        it has the state row and probability of the row before it."""
+    def add(self, block, rows, keys) -> None:
+        self.runs.append((keys, block.prob_at[rows], block.aposteriori[rows], *block.posteriors))
+        self.kept += sum(map(len, block.posteriors))
+        if self.kept >= 8 * _SLICE_ROWS:
+            self.hold()
+
+    def hold(self) -> None:
+        """Hold the prefixes of the runs kept, column by column, in emission order, where a
+        column's numbers only grow. A row whose number differs from the one before it (across
+        runs too) is new; any other is compared with the first of its prefix, unless it has
+        the state row and probability of the row before it."""
+        if not self.runs:
+            return
+        keys, probs, sources, *stacks = zip(*self.runs)  # stacks by column, then run
+        sizes, self.runs, self.kept, stacks = [len(run) for run in keys], [], 0, sum(stacks, ())
+        keys, probs = np.concatenate(keys), np.concatenate(probs)
+        # added one by one, as the records came
+        self.total = float(np.cumsum(np.append(self.total, probs[:, -1]))[-1])
+        # the a-posteriori rows of every run and column, as rows of one stack
+        offsets = np.cumsum([0] + [len(s) for s in stacks[:-1]]).reshape(-1, len(sizes)).T
+        sources = np.concatenate(sources) + np.repeat(offsets, sizes, axis=0)
+        stack = np.concatenate(stacks)
         before = np.concatenate([self.last_keys[np.newaxis], keys[:-1]])
         if (keys < before).any():
             raise ValueError("prefix numbers fall: the records are not in emission order")
@@ -629,7 +644,7 @@ class _Prefixes:
         starts = self.size + np.cumsum(counts[-1]) - counts[-1]
         held = np.where(counts > 0, starts + counts - 1, self.last)
         rows = slice(self.size, self.size + int(counts[-1].sum()))
-        _grow(self, self.ARRAYS, rows.stop)
+        _grow(self, ("keys", "cols", "probs", "matrices"), rows.stop)
         self.keys[rows], self.cols[rows] = keys.T[new.T], np.nonzero(new.T)[0]
         self.probs[rows], self.matrices[rows] = probs.T[new.T], stack[sources.T[new.T]]
         self.size, self.last, self.last_keys = rows.stop, held[-1], keys[-1]
@@ -644,9 +659,8 @@ def _group_sums(groups, count, terms, out) -> np.ndarray:
     """``out``, the sums of the (m, d, d) ``terms`` by group, each from 0 in
     input order: by np.add.reduce down the (prefix, group) tile when groups
     run 0..count-1 over and over, else by np.add.at, _SLICE_ROWS at a time."""
-    if count and len(groups) % count == 0 and (groups.reshape(-1, count) == range(count)).all():
-        tile = terms.reshape((-1, count) + terms.shape[1:])
-        return np.add.reduce(tile, axis=0, initial=0.0, out=out)
+    if count and len(groups) % count == 0 and (groups.reshape(-1, count) == np.arange(count)).all():
+        return np.add.reduce(terms.reshape((-1, count) + terms.shape[1:]), 0, initial=0.0, out=out)
     out[...] = 0.0
     for i in range(0, len(groups), _SLICE_ROWS):
         np.add.at(out, groups[i : i + _SLICE_ROWS], terms[i : i + _SLICE_ROWS])
@@ -654,23 +668,20 @@ def _group_sums(groups, count, terms, out) -> np.ndarray:
 
 
 class ConsistencyAccumulator:
-    """Streaming verifier of the structural identities of one enumeration,
-    whose runs ``add`` takes in emission order: probability conservation,
-    martingale marginals, measurability of the outcome-only states,
-    a-priori averaging, map composition, the normalized-state recursion and
-    the agreement of records that share a prefix or an increment string.
-
-    Prefixes (letter, outcomes up to t) and increment strings (outcomes
-    s+1..t) are numbered in mixed radix. A prefix's first entry is copied;
-    an increment string is its row of the run's trie, found through the
-    links, which ``_recheck`` checks on an independent route."""
+    """Streaming verifier of the structural identities of one enumeration, whose runs
+    ``add`` takes in emission order: probability conservation, martingale marginals,
+    measurability of the outcome-only states, a-priori averaging, map composition, the
+    normalized-state recursion and the agreement of records that share a prefix or an
+    increment string. Prefixes (letter, outcomes up to t) and increment strings (outcomes
+    s+1..t) are numbered in mixed radix. A prefix's first entry is copied; an increment
+    string is its row of the run's trie, found through the links, which ``_recheck``
+    checks on an independent route."""
 
     def __init__(self, model, grid, tol: float = 1e-9):
         if model.leaf_count() > np.iinfo(np.int64).max:
             raise BudgetExceeded(f"{model.leaf_count()} leaves are too many to key the tables")
         self.model, self.grid, self.tol = model, grid, tol
         self.eta = compute_a_priori(model, grid)
-        self.total_prob = 0.0
         self._radix = [1] + [model.instrument_at(k).n_outcomes for k in range(1, model.horizon + 1)]
         self._count = np.cumprod(self._radix)  # outcome strings up to each time
         self._width = max(self._radix)  # links per trie row; a replayed path's table has 1
@@ -678,19 +689,21 @@ class ConsistencyAccumulator:
         # prefix numbers are letter * _count_at + codes @ _digits, by record time
         self._count_at, steps = self._count[list(times)], np.arange(1, model.horizon + 1)[:, None]
         self._digits = (steps <= times) * (self._count_at // self._count[np.minimum(steps, times)])
-        # eta_s's row per reference time s; per step, the walks that move and its column
-        self._roots = np.array([times.index(s) for s in refs], dtype=np.int64)
-        self._steps = [(t, sum(s < t for s in refs), times.index(t) if t in times else None)
-                       for t in range(model.horizon + 1)]
-        self._pairing = np.array(times) >= np.array(refs, dtype=np.int64)[:, None]
+        # per pair (s, t): the pair before it, (s, t') (itself when t = s), the codes t'+1..t by
+        # which its trie row is a child of that pair's, and the row of eta_s
+        s, t = np.array(self._pairs, dtype=np.int64).reshape(-1, 2).T
+        self._before, self._seeded = np.arange(len(s)) - (s < t), s == t
+        gaps, self._roots = t - t[self._before], np.searchsorted(times, s)
+        self._hops = [(gaps > k, t[self._before][gaps > k] + k) for k in range(gaps.max(initial=0))]
         self.prefix = _Prefixes(len(times), model.dim)
         self._trie, self._incr_deviation = None, 0.0  # the first block's table of states
         self._rechecked = set()  # letters whose first record was re-checked
 
     def add(self, block: RecordBlock, rows) -> None:
-        """Check the rows ``rows`` of ``block``, a run of records, in order;
-        holds none of the block once it returns. Raises ValueError for
-        records not of one enumeration or out of emission order."""
+        """Check the rows ``rows`` of ``block``, a run of records, in order; their
+        prefixes are held a few runs at a time (see _Prefixes), and no block is
+        kept. Raises ValueError for records not of one enumeration or out of
+        emission order."""
         block.check_grid(self.grid.record_times, self._pairs)
         trie = block.states
         if self._trie is None and trie.children.shape[1] == self._width:
@@ -700,24 +713,15 @@ class ConsistencyAccumulator:
         if block.letter not in self._rechecked:
             self._rechecked.add(block.letter)
             self._recheck(block, rows[0])
-        prob_at, codes = block.prob_at[rows], block.codes[rows]
-        # added one by one, as the records came
-        self.total_prob = float(np.cumsum(np.append(self.total_prob, prob_at[:, -1]))[-1])
-        prefixes = block.letter * self._count_at + codes @ self._digits
-        # the a-posteriori rows of every column, as rows of one stack
-        offsets = np.cumsum([0] + [len(stack) for stack in block.posteriors[:-1]])
-        sources = block.aposteriori[rows] + offsets
-        self.prefix.hold(prefixes, prob_at, sources, np.concatenate(block.posteriors))
-        # each eta_s row walked down the trie's links along the codes (row -1 is
-        # the last row): a record that points at another row deviates from it
-        links, walked = trie.children[: trie.size], np.tile(self._roots, (len(rows), 1))
-        seen = np.empty((len(rows),) + self._pairing.shape, dtype=np.int64)
-        for step, moving, col in self._steps:
-            if moving:
-                walked[:, :moving] = links[walked[:, :moving], codes[:, step - 1, None]]
-            if col is not None:
-                seen[:, :, col] = walked
-        found, given = seen[:, self._pairing], block.conditioned[rows]
+        codes, given = block.codes[rows], block.conditioned[rows]
+        self.prefix.add(block, rows, block.letter * self._count_at + codes @ self._digits)
+        # the rows eta_s reaches down the trie's links along the codes, each pair's from the row of
+        # the pair before until none moves (-1 is the last row); a record's other rows deviate
+        links, found, walked = trie.children[: trie.size], None, given
+        while not np.array_equal(walked, found):
+            found, walked = walked, np.where(self._seeded, self._roots, walked[:, self._before])
+            for moving, steps in self._hops:
+                walked[:, moving] = links[walked[:, moving], codes[:, steps]]
         if (found < 0).any():
             raise ValueError("a record's increment string has no row in the trie")
         other = given != found
@@ -727,18 +731,15 @@ class ConsistencyAccumulator:
             self._incr_deviation = _worst(_norms(trie.matrices(given) - trie.matrices(found)), gaps)
 
     def _recheck(self, block: RecordBlock, row: int) -> None:
-        """Fold into ``increment-dependence`` the deviation of a row's increment
-        masses and conditioned states from each eta_s pushed along the row's
-        own outcomes, one Kraus application per step for all of them."""
-        codes, stack = block.codes[row].tolist(), self.eta.batch.matrices[self._roots]
-        seen = np.empty(self._pairing.shape + stack.shape[1:], dtype=complex)
-        for step, moving, col in self._steps:
-            if moving:
+        """Fold into ``increment-dependence`` the deviation of a row's increment masses and
+        states from eta_s pushed along its outcomes, one Kraus application per step for all."""
+        s, t = np.array(self._pairs, dtype=np.int64).reshape(-1, 2).T
+        codes, pushed = block.codes[row].tolist(), self.eta.batch.matrices[self._roots]
+        for step in range(1, self.model.horizon + 1):
+            moving = (s < step) & (step <= t)
+            if moving.any():
                 kraus = self.model.instrument_at(step).maps[codes[step - 1]]
-                stack[:moving] = kraus.apply(stack[:moving])
-            if col is not None:
-                seen[:, col] = stack
-        pushed = seen[self._pairing]  # in pair order
+                pushed[moving] = kraus.apply(pushed[moving])
         masses = np.trace(pushed, axis1=1, axis2=2).real
         theirs = _hermitian_part(pushed / masses[:, np.newaxis, np.newaxis])
         rows = block.conditioned[row]
@@ -752,16 +753,15 @@ class ConsistencyAccumulator:
         refs = self.grid.reference_times
         keys = rows = of = origins = np.zeros(0, dtype=np.int64)
         for t in range(self.model.horizon + 1):
-            if t:
-                below = children[rows, : self._radix[t]]
-                kept, counts = below >= 0, (below >= 0).sum(axis=1)
-                keys = (keys[:, None] * self._radix[t] + np.arange(self._radix[t]))[kept]
-                rows, of, origins = below[kept], np.repeat(of, counts), np.repeat(origins, counts)
+            below = children[rows, : self._radix[t]]
+            kept, counts = below >= 0, (below >= 0).sum(axis=1)
+            keys = (keys[:, None] * self._radix[t] + np.arange(self._radix[t]))[kept]
+            rows, of, origins = below[kept], np.repeat(of, counts), np.repeat(origins, counts)
             if t in self.grid.record_times:
                 yield keys, rows, of, origins
                 origins = np.arange(len(rows))
             if t in refs:
-                eta = (0, self._roots[refs.index(t)], refs.index(t), len(rows))
+                eta = (0, self.grid.record_times.index(t), refs.index(t), len(rows))
                 keys, rows, of, origins = map(np.append, (keys, rows, of, origins), eta)
 
     def _pushed(self, stack, keys, s, t):
@@ -780,8 +780,8 @@ class ConsistencyAccumulator:
     def finalize(self) -> CheckReport:
         """One check per identity; each margin is minus its residual. Lets go of
         the trie but its links, masses and pushed matrices (see README)."""
-        trie = copy.copy(self._trie or IncrementTrie(self.eta.batch, self._width))
-        self._trie = None
+        trie, self._trie = copy.copy(self._trie or IncrementTrie(self.eta.batch, self._width)), None
+        self.prefix.hold()
         del trie.eigenvalues, trie.eigenvectors
         times, refs, prefix = self.grid.record_times, self.grid.reference_times, self.prefix
         order = np.argsort(prefix.cols[: prefix.size], kind="stable")  # by column, in prefix order
@@ -791,24 +791,25 @@ class ConsistencyAccumulator:
         for i, (t, level) in enumerate(zip(times, self._strings(trie.children))):
             (strings, rows, of, origins), (a, b) = level, bounds[i : i + 2]
             entries, keys_t, probs_t = order[a:b], keys[a:b], probs[a:b]
-            for j, s in enumerate(times[:i]):  # the prefixes at t by their prefix at s
-                above = keys_t // (self._count[t] // self._count[s])
-                first = above != np.append(-1, above[:-1])
-                parents = bounds[j] + np.searchsorted(keys[bounds[j] : bounds[j + 1]], above)
-                sums = np.bincount(np.cumsum(first) - 1, probs_t)
-                martingale[(s, t)] = _worst(np.abs(sums - probs[parents[first]]))
+            # the prefixes at t by their prefix at each s before: every record has one at
+            # each time, so the k-th run of equal prefixes at s is the k-th held prefix there
+            above = keys_t // (self._count[t] // self._count[list(times[:i])])[:, None]
+            parents = (np.cumsum(np.diff(above, prepend=-1) != 0) - 1).reshape(above.shape)
+            residuals = np.abs(np.bincount(parents.ravel(), np.tile(probs_t, i), a) - probs[:a])
+            for j, s in enumerate(times[:i]):
+                martingale[(s, t)] = _worst(residuals[bounds[j] : bounds[j + 1]])
             # the prefixes at t, weighted once, summed per string of each s <= t (last t - s digits)
             rows, starts = np.append(rows, i), np.searchsorted(of, range(len(refs) + 1)).tolist()
             spans = [(s, j, k) for s, j, k in zip(refs, starts, starts[1:]) if s < t]
-            spans.append((t, len(strings), len(rows)))
+            spans += [(t, len(strings), len(rows))]
             weighted = prefix.matrices[entries]
             weighted *= probs_t[:, None, None]
             sums = np.empty((len(rows),) + weighted.shape[1:], dtype=complex)
-            mass, sizes = np.empty(len(rows)), np.empty(len(rows), dtype=np.int64)
+            mass, hits = np.empty(len(rows)), np.empty(len(rows), dtype=np.int64)
             for s, j, k in spans:
                 z = np.searchsorted(strings[j:k], keys_t % (self._count[t] // self._count[s]))
                 _group_sums(z, k - j, weighted, sums[j:k])
-                mass[j:k], sizes[j:k] = np.bincount(z, probs_t, k - j), np.bincount(z, None, k - j)
+                mass[j:k], hits[j:k] = np.bincount(z, probs_t, k - j), np.bincount(z, None, k - j)
             del weighted
             apriori.append(_worst(_norms(sums[-1:] - self.eta[t].matrix)))
             masses, matrices = trie.mass[rows], np.empty_like(sums)
@@ -816,28 +817,27 @@ class ConsistencyAccumulator:
                 matrices[j : j + _SLICE_ROWS] = trie.matrices(rows[j : j + _SLICE_ROWS])
             sums /= np.where(mass > 0.0, mass, 1.0)[:, None, None]
             gaps = np.where(mass > 0.0, _norms(sums, matrices.__getitem__), 0.0)
-            gaps = np.where(sizes > 0, np.maximum(gaps, np.abs(mass - masses)), 0.0)
+            gaps = np.where(hits > 0, np.maximum(gaps, np.abs(mass - masses)), 0.0)
             del sums
             for s, j, k in spans:
-                measurability[(s, t)] = _worst(gaps[j:k]), sum(masses[j:k].tolist())
-            matrices *= masses[:, None, None]  # unnormalized, as composition compares them
+                total, pair = sum(masses[j:k].tolist()), (s, t)
+                measurability[pair] = (Check("increment-total", -abs(total - 1.0), self.tol, pair),
+                                       Check("measurability", -_worst(gaps[j:k]), self.tol, pair))
+            matrices *= masses[:, None, None]  # times their masses, as composition compares them
             if i:  # push the strings of each s < t, then the prefixes, from times[i - 1]
                 via = self._pushed(before[origins], strings, times[i - 1], t)
                 composition = _worst(_norms(via, matrices[:-1].__getitem__), composition)
                 del via, before
-                pushed = self._pushed(prefix.matrices[order[parents]], keys_t, times[i - 1], t)
+                pushed = self._pushed(prefix.matrices[order[parents[-1]]], keys_t, times[i - 1], t)
                 trace = np.trace(pushed, axis1=1, axis2=2).real
                 positive = ~(trace <= 0.0)
                 pushed /= np.where(positive, trace, 1.0)[:, None, None]
                 residuals = _norms(pushed, lambda part: prefix.matrices[entries[part]])
                 recursion = _worst(np.where(positive, residuals, 1.0), recursion)
             before, pushed = matrices, None
-        checks = [Check("total-probability", -abs(self.total_prob - 1.0), self.tol)]
+        checks = [Check("total-probability", -abs(prefix.total - 1.0), self.tol)]
         checks += [Check("martingale", -r, self.tol, p) for p, r in sorted(martingale.items())]
-        for pair in self._pairs:
-            residual, total = measurability[pair]
-            checks.append(Check("increment-total", -abs(total - 1.0), self.tol, pair))
-            checks.append(Check("measurability", -residual, self.tol, pair))
+        checks += [check for pair in self._pairs for check in measurability[pair]]
         checks += [Check("apriori-mean", -r, self.tol, (t,)) for t, r in zip(times, apriori)]
         checks += [Check("prefix-dependence", -prefix.deviation, 1e-12),
                    Check("increment-dependence", -self._incr_deviation, 1e-12),
