@@ -793,11 +793,10 @@ class ConsistencyAccumulator:
             entries, keys_t, probs_t = order[a:b], keys[a:b], probs[a:b]
             # the prefixes at t by their prefix at each s before: every record has one at
             # each time, so the k-th run of equal prefixes at s is the k-th held prefix there
-            above = keys_t // (self._count[t] // self._count[list(times[:i])])[:, None]
-            parents = (np.cumsum(np.diff(above, prepend=-1) != 0) - 1).reshape(above.shape)
-            residuals = np.abs(np.bincount(parents.ravel(), np.tile(probs_t, i), a) - probs[:a])
             for j, s in enumerate(times[:i]):
-                martingale[(s, t)] = _worst(residuals[bounds[j] : bounds[j + 1]])
+                first = np.diff(keys_t // (self._count[t] // self._count[s]), prepend=-1) != 0
+                parents, held = np.cumsum(first) - 1, probs[bounds[j] : bounds[j + 1]]
+                martingale[(s, t)] = _worst(np.abs(np.bincount(parents, probs_t, len(held)) - held))
             # the prefixes at t, weighted once, summed per string of each s <= t (last t - s digits)
             rows, starts = np.append(rows, i), np.searchsorted(of, range(len(refs) + 1)).tolist()
             spans = [(s, j, k) for s, j, k in zip(refs, starts, starts[1:]) if s < t]
@@ -828,7 +827,8 @@ class ConsistencyAccumulator:
                 via = self._pushed(before[origins], strings, times[i - 1], t)
                 composition = _worst(_norms(via, matrices[:-1].__getitem__), composition)
                 del via, before
-                pushed = self._pushed(prefix.matrices[order[parents[-1]]], keys_t, times[i - 1], t)
+                pushed = prefix.matrices[order[bounds[i - 1] + parents]]  # their prefixes there
+                pushed = self._pushed(pushed, keys_t, times[i - 1], t)
                 trace = np.trace(pushed, axis1=1, axis2=2).real
                 positive = ~(trace <= 0.0)
                 pushed /= np.where(positive, trace, 1.0)[:, None, None]
