@@ -938,6 +938,39 @@ class TestConsistency:
         report = consistency_checks(model, grid, records=corrupted)
         assert "increment-dependence" in {c.name for c in report.failures()}
 
+    def test_wrong_row_before_a_gap_deviates_alone(self):
+        # on a grid with a gap (record times 0, 2, 4), a later record points
+        # its (0, 2) entry at an earlier record's row: that entry alone
+        # deviates, and its (0, 4) entry, a child of the right (0, 2) row by
+        # two steps, still reads as right
+        model = random_model(3, dim=2, n_outcomes=2, horizon=4)
+        grid = TimeGrid.make(4, (0, 2, 4), (0,))
+        records = list(enumerate_trajectories(model, grid))
+        col = grid.pairs().index((0, 2))
+        rec, other = records[-1], records[0]
+        right, wrong = rec.block.conditioned[rec.row, col], other.block.conditioned[other.row, col]
+        assert right != wrong
+        block = rec.block.take([rec.row])
+        block.conditioned[0, col] = wrong
+        report = consistency_checks(model, grid, records=records[:-1] + [TrajectoryRecord(block, 0)])
+        states = block.states
+        gap = abs(states.mass[wrong] - states.mass[right])
+        norm = np.linalg.norm(states.matrices([wrong]) - states.matrices([right]), axis=(1, 2))[0]
+        assert report.find("increment-dependence", ()).margin == -max(gap, norm)
+
+    def test_string_leaving_the_trie_between_record_times_refused(self):
+        # qubit-projective repeats its outcomes, so the trie has no row for a
+        # string that changes outcome: a record whose codes leave the trie
+        # between two record times is refused, as at a record time
+        model = builtin_scenario("qubit-projective", horizon=4)
+        grid = TimeGrid.make(4, (0, 4), (0,))
+        records = list(enumerate_trajectories(model, grid))
+        rec = records[-1]
+        block = rec.block.take([rec.row])
+        block.codes[0, 1] = 1 - block.codes[0, 1]
+        with pytest.raises(ValueError, match="no row in the trie"):
+            consistency_checks(model, grid, records=records[:-1] + [TrajectoryRecord(block, 0)])
+
     def test_swapped_trie_entries_fail(self):
         # every record agrees with the trie, but record 0's row holds another
         # string's state: only its replay along its own outcomes shows it
