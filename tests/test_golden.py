@@ -52,6 +52,10 @@ CASES = {
     "random-seed2-h5-sparse": [
         "check", "--model", _model_path("random-seed2-h5"), "--grid", "0,2,3,5", "--refs", "0,3",
     ],
+    "scenario-pure-preserving-random-sparse": [
+        "check", "--scenario", "pure-preserving-random", "--horizon", "4",
+        "--grid", "0,1,3,4", "--refs", "1,3",
+    ],
     "sample-damped-qubit-seed1": [
         "check", "--scenario", "damped-qubit", "--horizon", "3",
         "--mode", "sample", "--samples", "500", "--seed", "1",
