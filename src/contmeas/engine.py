@@ -599,62 +599,6 @@ def _norms(stack, minus=lambda part: 0.0) -> np.ndarray:
     return out
 
 
-class _Prefixes:
-    """The first (probability, state) entry of each prefix (letter, outcomes up to t) at
-    each record time t, with its number and its time's column, in arrays that grow by
-    doubling; ``last`` holds each column's last entry and ``last_keys`` its number (-1
-    before the first). ``add`` keeps a run's prefix numbers, rows and a-posteriori stacks,
-    not its block, until ``hold`` holds the runs kept, a few _SLICE_ROWS states at a
-    time; ``total`` sums the records' probabilities in their order."""
-
-    def __init__(self, width, dim):
-        self.size, self.deviation = 0, 0.0  # of later rows from the first of their prefix
-        self.runs, self.kept, self.total = [], 0, 0.0
-        self.last, self.last_keys = np.full(width, -1), np.full(width, -1)
-        self.keys, self.cols = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        self.probs, self.matrices = np.zeros(0), np.zeros((0, dim, dim), dtype=complex)
-
-    def add(self, block, rows, keys) -> None:
-        self.runs.append((keys, block.prob_at[rows], block.aposteriori[rows], *block.posteriors))
-        self.kept += sum(map(len, block.posteriors))
-        if self.kept >= 8 * _SLICE_ROWS:
-            self.hold()
-
-    def hold(self) -> None:
-        """Hold the prefixes of the runs kept, column by column, in emission order, where a
-        column's numbers only grow. A row whose number differs from the one before it (across
-        runs too) is new; any other is compared with the first of its prefix, unless it has
-        the state row and probability of the row before it."""
-        if not self.runs:
-            return
-        keys, probs, sources, *stacks = zip(*self.runs)  # stacks by column, then run
-        sizes, self.runs, self.kept, stacks = [len(run) for run in keys], [], 0, sum(stacks, ())
-        keys, probs = np.concatenate(keys), np.concatenate(probs)
-        # added one by one, as the records came
-        self.total = float(np.cumsum(np.append(self.total, probs[:, -1]))[-1])
-        # the a-posteriori rows of every run and column, as rows of one stack
-        offsets = np.cumsum([0] + [len(s) for s in stacks[:-1]]).reshape(-1, len(sizes)).T
-        sources = np.concatenate(sources) + np.repeat(offsets, sizes, axis=0)
-        stack = np.concatenate(stacks)
-        before = np.concatenate([self.last_keys[np.newaxis], keys[:-1]])
-        if (keys < before).any():
-            raise ValueError("prefix numbers fall: the records are not in emission order")
-        new = keys != before
-        counts = np.cumsum(new, axis=0)
-        starts = self.size + np.cumsum(counts[-1]) - counts[-1]
-        held = np.where(counts > 0, starts + counts - 1, self.last)
-        rows = slice(self.size, self.size + int(counts[-1].sum()))
-        _grow(self, ("keys", "cols", "probs", "matrices"), rows.stop)
-        self.keys[rows], self.cols[rows] = keys.T[new.T], np.nonzero(new.T)[0]
-        self.probs[rows], self.matrices[rows] = probs.T[new.T], stack[sources.T[new.T]]
-        self.size, self.last, self.last_keys = rows.stop, held[-1], keys[-1]
-        later = ~new
-        later[1:] &= (sources[1:] != sources[:-1]) | (probs[1:] != probs[:-1])
-        held, probs, sources = held[later], probs[later], sources[later]
-        gaps = _worst(np.abs(self.probs[held] - probs), self.deviation)
-        self.deviation = _worst(_norms(self.matrices[held] - stack[sources]), gaps)
-
-
 def _group_sums(groups, count, terms, out) -> np.ndarray:
     """``out``, the sums of the (m, d, d) ``terms`` by group, each from 0 in
     input order: by np.add.reduce down the (prefix, group) tile when groups
@@ -673,9 +617,14 @@ class ConsistencyAccumulator:
     measurability of the outcome-only states, a-priori averaging, map composition, the
     normalized-state recursion and the agreement of records that share a prefix or an
     increment string. Prefixes (letter, outcomes up to t) and increment strings (outcomes
-    s+1..t) are numbered in mixed radix. A prefix's first entry is copied; an increment
-    string is its row of the run's trie, found through the links, which ``_recheck``
-    checks on an independent route."""
+    s+1..t) are numbered in mixed radix. An increment string is its row of the run's trie,
+    found through the links, which ``_recheck`` checks on an independent route. A prefix's
+    first (probability, state) entry at each record time t is copied, with its number and
+    its time's column, into the first ``size`` rows of ``keys``, ``cols``, ``probs`` and
+    ``matrices``, arrays that grow by doubling; ``_last`` holds each column's last entry and
+    ``_last_keys`` its number (-1 before the first). ``add`` keeps a run's prefix numbers,
+    rows and a-posteriori stacks, not its block, until ``hold`` holds the runs kept, a few
+    _SLICE_ROWS states at a time; ``_total`` sums the records' probabilities in their order."""
 
     def __init__(self, model, grid, tol: float = 1e-9):
         if model.leaf_count() > np.iinfo(np.int64).max:
@@ -689,19 +638,23 @@ class ConsistencyAccumulator:
         # prefix numbers are letter * _count_at + codes @ _digits, by record time
         self._count_at, steps = self._count[list(times)], np.arange(1, model.horizon + 1)[:, None]
         self._digits = (steps <= times) * (self._count_at // self._count[np.minimum(steps, times)])
-        # per pair (s, t): the pair before it, (s, t') (itself when t = s), the codes t'+1..t by
-        # which its trie row is a child of that pair's, and the row of eta_s
+        # per pair (s, t): t, the pair before it, (s, t') (itself when t = s), the codes t'+1..t
+        # by which its trie row is a child of that pair's, and the row of eta_s (s's column)
         s, t = np.array(self._pairs, dtype=np.int64).reshape(-1, 2).T
-        self._before, self._seeded = np.arange(len(s)) - (s < t), s == t
+        self._ends, self._before, self._seeded = t, np.arange(len(s)) - (s < t), s == t
         gaps, self._roots = t - t[self._before], np.searchsorted(times, s)
         self._hops = [(gaps > k, t[self._before][gaps > k] + k) for k in range(gaps.max(initial=0))]
-        self.prefix = _Prefixes(len(times), model.dim)
         self._trie, self._incr_deviation = None, 0.0  # the first block's table of states
+        self.size, self._prefix_deviation = 0, 0.0  # of later rows from the first of their prefix
+        self._runs, self._kept, self._total = [], 0, 0.0
+        self._last, self._last_keys = np.full(len(times), -1), np.full(len(times), -1)
+        self.keys, self.cols = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        self.probs, self.matrices = np.zeros(0), np.zeros((0, model.dim, model.dim), dtype=complex)
         self._rechecked = set()  # letters whose first record was re-checked
 
     def add(self, block: RecordBlock, rows) -> None:
         """Check the rows ``rows`` of ``block``, a run of records, in order; their
-        prefixes are held a few runs at a time (see _Prefixes), and no block is
+        prefixes are held a few runs at a time (see ``hold``), and no block is
         kept. Raises ValueError for records not of one enumeration or out of
         emission order."""
         block.check_grid(self.grid.record_times, self._pairs)
@@ -710,11 +663,17 @@ class ConsistencyAccumulator:
             self._trie = trie
         if trie is not self._trie:
             raise ValueError("records of another table of states than the enumeration's trie")
+        codes, given = block.codes[rows], block.conditioned[rows]
+        if (given < 0).any():  # -1 marks a row never written
+            raise ValueError("a record's increment string has no row in the trie")
         if block.letter not in self._rechecked:
             self._rechecked.add(block.letter)
-            self._recheck(block, rows[0])
-        codes, given = block.codes[rows], block.conditioned[rows]
-        self.prefix.add(block, rows, block.letter * self._count_at + codes @ self._digits)
+            self._recheck(trie, codes[0], given[0])
+        keys = block.letter * self._count_at + codes @ self._digits
+        self._runs.append((keys, block.prob_at[rows], block.aposteriori[rows], *block.posteriors))
+        self._kept += sum(map(len, block.posteriors))
+        if self._kept >= 8 * _SLICE_ROWS:
+            self.hold()
         # the rows eta_s reaches down the trie's links along the codes, each pair's from the row of
         # the pair before until none moves (-1 is the last row); a record's other rows deviate
         links, found, walked = trie.children[: trie.size], None, given
@@ -730,11 +689,12 @@ class ConsistencyAccumulator:
             gaps = _worst(np.abs(trie.mass[given] - trie.mass[found]), self._incr_deviation)
             self._incr_deviation = _worst(_norms(trie.matrices(given) - trie.matrices(found)), gaps)
 
-    def _recheck(self, block: RecordBlock, row: int) -> None:
-        """Fold into ``increment-dependence`` the deviation of a row's increment masses and
-        states from eta_s pushed along its outcomes, one Kraus application per step for all."""
-        s, t = np.array(self._pairs, dtype=np.int64).reshape(-1, 2).T
-        codes, pushed = block.codes[row].tolist(), self.eta.batch.matrices[self._roots]
+    def _recheck(self, trie: IncrementTrie, codes, rows) -> None:
+        """Fold into ``increment-dependence`` the deviation of a record's increment masses and
+        states, the trie rows ``rows``, from eta_s pushed along its outcome ``codes``, one Kraus
+        application per step for all."""
+        s, t = np.take(self.grid.record_times, self._roots), self._ends
+        codes, pushed = codes.tolist(), self.eta.batch.matrices[self._roots]
         for step in range(1, self.model.horizon + 1):
             moving = (s < step) & (step <= t)
             if moving.any():
@@ -742,9 +702,42 @@ class ConsistencyAccumulator:
                 pushed[moving] = kraus.apply(pushed[moving])
         masses = np.trace(pushed, axis1=1, axis2=2).real
         theirs = _hermitian_part(pushed / masses[:, np.newaxis, np.newaxis])
-        rows = block.conditioned[row]
-        gaps = _worst(np.abs(block.states.mass[rows] - masses), self._incr_deviation)
-        self._incr_deviation = _worst(_norms(block.states.matrices(rows) - theirs), gaps)
+        gaps = _worst(np.abs(trie.mass[rows] - masses), self._incr_deviation)
+        self._incr_deviation = _worst(_norms(trie.matrices(rows) - theirs), gaps)
+
+    def hold(self) -> None:
+        """Hold the prefixes of the runs kept, column by column, in emission order, where a
+        column's numbers only grow. A row whose number differs from the one before it (across
+        runs too) is new; any other is compared with the first of its prefix, unless it has
+        the state row and probability of the row before it."""
+        if not self._runs:
+            return
+        keys, probs, sources, *stacks = zip(*self._runs)  # stacks by column, then run
+        sizes, self._runs, self._kept, stacks = [len(run) for run in keys], [], 0, sum(stacks, ())
+        keys, probs = np.concatenate(keys), np.concatenate(probs)
+        # added one by one, as the records came
+        self._total = float(np.cumsum(np.append(self._total, probs[:, -1]))[-1])
+        # the a-posteriori rows of every run and column, as rows of one stack
+        offsets = np.cumsum([0] + [len(s) for s in stacks[:-1]]).reshape(-1, len(sizes)).T
+        sources = np.concatenate(sources) + np.repeat(offsets, sizes, axis=0)
+        stack = np.concatenate(stacks)
+        before = np.concatenate([self._last_keys[np.newaxis], keys[:-1]])
+        if (keys < before).any():
+            raise ValueError("prefix numbers fall: the records are not in emission order")
+        new = keys != before
+        counts = np.cumsum(new, axis=0)
+        starts = self.size + np.cumsum(counts[-1]) - counts[-1]
+        held = np.where(counts > 0, starts + counts - 1, self._last)
+        rows = slice(self.size, self.size + int(counts[-1].sum()))
+        _grow(self, ("keys", "cols", "probs", "matrices"), rows.stop)
+        self.keys[rows], self.cols[rows] = keys.T[new.T], np.nonzero(new.T)[0]
+        self.probs[rows], self.matrices[rows] = probs.T[new.T], stack[sources.T[new.T]]
+        self.size, self._last, self._last_keys = rows.stop, held[-1], keys[-1]
+        later = ~new
+        later[1:] &= (sources[1:] != sources[:-1]) | (probs[1:] != probs[:-1])
+        held, probs, sources = held[later], probs[later], sources[later]
+        gaps = _worst(np.abs(self.probs[held] - probs), self._prefix_deviation)
+        self._prefix_deviation = _worst(_norms(self.matrices[held] - stack[sources]), gaps)
 
     def _strings(self, children) -> Iterator[tuple]:
         """Per record time t, by a breadth-first walk of the links: the numbers, rows and s
@@ -781,12 +774,12 @@ class ConsistencyAccumulator:
         """One check per identity; each margin is minus its residual. Lets go of
         the trie but its links, masses and pushed matrices (see README)."""
         trie, self._trie = copy.copy(self._trie or IncrementTrie(self.eta.batch, self._width)), None
-        self.prefix.hold()
+        self.hold()
         del trie.eigenvalues, trie.eigenvectors
-        times, refs, prefix = self.grid.record_times, self.grid.reference_times, self.prefix
-        order = np.argsort(prefix.cols[: prefix.size], kind="stable")  # by column, in prefix order
-        bounds = np.searchsorted(prefix.cols[order], np.arange(len(times) + 1)).tolist()
-        keys, probs = prefix.keys[order], prefix.probs[order]
+        times, refs = self.grid.record_times, self.grid.reference_times
+        order = np.argsort(self.cols[: self.size], kind="stable")  # by column, in prefix order
+        bounds = np.searchsorted(self.cols[order], np.arange(len(times) + 1)).tolist()
+        keys, probs = self.keys[order], self.probs[order]
         martingale, measurability, apriori, composition, recursion = {}, {}, [], 0.0, 0.0
         for i, (t, level) in enumerate(zip(times, self._strings(trie.children))):
             (strings, rows, of, origins), (a, b) = level, bounds[i : i + 2]
@@ -801,7 +794,7 @@ class ConsistencyAccumulator:
             rows, starts = np.append(rows, i), np.searchsorted(of, range(len(refs) + 1)).tolist()
             spans = [(s, j, k) for s, j, k in zip(refs, starts, starts[1:]) if s < t]
             spans += [(t, len(strings), len(rows))]
-            weighted = prefix.matrices[entries]
+            weighted = self.matrices[entries]
             weighted *= probs_t[:, None, None]
             sums = np.empty((len(rows),) + weighted.shape[1:], dtype=complex)
             mass, hits = np.empty(len(rows)), np.empty(len(rows), dtype=np.int64)
@@ -827,19 +820,19 @@ class ConsistencyAccumulator:
                 via = self._pushed(before[origins], strings, times[i - 1], t)
                 composition = _worst(_norms(via, matrices[:-1].__getitem__), composition)
                 del via, before
-                pushed = prefix.matrices[order[bounds[i - 1] + parents]]  # their prefixes there
+                pushed = self.matrices[order[bounds[i - 1] + parents]]  # their prefixes there
                 pushed = self._pushed(pushed, keys_t, times[i - 1], t)
                 trace = np.trace(pushed, axis1=1, axis2=2).real
                 positive = ~(trace <= 0.0)
                 pushed /= np.where(positive, trace, 1.0)[:, None, None]
-                residuals = _norms(pushed, lambda part: prefix.matrices[entries[part]])
+                residuals = _norms(pushed, lambda part: self.matrices[entries[part]])
                 recursion = _worst(np.where(positive, residuals, 1.0), recursion)
             before, pushed = matrices, None
-        checks = [Check("total-probability", -abs(prefix.total - 1.0), self.tol)]
+        checks = [Check("total-probability", -abs(self._total - 1.0), self.tol)]
         checks += [Check("martingale", -r, self.tol, p) for p, r in sorted(martingale.items())]
         checks += [check for pair in self._pairs for check in measurability[pair]]
         checks += [Check("apriori-mean", -r, self.tol, (t,)) for t, r in zip(times, apriori)]
-        checks += [Check("prefix-dependence", -prefix.deviation, 1e-12),
+        checks += [Check("prefix-dependence", -self._prefix_deviation, 1e-12),
                    Check("increment-dependence", -self._incr_deviation, 1e-12),
                    Check("composition", -composition, 1e-12),
                    Check("state-recursion", -recursion, 1e-10)]

@@ -87,11 +87,7 @@ class EntropyReportBuilder:
         # each kind are one slice
         keys = [(kind, s, t) for s, t in pairs for kind in ("Ic", "chi_bar")]
         self._cols = {"Ic": slice(0, len(keys), 2), "chi_bar": slice(1, len(keys), 2)}
-        iq = [(s, t) for i, s in enumerate(times) for t in times[i:]]
-        iq_cond = []
-        for r in grid.reference_times:
-            laters = [t for t in times if t >= r]
-            iq_cond += [(r, s, t) for i, s in enumerate(laters) for t in laters[i:]]
+        iq, iq_cond = TimeGrid(times, times).pairs(), list(grid.triples())
         for kind, family in (("chi_at", [(t,) for t in times]), ("Iq", iq), ("Iq_cond", iq_cond)):
             self._cols[kind] = slice(len(keys), len(keys) + len(family))
             keys += [(kind,) + entry for entry in family]
@@ -180,17 +176,7 @@ class EntropyReportBuilder:
             times = key[1] if kind == "chi_at" else key[1:]
             tables[kind][times] = mean
             se[key] = error
-        return EntropyReport(
-            grid=self.grid,
-            mode=self.mode,
-            count=self.count,
-            Ic=tables["Ic"],
-            chi_bar=tables["chi_bar"],
-            chi_at=tables["chi_at"],
-            Iq=tables["Iq"],
-            Iq_cond=tables["Iq_cond"],
-            se=se,
-        )
+        return EntropyReport(grid=self.grid, mode=self.mode, count=self.count, se=se, **tables)
 
 
 def build_entropy_report(
@@ -269,75 +255,59 @@ def check_bounds(
     grid = report.grid
     records = grid.record_times
     refs = grid.reference_times
+    Ic, chi_bar, chi_at, Iq, Iq_cond = (getattr(report, kind) for kind in KINDS)
 
     def emit(bound_id, times, lhs, rhs, margin):
         checks.append(Check(bound_id, margin, tol, times, lhs, rhs))
 
-    for r in refs:
-        laters = [t for t in records if t >= r]
-        for i, s in enumerate(laters):
-            for t in laters[i:]:
-                ic_rs = report.Ic[(r, s)]
-                ic_rt = report.Ic[(r, t)]
-                ic_diff = ic_rt - ic_rs
-                # B1: Ic grows with the observation window
-                emit("B1", (r, s, t), ic_rs, ic_rt, ic_rt - ic_rs)
-                # B2: the chi_bar decrease dominates the Ic increase
-                rhs = _extended_diff(report.chi_bar[(r, s)], report.chi_bar[(r, t)])
-                emit("B2", (r, s, t), ic_diff, rhs, min(_extended_diff(rhs, ic_diff), ic_diff))
-                # B5: the conditioned quantum gain dominates the Ic increase
-                rhs_q = report.Iq_cond[(r, s, t)] - report.Iq[(s, t)]
-                emit("B5", (r, s, t), ic_diff, rhs_q, min(rhs_q - ic_diff, ic_diff))
+    for r, s, t in grid.triples():
+        ic_rs, ic_rt = Ic[(r, s)], Ic[(r, t)]
+        ic_diff = ic_rt - ic_rs
+        # B1: Ic grows with the observation window
+        emit("B1", (r, s, t), ic_rs, ic_rt, ic_diff)
+        # B2: the chi_bar decrease dominates the Ic increase
+        rhs = _extended_diff(chi_bar[(r, s)], chi_bar[(r, t)])
+        emit("B2", (r, s, t), ic_diff, rhs, min(_extended_diff(rhs, ic_diff), ic_diff))
+        # B5: the conditioned quantum gain dominates the Ic increase
+        rhs_q = Iq_cond[(r, s, t)] - Iq[(s, t)]
+        emit("B5", (r, s, t), ic_diff, rhs_q, min(rhs_q - ic_diff, ic_diff))
 
-    for s in refs:
-        for t in (t for t in records if t >= s):
-            # B3: Ic is bounded by how much of the Holevo quantity was used up
-            lhs = report.Ic[(s, t)]
-            rhs = _extended_diff(report.chi_at[s], report.chi_bar[(s, t)])
-            emit("B3", (s, t), lhs, rhs, min(_extended_diff(rhs, lhs), lhs))
+    for s, t in grid.pairs():
+        # B3: Ic is bounded by how much of the Holevo quantity was used up
+        lhs = Ic[(s, t)]
+        rhs = _extended_diff(chi_at[s], chi_bar[(s, t)])
+        emit("B3", (s, t), lhs, rhs, min(_extended_diff(rhs, lhs), lhs))
 
     if 0 in refs:
         for t in records:
             # B4: the plain Holevo bound
-            lhs = report.Ic[(0, t)]
-            rhs = report.chi_at[0]
+            lhs = Ic[(0, t)]
+            rhs = chi_at[0]
             emit("B4", (0, t), lhs, rhs, _extended_diff(rhs, lhs))
 
-    for i, r in enumerate(records):
-        for j, s in enumerate(records[i:], start=i):
-            for t in records[j:]:
-                lhs = report.Iq[(r, s)] + report.Iq[(s, t)]
-                rhs = report.Iq[(r, t)]
-                emit("B6", (r, s, t), lhs, rhs, -abs(rhs - lhs))
+    # B6: Iq adds up over r <= s <= t, and so does Iq_cond from each reference time u
+    for r, s, t in TimeGrid(records, records).triples():
+        lhs = Iq[(r, s)] + Iq[(s, t)]
+        rhs = Iq[(r, t)]
+        emit("B6", (r, s, t), lhs, rhs, -abs(rhs - lhs))
     for u in refs:
-        laters = [t for t in records if t >= u]
-        for i, r in enumerate(laters):
-            for j, s in enumerate(laters[i:], start=i):
-                for t in laters[j:]:
-                    lhs = report.Iq_cond[(u, r, s)] + report.Iq_cond[(u, s, t)]
-                    rhs = report.Iq_cond[(u, r, t)]
-                    emit("B6", (u, r, s, t), lhs, rhs, -abs(rhs - lhs))
+        laters = tuple(t for t in records if t >= u)
+        for r, s, t in TimeGrid(laters, laters).triples():
+            lhs = Iq_cond[(u, r, s)] + Iq_cond[(u, s, t)]
+            rhs = Iq_cond[(u, r, t)]
+            emit("B6", (u, r, s, t), lhs, rhs, -abs(rhs - lhs))
 
     if pure_preserving:
-        for u in refs:
-            laters = [t for t in records if t >= u]
-            for r in laters:
-                window = [t for t in laters if t >= r]
-                for t1, t2 in zip(window, window[1:]):
-                    lhs = report.Iq_cond[(u, r, t1)]
-                    rhs = report.Iq_cond[(u, r, t2)]
-                    emit("B7-mono", (u, r, t1, t2), lhs, rhs, rhs - lhs)
+        after = dict(zip(records, records[1:]))
+        for u, r, t1 in grid.triples():
+            if t1 in after:  # t1 and the record time after it
+                lhs, rhs = Iq_cond[(u, r, t1)], Iq_cond[(u, r, after[t1])]
+                emit("B7-mono", (u, r, t1, after[t1]), lhs, rhs, rhs - lhs)
         if 0 in refs:
             for t in records:
-                value = report.Iq_cond[(0, 0, t)]
+                value = Iq_cond[(0, 0, t)]
                 emit("B7-nonneg", (0, 0, t), 0.0, value, value)
-            emit(
-                "B7-zero",
-                (0, 0, 0),
-                report.Iq_cond[(0, 0, 0)],
-                0.0,
-                -abs(report.Iq_cond[(0, 0, 0)]),
-            )
+            emit("B7-zero", (0, 0, 0), Iq_cond[(0, 0, 0)], 0.0, -abs(Iq_cond[(0, 0, 0)]))
 
     return CheckReport(checks=tuple(checks))
 

@@ -21,8 +21,10 @@ report through them.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -141,6 +143,14 @@ class TimeGrid:
         return [
             (s, t) for s in self.reference_times for t in self.record_times if s <= t
         ]
+
+    def triples(self):
+        """(r, s, t) for each pair (r, s) in ``pairs`` order, then each record
+        time t >= s; on ``TimeGrid(times, times)``, every r <= s <= t of them."""
+        times = self.record_times
+        for r in self.reference_times:
+            for s, t in itertools.combinations_with_replacement(times[bisect_left(times, r) :], 2):
+                yield r, s, t
 
 
 @dataclass(frozen=True)

@@ -971,6 +971,23 @@ class TestConsistency:
         with pytest.raises(ValueError, match="no row in the trie"):
             consistency_checks(model, grid, records=records[:-1] + [TrajectoryRecord(block, 0)])
 
+    @pytest.mark.parametrize("times", [None, ((0, 2, 4), (0, 2))], ids=["full", "sparse"])
+    @pytest.mark.parametrize("index", [0, 1], ids=["first", "later"])
+    def test_unwritten_trie_row_refused(self, times, index):
+        # -1 marks a trie row never written: a record that points at one is
+        # refused, in a letter's first record (which the re-check reads) as
+        # in a later one, before any array is indexed with it
+        model = random_model(3, dim=2, n_outcomes=2, horizon=4)
+        grid = full_grid(model) if times is None else TimeGrid.make(4, *times)
+        records = list(enumerate_trajectories(model, grid))
+        rec = records[index]
+        assert rec.letter == 0
+        block = rec.block.take([rec.row])
+        block.conditioned[0, grid.pairs().index((0, 2))] = -1
+        corrupted = records[:index] + [TrajectoryRecord(block, 0)] + records[index + 1 :]
+        with pytest.raises(ValueError, match="no row in the trie"):
+            consistency_checks(model, grid, records=corrupted)
+
     def test_swapped_trie_entries_fail(self):
         # every record agrees with the trie, but record 0's row holds another
         # string's state: only its replay along its own outcomes shows it
@@ -1103,14 +1120,14 @@ class TestConsistencyTables:
         del trie
         assert acc.finalize().passed
         assert refs[0][1]() is None
-        table, n = acc.prefix, acc.prefix.size
-        assert n > 2 * BLOCK_NODES and table.matrices.base is None
-        assert table.probs.shape[0] >= n and table.matrices.shape[1:] == (3, 3)
+        n = acc.size
+        assert n > 2 * BLOCK_NODES and acc.matrices.base is None
+        assert acc.probs.shape[0] >= n and acc.matrices.shape[1:] == (3, 3)
         # the first entry of the last leaf's full prefix is that leaf's own state
         last = list(enumerate_trajectories(model, grid))[-1]
-        row = np.flatnonzero(table.cols[:n] == len(grid.record_times) - 1)[-1]
-        assert np.array_equal(table.matrices[row], last.aposteriori[4].matrix)
-        assert table.matrices[row] is not last.aposteriori[4].matrix
+        row = np.flatnonzero(acc.cols[:n] == len(grid.record_times) - 1)[-1]
+        assert np.array_equal(acc.matrices[row], last.aposteriori[4].matrix)
+        assert acc.matrices[row] is not last.aposteriori[4].matrix
 
     def test_trie_dead_inside_finalize(self, monkeypatch):
         # consistency_checks lets go of its last run before finalize, so the

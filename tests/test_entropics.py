@@ -441,6 +441,8 @@ class TestCheckBounds:
             ("pure-preserving-random", ([0, 1, 3, 4], [0, 3])),
             ("pure-preserving-random", ([0, 2, 3, 4], [2, 3])),
             ("damped-qubit", ([0, 1, 2, 4], [1, 4])),
+            ("pure-preserving-random", (None, ())),
+            ("damped-qubit", ([0, 1, 2, 4], ())),
         ],
     )
     def test_report_size_counts_entries_and_rows(self, name, times):

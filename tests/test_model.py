@@ -241,6 +241,22 @@ class TestTimeGrid:
         grid = TimeGrid.make(4, record_times=[0, 2, 4], reference_times=[0, 2])
         assert grid.pairs() == [(0, 0), (0, 2), (0, 4), (2, 2), (2, 4)]
 
+    def test_triples(self):
+        # each pair (r, s) in pairs() order, then each record time t >= s;
+        # on the record times alone, every r <= s <= t in lexical order
+        grid = TimeGrid.make(4, record_times=[0, 1, 3, 4], reference_times=[1, 3])
+        triples = grid.triples()
+        assert iter(triples) is triples  # a generator: it builds no list
+        assert list(triples) == [
+            (1, 1, 1), (1, 1, 3), (1, 1, 4), (1, 3, 3), (1, 3, 4), (1, 4, 4),
+            (3, 3, 3), (3, 3, 4), (3, 4, 4),
+        ]
+        times = grid.record_times
+        assert list(TimeGrid(times, times).triples()) == [
+            (r, s, t) for r in times for s in times for t in times if r <= s <= t
+        ]
+        assert list(TimeGrid(times, ()).triples()) == []
+
     def test_requires_endpoints(self):
         with pytest.raises(ValueError):
             TimeGrid.make(3, record_times=[1, 2, 3])
