@@ -47,6 +47,7 @@ from .quantum import (
     StateBatch,
     _first_false,
     _hermitian_part,
+    log_supports,
     relative_entropies,
 )
 
@@ -54,7 +55,7 @@ from .quantum import (
 PRUNE_REL_TOL = 1e-14
 # Nodes stepped together: the walk holds the nodes of one depth in blocks of
 # at most this many, in emission order, each one (n, d, d) array.
-BLOCK_NODES = 64
+BLOCK_NODES = 256
 # Cap on letters x outcome strings for exhaustive enumeration.
 DEFAULT_LEAF_BUDGET = 10**7
 # The consistency checks apply Kraus maps, take norms and add group sums at
@@ -85,25 +86,23 @@ def _grow(owner, names, size) -> None:
 class IncrementTrie:
     """Outcome-only conditioned states, a row per increment string (outcomes
     s+1..t), kept as arrays: the pushed (unnormalized) matrix, its mass and
-    the math.log of it, the entropy and spectrum of the state, and the child
-    row of each outcome. The normalized matrix is worked out from the pushed
-    one and its mass by the steps DensityOperator.from_stack takes, so it
-    has the same bits. Row i is
+    the math.log of it, the entropy of the state, its log-support table and
+    flag (quantum.log_supports), and the child row of each outcome. The
+    normalized matrix is worked out from the pushed one and its mass by the
+    steps DensityOperator.from_stack takes, so it has the same bits. Row i is
     eta_t of the i-th record time t (mass 1), taken from the batch ``eta``
     that compute_a_priori decomposed; the relative entropies against eta_t
-    read its spectrum there. A row is validated and decomposed when a
+    read its log-support table there. A row is validated and decomposed when a
     record time first needs it (done). Enumeration grows one table per run
     by ``step``, a trie per reference time s rooted at the row of eta_s; a
     replay copies the tracks it pushes into a table of its own."""
 
-    ARRAYS = (
-        "mass", "pushed", "entropy", "eigenvalues", "eigenvectors", "children", "done", "log_mass"
-    )
+    ARRAYS = ("mass", "pushed", "entropy", "log_support", "null", "children", "done", "log_mass")
 
     def __init__(self, eta: StateBatch, width=1):
         self.size = len(eta.entropies)
-        for name, values in zip(self.ARRAYS, (np.ones(self.size), *eta)):
-            setattr(self, name, values.copy())
+        self.mass, self.pushed, self.entropy = np.ones(self.size), *map(np.copy, eta[:2])
+        self.log_support, self.null = log_supports(eta.eigenvalues, eta.eigenvectors)
         self.children = np.full((self.size, width), -1)
         self.done = np.ones(self.size, dtype=bool)
         self.log_mass = np.zeros(self.size)
@@ -119,11 +118,11 @@ class IncrementTrie:
     def write(self, rows, masses, batch: StateBatch, start: int) -> None:
         """Rows ``rows`` hold the states batch[start:] of masses ``masses``,
         with math.log of each mass (np.log may round differently in the last
-        bit)."""
+        bit); the batch has the eigenvectors of these states alone."""
         self.mass[rows], self.entropy[rows] = masses, batch.entropies[start:]
         self.log_mass[rows] = [math.log(mass) for mass in masses.tolist()]
-        self.eigenvalues[rows] = batch.eigenvalues[start:]
-        self.eigenvectors[rows] = batch.eigenvectors[start:]
+        tables = log_supports(batch.eigenvalues[start:], batch.eigenvectors)
+        self.log_support[rows], self.null[rows] = tables
         self.done[rows] = True
 
     def matrices(self, rows) -> np.ndarray:
@@ -305,14 +304,15 @@ def compute_a_priori(model: MeasurementModel, grid: TimeGrid) -> APrioriTrack:
     return track
 
 
-def _node_states(stack):
+def _node_states(stack, spectra_only=0):
     """Masses and validated normalized states of a (..., d, d) stack of
-    unnormalized states, both flat in stack order. Checked in that order,
-    each member's mass before its state."""
+    unnormalized states, both flat in stack order, the first
+    ``spectra_only`` with no eigenvectors. Checked in that order, each
+    member's mass before its state."""
     flat = stack.reshape((-1,) + stack.shape[-2:])
     masses = np.trace(flat, axis1=1, axis2=2).real
     k = _first_false(masses >= sys.float_info.min)
-    batch = DensityOperator.from_stack(flat[:k] / masses[:k, np.newaxis, np.newaxis])
+    batch = DensityOperator.from_stack(flat[:k] / masses[:k, None, None], spectra_only)
     if k < len(masses):
         raise NumericRangeError(
             f"path mass {float(masses[k])!r} is below the smallest normal float"
@@ -367,7 +367,7 @@ class _Walk:
         write its record-time columns into ``block``; ``stacks`` (n, d, d)
         holds the nodes' main states and ``rows`` (n, k) their tracks as
         rows of ``block.states``, in emission order. One validated batch
-        holds the main states and the rows not decomposed before; an error
+        holds the main states (no eigenvectors) and the new rows; an error
         names the trajectory of the first failing node, from its codes.
         Returns the rows with the track seeded at t: the row of eta_t."""
         n = len(stacks)
@@ -379,12 +379,12 @@ class _Walk:
         own = rows[:, : len(self.columns[t][1])]
         new = np.unique(own[~states.done.take(own)])
         try:
-            masses, batch = _node_states(np.concatenate([stacks, states.pushed.take(new, axis=0)]))
+            masses, batch = _node_states(np.concatenate([stacks, states.pushed[new]]), n)
         except (NotPositiveSemidefinite, NumericRangeError):
             # the first failing node raises the same error on its own
             for i in range(n):
                 try:
-                    _node_states(np.concatenate([stacks[i : i + 1], states.pushed[own[i]]]))
+                    _node_states(np.concatenate([stacks[i : i + 1], states.pushed[own[i]]]), 1)
                 except (NotPositiveSemidefinite, NumericRangeError) as exc:
                     path = block.path(i, t)
                     raise type(exc)(f"{_path_name(block.letter, path, t)}: {exc}") from exc
@@ -400,15 +400,14 @@ class _Walk:
         main states (the first n of ``batch``), their masses and the logs of
         them (as the trie keeps its rows' logs), and the tracks at rows
         ``rows`` (n, k) of ``block.states``; one relative-entropy pass of
-        each main state against the rows of eta_t and its tracks. A track
-        seeded at t is eta_t itself: its row."""
+        each main state against the rows of eta_t and its tracks, read as
+        log-support tables. A track seeded at t is eta_t itself: its row."""
         col, track_cols, seeded = self.columns[t]
         states = block.states
         n = len(rows)
         both = np.concatenate([np.full((n, 1), col), rows], axis=1)
-        lam, vec = batch.eigenvalues[:n], batch.eigenvectors[:n]
-        lam2, vec2 = (a.take(both, axis=0) for a in (states.eigenvalues, states.eigenvectors))
-        chis = relative_entropies(lam, vec, lam2, vec2)
+        tables, null = states.log_support.take(both, axis=0), states.null.take(both)
+        chis = relative_entropies(batch.eigenvalues[:n], batch.matrices[:n], tables, null)
         block.posteriors[col] = batch.matrices[:n].copy()
         logs = [math.log(mass) for mass in masses.tolist()]
         values = (masses, logs, np.arange(n), batch.entropies[:n], chis[:, 0])
@@ -717,10 +716,12 @@ class ConsistencyAccumulator:
         keys, probs = np.concatenate(keys), np.concatenate(probs)
         # added one by one, as the records came
         self._total = float(np.cumsum(np.append(self._total, probs[:, -1]))[-1])
-        # the a-posteriori rows of every run and column, as rows of one stack
-        offsets = np.cumsum([0] + [len(s) for s in stacks[:-1]]).reshape(-1, len(sizes)).T
+        # the a-posteriori rows of every run and column, as rows of one stack with each stack once
+        distinct = {id(s): s for s in stacks}
+        at = dict(zip(distinct, np.cumsum([0] + [len(s) for s in distinct.values()]).tolist()))
+        offsets = np.array([at[id(s)] for s in stacks]).reshape(-1, len(sizes)).T
         sources = np.concatenate(sources) + np.repeat(offsets, sizes, axis=0)
-        stack = np.concatenate(stacks)
+        stack = np.concatenate(list(distinct.values()))
         before = np.concatenate([self._last_keys[np.newaxis], keys[:-1]])
         if (keys < before).any():
             raise ValueError("prefix numbers fall: the records are not in emission order")
@@ -731,7 +732,8 @@ class ConsistencyAccumulator:
         rows = slice(self.size, self.size + int(counts[-1].sum()))
         _grow(self, ("keys", "cols", "probs", "matrices"), rows.stop)
         self.keys[rows], self.cols[rows] = keys.T[new.T], np.nonzero(new.T)[0]
-        self.probs[rows], self.matrices[rows] = probs.T[new.T], stack[sources.T[new.T]]
+        self.probs[rows] = probs.T[new.T]  # and the matrices in place ("raise" would copy them)
+        np.take(stack, sources.T[new.T], axis=0, out=self.matrices[rows], mode="clip")
         self.size, self._last, self._last_keys = rows.stop, held[-1], keys[-1]
         later = ~new
         later[1:] &= (sources[1:] != sources[:-1]) | (probs[1:] != probs[:-1])
@@ -775,7 +777,7 @@ class ConsistencyAccumulator:
         the trie but its links, masses and pushed matrices (see README)."""
         trie, self._trie = copy.copy(self._trie or IncrementTrie(self.eta.batch, self._width)), None
         self.hold()
-        del trie.eigenvalues, trie.eigenvectors
+        del trie.log_support, trie.null
         times, refs = self.grid.record_times, self.grid.reference_times
         order = np.argsort(self.cols[: self.size], kind="stable")  # by column, in prefix order
         bounds = np.searchsorted(self.cols[order], np.arange(len(times) + 1)).tolist()

@@ -22,7 +22,6 @@ per time tuple; infinities are compared in the extended reals.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -108,22 +107,22 @@ class EntropyReportBuilder:
         self.m2 = np.zeros(n)
         self.infinite = np.zeros(n, dtype=bool)
 
-    def _values(self, block) -> np.ndarray:
-        """Every entry's contribution of each row of a block of records,
-        (n, len(keys)) in ``keys`` order."""
+    def _values(self, block, rows) -> np.ndarray:
+        """Every entry's contribution of each of the rows ``rows`` of a block
+        of records, (len(rows), len(keys)) in ``keys`` order."""
         block.check_grid(self._times, self._pairs)
-        log_prob, states, conditioned = block.log_prob, block.states, block.conditioned
-        log_incr, cond_entropy = states.log_mass[conditioned], states.entropy[conditioned]
-        cols = self._cols
-        values = np.empty((len(block.prob_at), len(self.keys)))
+        log_prob, entropy = block.log_prob[rows], block.entropy[rows]
+        given = block.conditioned[rows]
+        log_incr, cond_entropy = block.states.log_mass[given], block.states.entropy[given]
+        values = np.empty((len(rows), len(self.keys)))
         t, r, p = self._ic_src
-        values[:, cols["Ic"]] = log_prob[:, t] - log_prob[:, r] - log_incr[:, p]
-        values[:, cols["chi_bar"]] = block.chi_term
-        values[:, cols["chi_at"]] = block.chi_at_term
+        values[:, self._cols["Ic"]] = log_prob[:, t] - log_prob[:, r] - log_incr[:, p]
+        values[:, self._cols["chi_bar"]] = block.chi_term[rows]
+        values[:, self._cols["chi_at"]] = block.chi_at_term[rows]
         s, t = self._iq_src
-        values[:, cols["Iq"]] = block.entropy[:, s] - block.entropy[:, t]
+        values[:, self._cols["Iq"]] = entropy[:, s] - entropy[:, t]
         a, b = self._iq_cond_src
-        values[:, cols["Iq_cond"]] = cond_entropy[:, a] - cond_entropy[:, b]
+        values[:, self._cols["Iq_cond"]] = cond_entropy[:, a] - cond_entropy[:, b]
         return values
 
     def add(self, block: RecordBlock, rows: np.ndarray, counts: np.ndarray) -> None:
@@ -137,20 +136,22 @@ class EntropyReportBuilder:
         positive = weights > 0.0
         if not positive.any():
             return
-        rows, weights = rows[positive], weights[positive]
-        values = self._values(block)[rows]
+        rows, weights = rows[positive], weights[positive, np.newaxis]
+        values = self._values(block, rows)
         infinite = np.isinf(values)
-        self.infinite |= infinite.any(axis=0)
-        # an infinite entry weighs 0 in its column
-        weights = np.where(infinite, 0.0, weights[:, np.newaxis])
+        if infinite.any():
+            self.infinite |= infinite.any(axis=0)
+            # an infinite entry weighs 0 in its column
+            weights = np.where(infinite, 0.0, weights)
+            values[infinite] = 0.0
+        # summed down the rows, one column at a time, as with a weight matrix
+        run_weight = np.broadcast_to(weights, values.shape).sum(axis=0)
         if len(rows) == 1:
-            run_weight, run_mean, run_m2 = weights[0], values[0], np.zeros(len(self.keys))
+            run_mean, run_m2 = values[0], np.zeros(len(self.keys))
         else:
-            values = np.where(infinite, 0.0, values)
-            run_weight = weights.sum(axis=0)
             run_mean = (weights * values).sum(axis=0)
             run_mean /= np.where(run_weight > 0.0, run_weight, 1.0)
-            run_m2 = (weights * (values - run_mean) ** 2).sum(axis=0)
+            run_m2 = (weights * np.square(values - run_mean, out=values)).sum(axis=0)
         # a column the run gives no weight keeps its entries
         cols = run_weight > 0.0
         weight, run_mean = run_weight[cols], run_mean[cols]
@@ -369,12 +370,16 @@ def report_to_json_dict(report: EntropyReport, units: str = "nats") -> dict:
 
 
 def write_bounds_csv(report: CheckReport, stream, units: str = "nats") -> int:
-    """CSV with columns (bound_id, times, lhs, rhs, margin, pass)."""
+    """CSV with columns (bound_id, times, lhs, rhs, margin, pass), quoted as
+    by csv.writer (only a times field has commas), written 4096 lines at a time."""
     scale = 1.0 if units == "nats" else 1.0 / LN2
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["bound_id", "times", "lhs", "rhs", "margin", "pass"])
+    lines = ["bound_id,times,lhs,rhs,margin,pass\n"]
     for c in report.checks:
-        times = ",".join(str(t) for t in c.times)
-        sides = [repr(value * scale) for value in (c.lhs, c.rhs, c.margin)]
-        writer.writerow([c.name, times, *sides, "true" if c.passed else "false"])
+        times = ('"%s"' if len(c.times) > 1 else "%s") % ",".join(map(str, c.times))
+        lhs, rhs, margin, flag = c.lhs * scale, c.rhs * scale, c.margin * scale, c.passed
+        lines.append(f"{c.name},{times},{lhs!r},{rhs!r},{margin!r},{'true' if flag else 'false'}\n")
+        if len(lines) == 4096:
+            stream.write("".join(lines))
+            lines = []
+    stream.write("".join(lines))
     return len(report.checks)

@@ -10,13 +10,16 @@ Conventions used throughout:
 * zero-weight branches of hybrid (classical/quantum) states are dropped,
   never normalized.
 
-A state is its matrix and its entropy. ``DensityOperator.from_stack`` is the
-one place where states are validated and decomposed, with one
-``np.linalg.eigh`` call per stack; the engine takes the spectra it needs
-from that call, and the independent oracles (``quantum_relative_entropy``,
-``hybrid_relative_entropy``) decompose their own inputs. Every quantity
-depends only on eigenvalues and on the overlaps |<a|b>|^2, so eigenvectors
-are used exactly as LAPACK returns them.
+A state is its matrix and its entropy. ``DensityOperator.from_stack`` is the one
+place where states are validated and decomposed, with one ``np.linalg.eigh``
+call per stack (eigvalsh where a spectrum is enough); the engine takes what it
+needs, and the independent oracles (``quantum_relative_entropy``,
+``hybrid_relative_entropy``) decompose their own inputs. Every quantity depends
+only on eigenvalues, overlaps |<a|b>|^2 and projections |b><b|, so eigenvectors
+are used as LAPACK returns them. ``relative_entropies`` takes the mass of A off
+the support of B over all of A, ``_relent_spectra`` over A cut to its support:
+A's eigenvalues off its support sum to at most d * 1e-12 * Tr A, so the rules
+differ only when that mass is within d * 1e-12 * Tr A of the threshold.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class StateBatch(NamedTuple):
     matrices: np.ndarray  # (k, d, d), the Hermitian parts
     entropies: np.ndarray  # (k,)
     eigenvalues: np.ndarray  # (k, d), ascending, clipped at zero
-    eigenvectors: np.ndarray  # (k, d, d), orthonormal columns
+    eigenvectors: np.ndarray  # (k - spectra_only, d, d), orthonormal columns
 
     @property
     def states(self) -> list:
@@ -95,21 +98,27 @@ class DensityOperator:
     entropy: float  # von Neumann entropy in nats
 
     @classmethod
-    def from_stack(cls, matrices) -> StateBatch:
+    def from_stack(cls, matrices, spectra_only: int = 0) -> StateBatch:
         """Validate and wrap every member of a (k, d, d) stack with one
         eigendecomposition call: Hermitian within HERMITICITY_TOL (relative
         Frobenius), eigenvalues >= EIGENVALUE_FLOOR, trace 1 within
         TRACE_TOL. Each test is written so that a NaN fails it. Members are
         checked in order; the first failing member raises the error that
-        from_matrix raises for it alone. The batch keeps the states as
-        arrays; ``.states`` wraps them one by one."""
+        from_matrix raises for it alone. The first ``spectra_only`` members
+        get no eigenvectors (np.linalg.eigvalsh). The batch keeps the states
+        as arrays; ``.states`` wraps them one by one."""
         a = np.asarray(matrices, dtype=complex)
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise DimensionMismatch(f"state stack must be (k, d, d), got {a.shape}")
         residual = hermiticity_residual(a)
         n = _first_false(residual <= HERMITICITY_TOL)
         herm = _hermitian_part(a[:n])
-        eigenvalues, eigenvectors = np.linalg.eigh(herm)
+        k = min(spectra_only, n)
+        eigenvalues, eigenvectors = herm[:0, 0].real, herm[:0]  # for k = n: no eigh call
+        if k < n:
+            eigenvalues, eigenvectors = np.linalg.eigh(herm[k:])
+        if k:
+            eigenvalues = np.concatenate([np.linalg.eigvalsh(herm[:k]), eigenvalues])
         trace = np.trace(herm, axis1=-2, axis2=-1).real
         psd = eigenvalues[:, 0] >= EIGENVALUE_FLOOR
         i = _first_false(psd & (np.abs(trace - 1.0) <= TRACE_TOL))
@@ -260,37 +269,36 @@ def _relent_spectra(lam1, v1, lam2, v2) -> float:
     return term1 - term2
 
 
-def relative_entropies(lam1, v1, lam2, v2) -> np.ndarray:
-    """Tr{A_n (log A_n - log B_nj)} of first spectra (lam1 of shape (..., d),
-    v1 of shape (..., d, d)) against stacks of spectra (lam2 of shape
-    (..., m, d), v2 of shape (..., m, d, d)) in one pass; shape (..., m).
+def log_supports(eigenvalues, eigenvectors) -> tuple:
+    """Each state B of a stack of spectra ((..., d), (..., d, d)) as
+    relative_entropies reads it: C = L^T, L = sum over the support of
+    log(lam_b) |b><b| + i * sum off it of |b><b|, and a flag for lam_max <= 0."""
+    b_max = eigenvalues[..., -1:]
+    supp = eigenvalues > SUPPORT_REL_TOL * b_max
+    logs = np.where(supp, np.log(np.where(supp, eigenvalues, 1.0)), 1j)[..., np.newaxis, :]
+    return (eigenvectors.conj() * logs) @ np.swapaxes(eigenvectors, -1, -2), b_max[..., 0] <= 0.0
 
-    Same support rule, infinity flag and 0 log 0 convention as
-    _relent_spectra, entry by entry; that scalar form stays separate for
-    the independent oracles. Each first argument meets all m of its second
-    arguments in one (d, d) x (d, m*d) product of eigenvectors and one
-    (1, d) x (d, m*d) product of its support weights, so a row's bits do
-    not depend on how many rows come with it.
+
+def relative_entropies(lam1, a, tables, null) -> np.ndarray:
+    """Tr{A_n (log A_n - log B_nj)} of first arguments (eigenvalues lam1
+    (..., d), Hermitian matrices a (..., d, d)) against stacks of second
+    ones (log_supports: tables (..., m, d, d), null (..., m)); shape (..., m).
+
+    Tr(A L) = sum_ij A_ij C_ij is the cross term Tr(A log B) plus i times
+    the mass of A off the support of B, which makes the value math.inf
+    beyond SUPPORT_MASS_TOL relative to Tr A, as does a null B; 0 log 0 = 0.
+    _relent_spectra stays separate for the independent oracles. Each A meets
+    its m second arguments in one (1, d^2) x (d^2, m) product, so a row's
+    bits do not depend on how many rows come with it.
     """
     a_max = lam1[..., -1:]
     supp1 = lam1 > SUPPORT_REL_TOL * a_max
-    weights = np.where(supp1, lam1, 0.0)
-    term1 = (weights * np.log(np.where(supp1, lam1, 1.0))).sum(axis=-1, keepdims=True)
-    b_max = lam2[..., -1]
-    supp2 = lam2 > SUPPORT_REL_TOL * b_max[..., np.newaxis]
-    m, d = lam2.shape[-2:]
-    # [..., a, (j, b)] = <a_a|b_jb>, then |.|^2
-    right = np.swapaxes(v2, -3, -2).reshape(v2.shape[:-3] + (d, m * d))
-    z = v1.conj().swapaxes(-1, -2) @ right
-    overlaps = z.real**2 + z.imag**2
-    # [..., j, b] = sum_a weights_a |<a_a|b_jb>|^2, the mass of A on b_jb
-    mass = (weights[..., np.newaxis, :] @ overlaps).reshape(lam2.shape)
-    outside = np.where(supp2, 0.0, mass).sum(axis=-1)
-    log2 = np.log(np.where(supp2, lam2, 1.0))  # zero off the support
-    term2 = (mass * log2).sum(axis=-1)
-    infinite = (b_max <= 0.0) | (outside > SUPPORT_MASS_TOL * lam1.sum(axis=-1, keepdims=True))
+    term1 = (np.where(supp1, lam1, 0.0) * np.log(np.where(supp1, lam1, 1.0))).sum(-1, keepdims=True)
+    flat = tables.reshape(tables.shape[:-2] + (a.shape[-1] ** 2,))
+    traces = (a.reshape(a.shape[:-2] + (1, flat.shape[-1])) @ np.swapaxes(flat, -1, -2))[..., 0, :]
+    infinite = null | (traces.imag > SUPPORT_MASS_TOL * lam1.sum(axis=-1, keepdims=True))
     # every term of a zero first argument vanishes: 0 against anything
-    return np.where(infinite & (a_max > 0.0), math.inf, term1 - term2)
+    return np.where(infinite & (a_max > 0.0), math.inf, term1 - traces.real)
 
 
 def quantum_relative_entropy(sigma, tau) -> float:

@@ -39,7 +39,7 @@ from contmeas.engine import (
 from contmeas.entropics import EntropyReportBuilder
 from contmeas.errors import BudgetExceeded, GridMiss, NotPositiveSemidefinite, NumericRangeError
 from contmeas.model import Ensemble, MeasurementModel, TimeGrid, builtin_scenario, random_model
-from contmeas.quantum import DensityOperator
+from contmeas.quantum import DensityOperator, log_supports
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -255,9 +255,9 @@ class TestBlocks:
     one-node block. Both must give every leaf the very same record."""
 
     CASES = {
-        # 81 nodes per letter at depth 4: blocks split at the cap
-        "split-seed1": lambda: (random_model(1, dim=3, n_outcomes=3, horizon=4), None),
-        "split-seed2": lambda: (random_model(2, dim=3, n_outcomes=3, horizon=4), None),
+        # 729 nodes per letter at depth 6: blocks split at the cap
+        "split-seed1": lambda: (random_model(1, dim=3, n_outcomes=3, horizon=6), None),
+        "split-seed2": lambda: (random_model(2, dim=3, n_outcomes=3, horizon=6), None),
         # null branches pruned inside a block
         "pruned": lambda: (builtin_scenario("qubit-projective", horizon=3), None),
         "zero-prior": lambda: (_zero_prior_model(), None),
@@ -305,7 +305,7 @@ class TestBlocks:
         model = random_model(1, dim=3, n_outcomes=3, horizon=4)
         grid = full_grid(model)
         runs = []
-        for size in (1, 7, 64):
+        for size in (1, 7, 64, 256):
             monkeypatch.setattr(engine, "BLOCK_NODES", size)
             records = list(enumerate_trajectories(model, grid))
             margins = [c.margin for c in consistency_checks(model, grid, records).checks]
@@ -387,6 +387,7 @@ class TestIncrementTrie:
         model = random_model(2, dim=3, n_outcomes=3, horizon=5)
         grid = full_grid(model) if times is None else TimeGrid.make(model.horizon, *times)
         eta = compute_a_priori(model, grid)
+        tables, null = log_supports(eta.batch.eigenvalues, eta.batch.eigenvectors)
         records = list(enumerate_trajectories(model, grid))
         rec = records[7]
         replayed = _Walk(model, grid).replay(rec.letter, rec.block.codes[rec.row])
@@ -397,20 +398,24 @@ class TestIncrementTrie:
                 assert np.array_equal(states.pushed[row], eta[t].matrix)
                 assert np.array_equal(states.matrices(row), eta[t].matrix)
                 assert states.entropy[row] == eta[t].entropy
-                assert np.array_equal(states.eigenvalues[row], eta.batch.eigenvalues[row])
-                assert np.array_equal(states.eigenvectors[row], eta.batch.eigenvectors[row])
+                assert np.array_equal(states.log_support[row], tables[row])
+                assert states.null[row] == null[row]
 
     def test_each_state_decomposed_once(self, monkeypatch):
         model = random_model(2, dim=3, n_outcomes=3, horizon=4)
         grid = full_grid(model)
         counted = []
-        eigh = np.linalg.eigh
 
-        def counting(a):
-            counted.append(math.prod(a.shape[:-2]))
-            return eigh(a)
+        def counting(decompose):
+            def counted_call(a):
+                counted.append(math.prod(a.shape[:-2]))
+                return decompose(a)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+            return counted_call
+
+        # path states need only their spectrum (eigvalsh), trie rows eigh
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
         stats = Counter()
         records = list(enumerate_trajectories(model, grid, stats=stats))
         # nothing is pruned: every node and every increment string is reached
@@ -535,7 +540,7 @@ class TestRuns:
         # an enumeration's runs are its blocks of leaves; when record k, in
         # the middle of a block, is moved to a one-row block of its own,
         # that block's run splits in three around it
-        model = random_model(1, dim=3, n_outcomes=3, horizon=4)
+        model = random_model(1, dim=3, n_outcomes=3, horizon=6)
         records = list(enumerate_trajectories(model, full_grid(model)))
         clean = list(runs(records))
         assert len(clean) > 2 and len({id(block) for block, _, _ in clean}) == len(clean)
@@ -998,7 +1003,7 @@ class TestConsistency:
         col = grid.pairs().index((0, 3))
         rows = [rec.block.conditioned[rec.row, col] for rec in records[:2]]
         states = records[0].block.states
-        for name in ("mass", "pushed", "entropy", "eigenvalues", "eigenvectors"):
+        for name in ("mass", "pushed", "entropy", "log_support", "null"):
             values = getattr(states, name)
             values[rows] = values[rows[::-1]]
         report = consistency_checks(model, grid, records=records)
@@ -1107,7 +1112,7 @@ class TestConsistencyTables:
         # each held prefix entry is a copy of one record's probability and
         # matrix, never a reference to a record's state or block; the
         # increment strings are rows of the run's trie, which finalize lets go
-        model = random_model(2, dim=3, n_outcomes=3, horizon=4)
+        model = random_model(2, dim=3, n_outcomes=3, horizon=5)
         grid = full_grid(model)
         acc = ConsistencyAccumulator(model, grid)
         refs = []
@@ -1126,8 +1131,8 @@ class TestConsistencyTables:
         # the first entry of the last leaf's full prefix is that leaf's own state
         last = list(enumerate_trajectories(model, grid))[-1]
         row = np.flatnonzero(acc.cols[:n] == len(grid.record_times) - 1)[-1]
-        assert np.array_equal(acc.matrices[row], last.aposteriori[4].matrix)
-        assert acc.matrices[row] is not last.aposteriori[4].matrix
+        assert np.array_equal(acc.matrices[row], last.aposteriori[5].matrix)
+        assert acc.matrices[row] is not last.aposteriori[5].matrix
 
     def test_trie_dead_inside_finalize(self, monkeypatch):
         # consistency_checks lets go of its last run before finalize, so the

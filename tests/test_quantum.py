@@ -21,6 +21,7 @@ from contmeas.quantum import (
     average_state,
     chi_quantity,
     hybrid_relative_entropy,
+    log_supports,
     quantum_relative_entropy,
     relative_entropies,
 )
@@ -381,6 +382,17 @@ def _clipped_spectrum(matrix):
     return _clip_nonnegative(lam), vec
 
 
+def _matrix(lam, vec):
+    """The matrix of a (stack of) spectra."""
+    return (vec * lam[..., np.newaxis, :]) @ np.swapaxes(vec.conj(), -1, -2)
+
+
+def _relents(lam1, v1, lam2, v2):
+    """relative_entropies of spectra: each first argument as its eigenvalues
+    and its matrix, each second as its log-support table and flag."""
+    return relative_entropies(lam1, _matrix(lam1, v1), *log_supports(lam2, v2))
+
+
 @st.composite
 def spectrum_stacks(draw):
     """A first spectrum and a stack of others. Ranks run from 0 (the zero
@@ -409,7 +421,7 @@ def spectrum_stacks(draw):
 @given(spectrum_stacks())
 def test_relative_entropies_match_scalar_kernel(stacks):
     lam1, v1, lam2, v2 = stacks
-    batched = relative_entropies(lam1, v1, lam2, v2)
+    batched = _relents(lam1, v1, lam2, v2)
     for i in range(len(lam2)):
         expected = _relent_spectra(lam1, v1, lam2[i], v2[i])
         if math.isinf(expected) or math.isinf(batched[i]):
@@ -428,10 +440,11 @@ def test_relative_entropies_of_a_block_match_scalar_kernel(stacks):
     vec = np.concatenate([v1[np.newaxis], v2])
     k = len(lam)
     order = (np.arange(k)[:, np.newaxis] + np.arange(k)) % k
-    block = relative_entropies(lam, vec, lam[order], vec[order])
+    a, (tables, null) = _matrix(lam, vec), log_supports(lam, vec)
+    block = relative_entropies(lam, a, tables[order], null[order])
     assert block.shape == (k, k)
     for i in range(k):
-        row = relative_entropies(lam[i], vec[i], lam[order[i]], vec[order[i]])
+        row = relative_entropies(lam[i], a[i], tables[order[i]], null[order[i]])
         assert np.array_equal(block[i], row)
         for j in range(k):
             expected = _relent_spectra(lam[i], vec[i], lam[order[i, j]], vec[order[i, j]])
@@ -445,11 +458,11 @@ def test_relative_entropies_of_a_block_match_scalar_kernel(stacks):
 
 @st.composite
 def walk_blocks(draw):
-    """First and second arguments at the shapes of the walk: 64 to 80
+    """First and second arguments at the shapes of the walk: 240 to 270
     first spectra, each against 7 others, drawn from a pool of states of
     random rank (0 to full) with a shared eigenbasis or not."""
     dim = draw(st.integers(2, 4))
-    n = draw(st.integers(64, 80))
+    n = draw(st.integers(240, 270))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shared = draw(st.booleans())
     basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
@@ -475,10 +488,11 @@ def test_relative_entropies_at_walk_shapes(block):
     # the wide products run at block scale: each row has the bits of its
     # one-row call, and matches the scalar kernel entry by entry
     lam1, v1, lam2, v2 = block
-    out = relative_entropies(lam1, v1, lam2, v2)
+    a, (tables, null) = _matrix(lam1, v1), log_supports(lam2, v2)
+    out = relative_entropies(lam1, a, tables, null)
     assert out.shape == (len(lam1), 7)
     for i in range(len(lam1)):
-        row = relative_entropies(lam1[i], v1[i], lam2[i], v2[i])
+        row = relative_entropies(lam1[i], a[i], tables[i], null[i])
         assert out[i].tobytes() == row.tobytes()
         for j in range(7):
             expected = _relent_spectra(lam1[i], v1[i], lam2[i, j], v2[i, j])
@@ -491,8 +505,9 @@ def test_relative_entropies_at_walk_shapes(block):
 @settings(max_examples=200, deadline=None)
 @given(spectrum_stacks(), st.integers(0, 2**32 - 1))
 def test_relative_entropies_ignore_eigenvector_phases(stacks, seed):
-    # every quantity uses eigenvalues and |<a|b>|^2 only, so no phase
-    # convention is needed: a unit phase on any eigenvector changes nothing
+    # every quantity uses eigenvalues, |<a|b>|^2 and the projections |b><b|
+    # only, so no phase convention is needed: a unit phase on any
+    # eigenvector changes nothing
     lam1, v1, lam2, v2 = stacks
     rng = np.random.default_rng(seed)
 
@@ -500,7 +515,7 @@ def test_relative_entropies_ignore_eigenvector_phases(stacks, seed):
         return v * np.exp(2j * np.pi * rng.random(v.shape[:-2] + (1, v.shape[-1])))
 
     w1, w2 = rotated(v1), rotated(v2)
-    batched = zip(relative_entropies(lam1, v1, lam2, v2), relative_entropies(lam1, w1, lam2, w2))
+    batched = zip(_relents(lam1, v1, lam2, v2), _relents(lam1, w1, lam2, w2))
     scalar = (
         (_relent_spectra(lam1, v1, lam2[i], v2[i]), _relent_spectra(lam1, w1, lam2[i], w2[i]))
         for i in range(len(lam2))
@@ -517,14 +532,49 @@ def test_relative_entropies_edge_cases():
     ket0, ket1, plus = (_clipped_spectrum(m) for m in (KET0, KET1, PLUS))
     lam2 = np.array([ket0[0], ket1[0], zero[0], plus[0]])
     v2 = np.array([ket0[1], ket1[1], zero[1], plus[1]])
-    # disjoint support and a zero second argument are infinite
-    assert relative_entropies(*ket0, lam2, v2).tolist()[:3] == [0.0, math.inf, math.inf]
+    # disjoint support and a zero second argument are infinite; the zero
+    # one by its flag
+    assert log_supports(lam2, v2)[1].tolist() == [False, False, True, False]
+    assert _relents(*ket0, lam2, v2).tolist()[:3] == [0.0, math.inf, math.inf]
     # a zero first argument gives 0 against anything
-    assert relative_entropies(*zero, lam2, v2).tolist() == [0.0] * 4
+    assert _relents(*zero, lam2, v2).tolist() == [0.0] * 4
     # the same, with both first arguments in one block
     lam1, v1 = (np.array(pair) for pair in zip(ket0, zero))
-    block = relative_entropies(lam1, v1, np.array([lam2, lam2]), np.array([v2, v2]))
+    block = _relents(lam1, v1, np.array([lam2, lam2]), np.array([v2, v2]))
     assert block.tolist() == [[0.0, math.inf, math.inf, block[0, 3]], [0.0] * 4]
+
+
+@pytest.mark.parametrize(
+    "small, infinite",
+    [
+        # one eigenvalue just below SUPPORT_REL_TOL * lam_max, outside the
+        # support of B: its mass is below SUPPORT_MASS_TOL * Tr A, finite
+        ([0.9e-12], False),
+        # two of them: each is outside the support of A, where the scalar
+        # kernel does not count it, but together they are above the
+        # threshold, by less than d * 1e-12 * Tr A
+        ([0.9e-12, 0.9e-12], True),
+    ],
+)
+def test_relative_entropies_take_outside_mass_over_all_of_a(small, infinite):
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    lam_a = np.array([1.0] + small + [0.0] * (2 - len(small)))
+    a = (u * (lam_a / lam_a.sum())) @ u.conj().T
+    b = np.outer(u[:, 0], u[:, 0].conj())
+    # as the walk decomposes them: A for its spectrum only, B with its vectors
+    batch = DensityOperator.from_stack(np.array([a, b]), spectra_only=1)
+    assert 0.0 < batch.eigenvalues[0, -2] <= 1e-12 * batch.eigenvalues[0, -1]
+    tables, null = log_supports(batch.eigenvalues[1:], batch.eigenvectors)
+    value = relative_entropies(batch.eigenvalues[0], batch.matrices[0], tables, null)[0]
+    expected = _relent_spectra(*_clipped_spectrum(a), *_clipped_spectrum(b))
+    assert math.isfinite(expected) and not null[0]
+    outside = np.einsum("ij,ij->", batch.matrices[0], tables[0]).imag
+    assert (outside > 1e-12 * np.trace(a).real) == infinite
+    if infinite:
+        assert value == math.inf and outside - 1e-12 <= 3 * 1e-12
+    else:
+        assert abs(value - expected) <= 1e-12
 
 
 VALID = [
@@ -556,6 +606,15 @@ def test_from_stack_raises_like_from_matrix(kind, position):
     )
 
 
+@pytest.mark.parametrize("kind", sorted(BAD))
+@pytest.mark.parametrize("position", [0, 1, 3])
+def test_from_stack_raises_alike_without_eigenvectors(kind, position):
+    # members decomposed for their spectrum alone are checked as before
+    stack = np.array(VALID[:position] + [BAD[kind]] + VALID[position:])
+    raised = _raised(lambda a: DensityOperator.from_stack(a, spectra_only=2), stack)
+    assert raised == _raised(DensityOperator.from_matrix, BAD[kind])
+
+
 @pytest.mark.parametrize(
     "first, second",
     [("non-hermitian", "negative"), ("trace", "nan"), ("negative", "non-hermitian"), ("nan", "trace")],
@@ -578,6 +637,21 @@ def test_from_stack_matches_from_matrix():
         lam, vec = spectrum(stack[i])
         assert np.array_equal(batch.eigenvalues[i], lam)
         assert np.array_equal(batch.eigenvectors[i], vec)
+
+
+def test_from_stack_spectra_only():
+    # the leading members get their eigenvalues alone, from eigvalsh; the
+    # others their eigenvectors too, from eigh, as in a batch of their own
+    rng = np.random.default_rng(13)
+    stack = np.array([random_density(rng, 3).matrix for _ in range(5)])
+    batch = DensityOperator.from_stack(stack, spectra_only=2)
+    rest = DensityOperator.from_stack(stack[2:])
+    assert batch.eigenvectors.shape == (3, 3, 3)
+    assert np.array_equal(batch.eigenvectors, rest.eigenvectors)
+    assert np.array_equal(batch.eigenvalues[2:], rest.eigenvalues)
+    assert np.array_equal(batch.eigenvalues[:2], _clip_nonnegative(np.linalg.eigvalsh(stack[:2])))
+    assert np.array_equal(batch.matrices, DensityOperator.from_stack(stack).matrices)
+    assert DensityOperator.from_stack(stack, spectra_only=9).eigenvectors.shape == (0, 3, 3)
 
 
 def test_from_stack_rejects_wrong_shape():
