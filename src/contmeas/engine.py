@@ -304,7 +304,7 @@ def compute_a_priori(model: MeasurementModel, grid: TimeGrid) -> APrioriTrack:
     return track
 
 
-def _node_states(stack, spectra_only=0):
+def _node_states(stack, spectra_only):
     """Masses and validated normalized states of a (..., d, d) stack of
     unnormalized states, both flat in stack order, the first
     ``spectra_only`` with no eigenvectors. Checked in that order, each

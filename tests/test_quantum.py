@@ -676,4 +676,4 @@ def test_node_states_failure_order(masses, bad, error):
     position, kind = bad
     live[position] = BAD[kind] * masses[position]
     with pytest.raises(error):
-        _node_states(live[np.newaxis])
+        _node_states(live[np.newaxis], 1)
